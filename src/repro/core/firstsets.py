@@ -26,8 +26,9 @@ alternative's (reordered, i.e. execution-ordered) terms:
   ``{0x30, 0x31}``, fixed-width integers admit any byte but require one);
 * ``btoi``-guarded alternatives — a leading 1- or 2-byte integer builtin
   whose value is constrained by later ``guard``/defaultless ``switch``
-  terms (DNS's ``Pointer``/``Label`` shape) — are narrowed by evaluating
-  the constraints symbolically for every candidate first byte;
+  terms (DNS's ``Pointer``/``Label`` shape) — are narrowed by compiling
+  the constraints once per alternative into a Python loop over candidate
+  values and running it for every candidate first byte;
 * anything undecidable (arrays, blackboxes, non-constant left endpoints,
   attribute-dependent intervals) falls back to "any byte".
 
@@ -84,6 +85,7 @@ from .builtins import BUILTINS
 from .errors import EvaluationError
 from .expr import BinOp, Cond, Dot, Expr, Name, Num
 from .exprcomp import fold
+from .runtime import _div, _mod, _shift_l, _shift_r
 
 __all__ = [
     "AltFirst",
@@ -111,8 +113,9 @@ _BUILTIN_FIRST = {
 }
 
 #: Maximum fixed-integer width the guard narrowing enumerates.  Width 2
-#: costs at most 256*256 constraint evaluations per alternative (cached on
-#: the grammar); wider integers are left unconstrained.
+#: runs the compiled constraints on at most 256*256 candidate values per
+#: alternative (DNS's ``Pointer`` takes ~5 ms); wider integers are left
+#: unconstrained.
 _NARROW_MAX_WIDTH = 2
 
 _FULL = frozenset(range(256))
@@ -198,42 +201,6 @@ class DispatchPlan:
 
 class _Unsupported(Exception):
     """A constraint expression left the fragment the narrower understands."""
-
-
-class _SymContext:
-    """Duck-typed :class:`~repro.core.env.EvalContext` for guard narrowing.
-
-    Resolves plain names against the symbolically tracked attribute
-    definitions and ``<builtin>.val`` against the candidate integer value;
-    everything else raises :class:`_Unsupported`, which the narrower treats
-    as "no constraint".  :class:`~repro.core.errors.EvaluationError` raised
-    by the expression itself (division by zero, ...) keeps its interpreter
-    meaning: the alternative fails for that candidate value.
-    """
-
-    __slots__ = ("env", "nm", "val")
-
-    def __init__(self, nm: str):
-        self.env: Dict[str, int] = {}
-        self.nm = nm
-        self.val: Optional[int] = None
-
-    def lookup_name(self, name: str) -> int:
-        try:
-            return self.env[name]
-        except KeyError:
-            raise _Unsupported() from None
-
-    def lookup_dot(self, nonterminal: str, attr: str) -> int:
-        if nonterminal == self.nm and attr == "val" and self.val is not None:
-            return self.val
-        raise _Unsupported()
-
-    def lookup_index(self, nonterminal, index, attr):
-        raise _Unsupported()
-
-    def array_length(self, nonterminal):
-        raise _Unsupported()
 
 
 def _evaluable(expr: Expr) -> bool:
@@ -495,43 +462,6 @@ def _alternative_first(
 # ---------------------------------------------------------------------------
 
 
-#: Process-wide narrowing cache.  The enumeration for a 2-byte builtin is
-#: ~65k constraint evaluations; keying on the alternative's rendered source
-#: *plus its name-resolution fingerprint* makes every Parser built over
-#: the same grammar text pay it once, without leaking results between
-#: grammars whose identical-looking alternatives resolve names differently
-#: (e.g. a rule shadowing a builtin turns a usable guard into one behind a
-#: potentially-effectful call).
-_NARROW_GLOBAL_CACHE: Dict[tuple, Optional[frozenset]] = {}
-
-
-def _resolution_fingerprint(
-    grammar: Grammar, alternative: Alternative, chain: Dict[str, Rule]
-) -> tuple:
-    """How every nonterminal occurrence of the alternative resolves here."""
-    kinds = []
-    for term in alternative.terms:
-        if isinstance(term, TermNonterminal):
-            names = (term.name,)
-        elif isinstance(term, TermArray):
-            names = (term.element.name,)
-        elif isinstance(term, TermSwitch):
-            names = tuple(case.target.name for case in term.cases)
-        else:
-            continue
-        for name in names:
-            if name in chain:
-                kind = "local"
-            elif grammar.has_rule(name):
-                kind = "rule"
-            elif name in BUILTINS:
-                kind = "builtin"
-            else:
-                kind = "other"
-            kinds.append((name, kind))
-    return tuple(kinds)
-
-
 def _narrow_by_guards(
     grammar: Grammar,
     alternative: Alternative,
@@ -543,32 +473,18 @@ def _narrow_by_guards(
 
     Returns the admissible first-byte set, or ``None`` when no constraint
     narrows anything (or the shape is not analyzable).  The result is
-    cached per term object (it does not depend on the rule fixpoint) and
-    process-wide by alternative source + resolution fingerprint.
+    cached per term object: it does not depend on the rule fixpoint.
     """
-    term = alternative.terms[position]
-    key = id(term)
-    if key in cache:
-        return cache[key]
-    global_key = (
-        position,
-        alternative.to_source(),
-        _resolution_fingerprint(grammar, alternative, chain),
-    )
-    if global_key in _NARROW_GLOBAL_CACHE:
-        result = _NARROW_GLOBAL_CACHE[global_key]
-    else:
-        result = _narrow_uncached(grammar, alternative, position, chain)
-        _NARROW_GLOBAL_CACHE[global_key] = result
-    cache[key] = result
-    return result
+    key = id(alternative.terms[position])
+    if key not in cache:
+        cache[key] = _narrow(grammar, alternative, position, chain)
+    return cache[key]
 
 
-def _narrow_uncached(
+def _narrow(
     grammar: Grammar, alternative: Alternative, position: int, chain: Dict[str, Rule]
 ) -> Optional[frozenset]:
-    term = alternative.terms[position]
-    name = term.name
+    name = alternative.terms[position].name
     spec = BUILTINS.get(name)
     if (
         spec is None
@@ -592,27 +508,31 @@ def _narrow_uncached(
                 return None
     if records != 1:
         return None
-    # The symbolic program: attribute definitions bind (or poison) names,
-    # guards and defaultless switches constrain; ``val`` becomes defined
-    # once the walk passes the builtin term itself.
-    ctx = _SymContext(name)
-    admissible = set()
-    for first_byte in range(256):
-        if spec.size == 1:
-            candidates: range = range(first_byte, first_byte + 1)
-        elif spec.byteorder == "big":
-            candidates = range(first_byte << 8, (first_byte << 8) + 256)
-        else:  # little-endian: the first byte is the low byte
-            candidates = range(first_byte, 65536, 256)
-        for value in candidates:
-            if _value_admissible(
-                grammar, alternative, position, chain, ctx, value
-            ):
-                admissible.add(first_byte)
-                break
-    if len(admissible) == 256:
+    program = _ConstraintProgram(name)
+    try:
+        program.walk(grammar, alternative, position, chain)
+        admits_any = program.compile()
+    except (RecursionError, SyntaxError):
+        # An expression nested deeper than Python compiles ("too many
+        # nested parentheses"): leave the alternative unconstrained.
         return None
-    return frozenset(admissible)
+    if admits_any is None:
+        return None
+    if not program.uses_value:
+        # Constant constraints: one evaluation decides every candidate.
+        return None if admits_any((0,)) else frozenset()
+    if spec.size == 1:
+        candidates = [(first_byte,) for first_byte in range(256)]
+    elif spec.byteorder == "big":
+        candidates = [range(high << 8, (high << 8) + 256) for high in range(256)]
+    else:  # little-endian: the first byte is the low byte
+        candidates = [range(low, 65536, 256) for low in range(256)]
+    admissible = frozenset(
+        first_byte
+        for first_byte, values in enumerate(candidates)
+        if admits_any(values)
+    )
+    return None if len(admissible) == 256 else admissible
 
 
 def _clean_failure_target(
@@ -634,74 +554,188 @@ def _clean_failure_target(
     )
 
 
-def _value_admissible(
-    grammar: Grammar,
-    alternative: Alternative,
-    position: int,
-    chain: Dict[str, Rule],
-    ctx: _SymContext,
-    value: int,
-) -> bool:
-    """Whether the constraints preceding any effectful term pass ``value``."""
-    ctx.env.clear()
-    ctx.val = None
-    for index, term in enumerate(alternative.terms):
-        if index == position:
-            ctx.val = value
-            continue
-        if isinstance(term, TermAttrDef):
-            if not _evaluable(term.expr):
-                ctx.env.pop(term.name, None)
-                continue
-            try:
-                ctx.env[term.name] = term.expr.evaluate(ctx)
-            except _Unsupported:
-                ctx.env.pop(term.name, None)
-            except EvaluationError:
-                return False
-        elif isinstance(term, TermGuard):
-            if not _evaluable(term.expr):
-                continue
-            try:
-                if term.expr.evaluate(ctx) == 0:
-                    return False
-            except _Unsupported:
-                continue
-            except EvaluationError:
-                return False
-        elif isinstance(term, TermTerminal):
-            continue  # pure byte compare: fails cleanly, no effects
-        elif isinstance(term, TermNonterminal):
-            if _clean_failure_target(grammar, term.name, chain):
-                continue
-            break  # potentially effectful: later constraints unusable
-        elif isinstance(term, TermSwitch):
-            # Conditions evaluate before any target parses, so a
-            # defaultless switch constrains — but its chosen target may be
-            # effectful, so the walk stops afterwards either way.
-            if any(case.condition is None for case in term.cases):
-                break  # a default case never fails the switch
-            satisfied = False
-            for case in term.cases:
-                if not _evaluable(case.condition):
-                    satisfied = True  # undecidable: assume reachable
-                    break
-                try:
-                    taken = case.condition.evaluate(ctx) != 0
-                except _Unsupported:
-                    satisfied = True
-                    break
-                except EvaluationError:
-                    return False
-                if taken:
-                    satisfied = True
-                    break
-            if not satisfied:
-                return False
-            break
+def _unsupported() -> int:
+    raise _Unsupported()
+
+
+def _defined(value: Optional[int]) -> int:
+    """Read an attribute whose definition may have left the fragment."""
+    if value is None:
+        raise _Unsupported()
+    return value
+
+
+#: Globals of every compiled constraint program.
+_PROGRAM_GLOBALS = {
+    "EvaluationError": EvaluationError,
+    "_Unsupported": _Unsupported,
+    "_unsupported": _unsupported,
+    "_defined": _defined,
+    "_div": _div,
+    "_mod": _mod,
+    "_shift_l": _shift_l,
+    "_shift_r": _shift_r,
+}
+
+_RUNTIME_OPS = {"/": "_div", "%": "_mod", "<<": "_shift_l", ">>": "_shift_r"}
+
+
+class _ConstraintProgram:
+    """An alternative's constraints on the builtin's value, as Python.
+
+    :meth:`walk` runs once per alternative and settles, from the grammar
+    alone, what the reference interpreter would resolve per candidate
+    value: a plain name reads the latest attribute definition before it
+    (or leaves the fragment when there is none), ``<builtin>.val`` reads
+    the candidate once the walk has passed the builtin term, and any other
+    reference leaves the fragment.  Leaving the fragment raises
+    :class:`_Unsupported` at the point of evaluation, so short-circuit
+    operators and conditionals keep the interpreter's order: a definition
+    that leaves it unbinds its attribute, a guard that leaves it is no
+    constraint, and a switch case that leaves it counts as taken.
+    :class:`~repro.core.errors.EvaluationError` keeps its interpreter
+    meaning: the candidate value fails.  :meth:`compile` turns the result
+    into ``admits_any(values) -> bool``, a loop over candidate values.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.value_known = False
+        self.uses_value = False
+        #: Attribute name -> the Python local holding its latest definition.
+        self.bound: Dict[str, str] = {}
+        #: Locals whose definition may leave the fragment (``None`` then).
+        self.poisonable: set = set()
+        self.locals = 0
+        self.lines: List[str] = []
+
+    def walk(
+        self,
+        grammar: Grammar,
+        alternative: Alternative,
+        position: int,
+        chain: Dict[str, Rule],
+    ) -> None:
+        for index, term in enumerate(alternative.terms):
+            if index == position:
+                self.value_known = True
+            elif isinstance(term, TermAttrDef):
+                self.define(term.name, term.expr)
+            elif isinstance(term, TermGuard):
+                self.guard(term.expr)
+            elif isinstance(term, TermTerminal):
+                continue  # pure byte compare: fails cleanly, no effects
+            elif isinstance(term, TermNonterminal):
+                if not _clean_failure_target(grammar, term.name, chain):
+                    return  # potentially effectful: later constraints unusable
+            elif isinstance(term, TermSwitch):
+                # Conditions evaluate before any target parses, so a
+                # defaultless switch constrains — but its chosen target may
+                # be effectful, so the walk stops afterwards either way.
+                if all(case.condition is not None for case in term.cases):
+                    self.switch([case.condition for case in term.cases])
+                return
+            else:
+                return  # arrays (and anything new): stop conservatively
+
+    def define(self, name: str, expr: Expr) -> None:
+        if not _evaluable(expr):
+            self.bound.pop(name, None)
+            return
+        source, leaves = self.render(expr)
+        self.locals += 1
+        local = f"a{self.locals}"
+        if leaves:
+            self.poisonable.add(local)
+        self.emit([f"{local} = {source}"], leaves, f"{local} = None")
+        self.bound[name] = local
+
+    def guard(self, expr: Expr) -> None:
+        if _evaluable(expr):
+            source, leaves = self.render(expr)
+            self.emit([f"if {source} == 0:", "    continue"], leaves, "pass")
+
+    def switch(self, conditions: List[Expr]) -> None:
+        for condition in conditions:
+            if not _evaluable(condition):
+                self.lines.append("return True")  # undecidable: assume reachable
+                return
+            source, leaves = self.render(condition)
+            self.emit([f"if {source} != 0:", "    return True"], leaves, "return True")
+        self.lines.append("continue")  # no case taken: the switch fails
+
+    def emit(self, statement: List[str], leaves: bool, on_unsupported: str) -> None:
+        """Append a statement of the loop body over candidate values ``v``.
+
+        ``continue`` rejects ``v``; ``return True`` admits it.  A statement
+        that may leave the fragment runs ``on_unsupported`` when it does.
+        """
+        if leaves:
+            statement = [
+                "try:",
+                *("    " + line for line in statement),
+                "except _Unsupported:",
+                "    " + on_unsupported,
+            ]
+        self.lines += statement
+
+    def render(self, expr: Expr) -> Tuple[str, bool]:
+        """Python source of ``expr`` and whether it may leave the fragment."""
+        if isinstance(expr, Num):
+            return repr(expr.value), False
+        if isinstance(expr, Name):
+            local = self.bound.get(expr.ident)
+            if local is None:
+                return "_unsupported()", True
+            if local in self.poisonable:
+                return f"_defined({local})", True
+            return local, False
+        if isinstance(expr, Dot):
+            if expr.nonterminal == self.name and expr.attr == "val" and self.value_known:
+                self.uses_value = True
+                return "v", False
+            return "_unsupported()", True
+        if isinstance(expr, Cond):
+            condition, leaves_c = self.render(expr.condition)
+            then, leaves_t = self.render(expr.then)
+            otherwise, leaves_o = self.render(expr.otherwise)
+            return (
+                f"({then} if {condition} != 0 else {otherwise})",
+                leaves_c or leaves_t or leaves_o,
+            )
+        left, leaves_l = self.render(expr.left)
+        right, leaves_r = self.render(expr.right)
+        op = expr.op
+        if op in _RUNTIME_OPS:
+            source = f"{_RUNTIME_OPS[op]}({left}, {right})"
+        elif op in ("+", "-", "*", "&", "|"):
+            source = f"({left} {op} {right})"
+        elif op == "&&":
+            source = f"(1 if {left} != 0 and {right} != 0 else 0)"
+        elif op == "||":
+            source = f"(1 if {left} != 0 or {right} != 0 else 0)"
         else:
-            break  # arrays (and anything new): stop conservatively
-    return True
+            source = f"(1 if {left} {'==' if op == '=' else op} {right} else 0)"
+        return source, leaves_l or leaves_r
+
+    def compile(self):
+        """``admits_any(values) -> bool``, or ``None`` when nothing constrains."""
+        if not self.lines:
+            return None
+        body = "\n".join("            " + line for line in self.lines)
+        source = (
+            "def admits_any(values):\n"
+            "    for v in values:\n"
+            "        try:\n"
+            f"{body}\n"
+            "        except EvaluationError:\n"
+            "            continue\n"
+            "        return True\n"
+            "    return False\n"
+        )
+        namespace = dict(_PROGRAM_GLOBALS)
+        exec(compile(source, "<ipg-guard-narrowing>", "exec"), namespace)
+        return namespace["admits_any"]
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +820,27 @@ def local_first_sets(grammar: Grammar) -> List[Tuple[Rule, Tuple[AltFirst, ...]]
 
 
 def _plan_for(infos: Tuple[AltFirst, ...]) -> Optional[DispatchPlan]:
-    """Build one rule's jump table, or ``None`` when nothing prunes."""
+    """Build one rule's jump table, or ``None`` when nothing prunes.
+
+    The bytes are split into classes whose members every alternative
+    admits alike, so each entry (and prefix-probe row) is built once per
+    class rather than once per byte.
+    """
     full = tuple(range(len(infos)))
-    table = tuple(
-        tuple(index for index, info in enumerate(infos) if info.admits(byte))
-        for byte in range(256)
-    )
+    classes: List[Tuple[frozenset, Tuple[int, ...]]] = [(_FULL, ())]
+    for index, info in enumerate(infos):
+        refined = []
+        for members, entry in classes:
+            inside = members if info.admissible is None else members & info.admissible
+            if inside:
+                refined.append((inside, entry + (index,)))
+            if len(inside) < len(members):
+                refined.append((members - inside, entry))
+        classes = refined
+    table: List[Tuple[int, ...]] = [()] * 256
+    for members, entry in classes:
+        for byte in members:
+            table[byte] = entry
     empty = tuple(
         index for index, info in enumerate(infos) if not info.requires_byte
     )
@@ -803,34 +852,43 @@ def _plan_for(infos: Tuple[AltFirst, ...]) -> Optional[DispatchPlan]:
         # alternative rules keep their flat 256-byte masks: an extra dict
         # probe on every invocation would tax the happy path more than the
         # earlier rejection saves.)
-        for byte in range(256):
-            base = table[byte]
-            if len(base) < 2:
-                continue
-            prefixes = [(i, infos[i].prefix) for i in base]
-            longest = max(
-                (len(p) for _i, p in prefixes if p is not None), default=0
-            )
-            best = None
-            for offset in range(1, longest):
-                row = tuple(
-                    tuple(
-                        i for i, p in prefixes if infos[i].admits_at(offset, second)
-                    )
-                    for second in range(256)
-                )
-                if all(entry == base for entry in row):
-                    continue
-                # Prefer the offset that narrows entries the most (ZIP's PK
-                # records all share byte 1 = 'K'; byte 2 splits them).
-                score = max(len(entry) for entry in row)
-                if best is None or score < best[0]:
-                    best = (score, offset, row)
-            if best is not None:
-                pair_table[byte] = (best[1], best[2])
-    if all(entry == full for entry in table) and not pair_table:
+        for members, entry in classes:
+            probe = _probe_row(infos, entry) if len(entry) > 1 else None
+            if probe is not None:
+                pair_table.update(dict.fromkeys(members, probe))
+        pair_table = dict(sorted(pair_table.items()))
+    if all(entry == full for _members, entry in classes) and not pair_table:
         return None
-    return DispatchPlan(table, empty, len(infos), pair_table or None)
+    return DispatchPlan(tuple(table), empty, len(infos), pair_table or None)
+
+
+def _probe_row(
+    infos: Tuple[AltFirst, ...], base: Tuple[int, ...]
+) -> Optional[Tuple[int, Tuple[Tuple[int, ...], ...]]]:
+    """The best ``(probe_offset, row)`` splitting the entry ``base``."""
+    longest = max(
+        (len(infos[i].prefix) for i in base if infos[i].prefix is not None),
+        default=0,
+    )
+    best = None
+    for offset in range(1, longest):
+        # Alternative index -> the byte its prefix fixes at ``offset``.
+        fixed = {
+            i: infos[i].prefix[offset]
+            for i in base
+            if infos[i].prefix is not None and len(infos[i].prefix) > offset
+        }
+        if not fixed:
+            continue  # every row entry would equal ``base``
+        row = [tuple(i for i in base if i not in fixed)] * 256
+        for second in set(fixed.values()):
+            row[second] = tuple(i for i in base if fixed.get(i, second) == second)
+        # Prefer the offset that narrows entries the most (ZIP's PK
+        # records all share byte 1 = 'K'; byte 2 splits them).
+        score = max(map(len, row))
+        if best is None or score < best[0]:
+            best = (score, offset, tuple(row))
+    return None if best is None else (best[1], best[2])
 
 
 def dispatch_plans(grammar: Grammar) -> Dict[str, DispatchPlan]:
