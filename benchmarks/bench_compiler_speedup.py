@@ -1,20 +1,13 @@
 """Compiled-vs-interpreted backend speedup tracker (emits BENCH_compiler.json).
 
 Measures per-format parse throughput (ns/byte) of the ``Parser`` backends —
-the reference interpreter, the staged closure compiler, the table-driven
-dispatch VM (``backend="tablevm"``, executing the serialized plan IR), and
-the ahead-of-time emitted standalone module (``CompiledGrammar
-.to_source()``) — on the Figure 13 single-format workloads (dns, ipv4,
-gif, elf, pe, zip) and writes the results to ``BENCH_compiler.json`` at
-the repository root, so the performance trajectory of the compiler is
-tracked across PRs instead of asserted once.
-
-Both backends consume the same lowered plan; the closure backend
-specializes it to generated code while the VM walks the linked tables, so
-``tablevm_vs_compiled`` (compiled time over VM time, < 1 when the VM is
-slower) quantifies exactly what code specialization buys.  The emitted
-artifact sizes (``aot_module_bytes`` / ``aot_table_module_bytes``) ride
-along so the AOT footprint is tracked too.
+the reference interpreter, the staged closure compiler, and the
+ahead-of-time emitted standalone module (``CompiledGrammar.to_source()``)
+— on the Figure 13 single-format workloads (dns, ipv4, gif, elf, pe, zip)
+and writes the results to ``BENCH_compiler.json`` at the repository root,
+so the performance trajectory of the compiler is tracked across PRs
+instead of asserted once.  The emitted artifact size
+(``aot_module_bytes``) rides along so the AOT footprint is tracked too.
 
 Two measurement conventions keep the trajectory comparable across PRs:
 
@@ -112,7 +105,6 @@ def run(quick: bool, output: str) -> int:
         data = build(quick)
         spec = registry[fmt]
         compiled = spec.build_parser(backend="compiled")
-        tablevm = spec.build_parser(backend="tablevm")
         # Frozen baseline: the reference interpreter without first-byte
         # dispatch or fixed-shape plans (see the module docstring).
         interpreted = spec.build_parser(
@@ -134,10 +126,6 @@ def run(quick: bool, output: str) -> int:
             print(f"ERROR: {fmt}: AOT module disagrees on the parse tree")
             failures += 1
             continue
-        if tablevm.parse(data) != expected:
-            print(f"ERROR: {fmt}: table VM disagrees on the parse tree")
-            failures += 1
-            continue
         spans = compiled.parse(data, emit="spans")
         if compiled.parse(data, emit=None) is not True or spans.env != expected.env:
             print(f"ERROR: {fmt}: tree-elision mode disagrees with tree mode")
@@ -146,7 +134,6 @@ def run(quick: bool, output: str) -> int:
         compiled_ns = best_of(compiled.parse, data, rounds)
         validate_ns = best_of(lambda d: compiled.parse(d, emit=None), data, rounds)
         aot_ns = best_of(aot.parse, data, rounds)
-        tablevm_ns = best_of(tablevm.parse, data, rounds)
         interpreted_ns = best_of(interpreted.parse, data, rounds)
         size = len(data)
         aot_module_bytes = len(
@@ -154,23 +141,16 @@ def run(quick: bool, output: str) -> int:
                 spec.grammar_text, blackboxes=dict(spec.blackboxes)
             ).to_source().encode("utf-8")
         )
-        aot_table_module_bytes = len(
-            tablevm._tablevm.to_source().encode("utf-8")
-        )
         results[fmt] = {
             "input_bytes": size,
             "interpreted_ns_per_byte": round(interpreted_ns / size, 2),
             "compiled_ns_per_byte": round(compiled_ns / size, 2),
             "compiled_validate_ns_per_byte": round(validate_ns / size, 2),
             "aot_ns_per_byte": round(aot_ns / size, 2),
-            "tablevm_ns_per_byte": round(tablevm_ns / size, 2),
             "speedup": round(interpreted_ns / compiled_ns, 2),
             "aot_speedup": round(interpreted_ns / aot_ns, 2),
-            "tablevm_speedup": round(interpreted_ns / tablevm_ns, 2),
-            "tablevm_vs_compiled": round(compiled_ns / tablevm_ns, 2),
             "validate_speedup_vs_tree": round(compiled_ns / validate_ns, 2),
             "aot_module_bytes": aot_module_bytes,
-            "aot_table_module_bytes": aot_table_module_bytes,
         }
         streaming_note = ""
         if spec.streamable:
@@ -202,11 +182,9 @@ def run(quick: bool, output: str) -> int:
             f"{fmt:5s} {size:8d} B  interpreted {interpreted_ns / size:9.1f} ns/B"
             f"  compiled {compiled_ns / size:9.1f} ns/B"
             f"  aot {aot_ns / size:9.1f} ns/B"
-            f"  tablevm {tablevm_ns / size:9.1f} ns/B"
             f"  validate {validate_ns / size:9.1f} ns/B"
             f"  speedup {interpreted_ns / compiled_ns:5.2f}x"
             f" / {interpreted_ns / aot_ns:5.2f}x"
-            f" / {interpreted_ns / tablevm_ns:5.2f}x"
             f"  elision {compiled_ns / validate_ns:5.2f}x"
             f"{streaming_note}"
         )
@@ -217,9 +195,6 @@ def run(quick: bool, output: str) -> int:
         )
         validate_median = statistics.median(
             entry["validate_speedup_vs_tree"] for entry in results.values()
-        )
-        tablevm_median = statistics.median(
-            entry["tablevm_speedup"] for entry in results.values()
         )
         validate_fast = sum(
             1
@@ -241,7 +216,6 @@ def run(quick: bool, output: str) -> int:
             "formats": results,
             "median_speedup": round(median, 2),
             "aot_median_speedup": round(aot_median, 2),
-            "tablevm_median_speedup": round(tablevm_median, 2),
             "validate_median_speedup_vs_tree": round(validate_median, 2),
             "validate_formats_at_least_1_5x": validate_fast,
         }
@@ -253,8 +227,7 @@ def run(quick: bool, output: str) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(
-            f"median speedup {median:.2f}x (closure) / {aot_median:.2f}x (aot) "
-            f"/ {tablevm_median:.2f}x (tablevm); "
+            f"median speedup {median:.2f}x (closure) / {aot_median:.2f}x (aot); "
             f"validate-only {validate_median:.2f}x vs tree "
             f"({validate_fast}/{len(results)} formats >= 1.5x) -> {output}"
         )

@@ -552,14 +552,6 @@ def cmd_compile(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.backend == "tablevm":
-            print(
-                "error: --package emits closure modules over a shared "
-                "prelude; the table flavor is single-module only "
-                "(--backend tablevm -o FILE)",
-                file=sys.stderr,
-            )
-            return 2
         return _cmd_compile_package(args)
     if not args.format and not args.grammar:
         print(
@@ -582,26 +574,15 @@ def cmd_compile(args) -> int:
         blackbox_names = None
     optimizations = Optimizations.none() if args.no_optimize else Optimizations()
     try:
-        if args.backend == "tablevm":
-            from .core.backends.tablevm import TableGrammar
-            from .core.ir import lower
-
-            plan = lower(
-                prepare_grammar(grammar_text), optimizations=optimizations
-            )
-            source = TableGrammar(plan).to_source()
-            declared = plan.grammar.blackboxes
-        else:
-            compiled = compile_grammar(grammar_text, optimizations=optimizations)
-            source = compiled.to_source()
-            declared = compiled.grammar.blackboxes
+        compiled = compile_grammar(grammar_text, optimizations=optimizations)
+        source = compiled.to_source()
     except CompilationError as exc:
         # Unlike `parse`, ahead-of-time emission has no interpreter to fall
         # back to: report why the grammar cannot be specialized.
         print(f"error: grammar cannot be compiled ahead of time: {exc}", file=sys.stderr)
         return 1
     if blackbox_names is None:
-        blackbox_names = sorted(declared)
+        blackbox_names = sorted(compiled.grammar.blackboxes)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(source)
@@ -788,10 +769,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parse_command.add_argument(
         "--backend",
-        choices=("compiled", "interpreted", "tablevm"),
+        choices=Parser.BACKENDS,
         default="compiled",
-        help="parse engine: staged compiler (default), reference "
-        "interpreter, or the table-driven VM",
+        help="parse engine: staged compiler (default) or the reference "
+        "interpreter",
     )
     parse_command.add_argument(
         "--stream",
@@ -859,7 +840,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     index_group.add_argument("--grammar", help="path to an IPG grammar file")
     index_command.add_argument(
         "--backend",
-        choices=("compiled", "interpreted", "tablevm"),
+        choices=Parser.BACKENDS,
         default="compiled",
         help="parse engine backing the skeleton probes (default: compiled)",
     )
@@ -898,18 +879,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "module, instead of vendoring the prelude into every file",
     )
     compile_command.add_argument(
-        "--backend",
-        choices=("closures", "tablevm"),
-        default="closures",
-        help="module flavor: per-rule closure functions (default) or an "
-        "embedded plan executed by the vendored table VM (smaller "
-        "artifact, VM dispatch overhead)",
-    )
-    compile_command.add_argument(
         "--explain",
         action="store_true",
-        help="print the per-rule plan IR (the analyze->lower output both "
-        "backends consume) instead of emitting a module",
+        help="print the per-rule plan IR (the analyze->lower output) "
+        "instead of emitting a module",
     )
     compile_command.add_argument(
         "--explain-shapes",
@@ -979,7 +952,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve_command.add_argument(
         "--backend",
-        choices=("compiled", "interpreted", "tablevm"),
+        choices=Parser.BACKENDS,
         default="compiled",
         help="parse engine workers use (default: staged compiler)",
     )

@@ -1,15 +1,11 @@
 """Emission backends of the compilation pipeline.
 
-The pipeline is analyze -> lower -> emit (see :mod:`repro.core.ir`).  Two
-backends consume the shared analysis/IR:
-
-* :mod:`repro.core.backends.closures` — the staged source compiler: one
-  specialized Python closure per alternative (``backend="compiled"``,
-  AOT ``to_source()``).
-* :mod:`repro.core.backends.tablevm` — the table-driven VM: lowered IR
-  programs executed by one tight dispatch loop, with first-byte tables
-  and struct plans as table entries (``backend="tablevm"``, table-backed
-  AOT modules).
+The pipeline is analyze -> lower -> emit (see :mod:`repro.core.ir`).  One
+backend consumes the shared analysis:
+:mod:`repro.core.backends.closures`, the staged source compiler, emits one
+specialized Python closure per alternative (``backend="compiled"``, AOT
+``to_source()``).  The reference interpreter
+(:mod:`repro.core.interpreter`) is the other engine and the specification.
 """
 
 from .closures import CompiledGrammar, Optimizations, compile_grammar

@@ -2277,8 +2277,8 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> list:
     function truncates the trail on failure (discarding spans recorded
     inside abandoned alternatives) and every top-level rule in
     ``span_rules`` appends ``(name, abs_start, abs_end)`` on success — the
-    same committed-derivation semantics as the interpreter's and table
-    VM's native span trails.
+    same committed-derivation semantics as the interpreter's native span
+    trail.
 
     Requirements on ``compiled`` (the caller builds it this way; see
     ``Parser._span_engine``): ``memoize=False`` (every occurrence must

@@ -579,9 +579,10 @@ def _bb(name, data, lo, hi):
 #: blackbox registry.
 _PRELUDE = _PRELUDE_BASE + "\n\n" + _PRELUDE_BLACKBOX
 
-#: Closure-backend entry points: resolve nonterminals through the
-#: generated ``_ENTRY`` table (the table-VM flavor has its own pair).
-_EPILOGUE_CLOSURE = '''\
+#: Public API of every generated module: nonterminals resolve through the
+#: generated ``_ENTRY`` table (standalone modules add the streaming
+#: section after it).
+_EPILOGUE = '''\
 def set_limits(max_steps, max_wall_ms=None):
     """Change (or lift, with ``None``) this module's parse budgets.
 
@@ -609,10 +610,8 @@ def parse_nonterminal(data, name, lo, hi):
     if name in DECLARED_BLACKBOXES:
         return _bb(name, data, lo, hi)
     raise IPGError(f"no rule, builtin or blackbox for nonterminal {name!r}")
-'''
 
-#: Engine-independent public API: calls the flavor's ``parse_nonterminal``.
-_EPILOGUE_COMMON = '''\
+
 _RECURSION_LIMIT = 100000
 
 
@@ -698,11 +697,6 @@ def parse(data, start=None):
         return result
     _diagnose_and_raise(data, name)
 '''
-
-#: The classic closure epilogue (package modules; standalone modules add
-#: the streaming section after it).
-_EPILOGUE = _EPILOGUE_CLOSURE + "\n\n" + _EPILOGUE_COMMON
-
 
 #: Names every per-format package module pulls from the shared prelude
 #: module.  Everything else the generated rule functions and the public
@@ -851,10 +845,10 @@ def _streaming_runtime_source() -> str:
     return _STREAMING_RUNTIME_CACHE
 
 
-#: Closure-backend streaming hooks: the fully-memoized stream variant's
-#: source is embedded as ``_STREAM_SOURCE`` and exec'd lazily into a copy
-#: of the module's globals — same constants/prelude, its own ``_ENTRY``.
-_CLOSURE_STREAM_HOOKS = '''\
+#: Streaming hooks: the fully-memoized stream variant's source is embedded
+#: as ``_STREAM_SOURCE`` and exec'd lazily into a copy of the module's
+#: globals — same constants/prelude, its own ``_ENTRY``.
+_STREAM_HOOKS = '''\
 _STREAM_NS = None
 
 
@@ -903,39 +897,9 @@ def _stream_call(state, buffer, start):
     raise IPGError(f"no rule, builtin or blackbox for nonterminal {start!r}")
 '''
 
-#: Table-backend streaming hooks: a second embedded plan — fully memoized,
-#: linked without the struct decode fast paths (they read whole windows at
-#: once, bypassing the NeedMoreInput suspension protocol).
-_TABLE_STREAM_HOOKS = '''\
-_STREAM_VMS = []
-
-
-def _stream_vm():
-    if not _STREAM_VMS:
-        plan = plan_from_jsonable(_json.loads(_STREAM_PLAN_JSON))
-        _STREAM_VMS.append(
-            TableGrammar(
-                plan, blackboxes=BLACKBOXES, limits=_LIMITS, use_decoders=False
-            )
-        )
-    return _STREAM_VMS[0]
-
-
-def _stream_new_state(buffer):
-    return _stream_vm().new_run(buffer, build_tree=True, dispatch_cache=True)
-
-
-def _stream_reset(state):
-    state.reset_budgets()
-
-
-def _stream_call(state, buffer, start):
-    return state.parse_nonterminal(start, 0, buffer.end, None, None)
-'''
-
-#: The engine-independent streaming driver, mirroring
-#: :class:`repro.core.streaming.StreamingParse` (including probe re-entry
-#: after every chunk and the EOI-pinned doubling heuristic).
+#: The streaming driver, mirroring :class:`repro.core.streaming.StreamingParse`
+#: (including probe re-entry after every chunk and the EOI-pinned doubling
+#: heuristic).
 _STREAM_DRIVER = '''\
 class StreamingParse:
     """One in-flight streaming parse (created by ``stream()``).
@@ -1178,34 +1142,6 @@ def render_package(compiled_by_name, package_doc: Optional[str] = None):
     return files
 
 
-def _streaming_parts(
-    streamable: bool,
-    max_buffer_bytes: int,
-    variant_lines: list,
-    hooks: str,
-) -> list:
-    """The streaming section shared by both standalone renderers."""
-    return [
-        "",
-        "",
-        "# -- streaming (vendored runtime + driver) -----------------------------------",
-        "",
-        "#: Static streamability classification of the grammar (absolute-offset",
-        "#: reads decide without the final length); stream(force=True) overrides.",
-        f"STREAMABLE = {bool(streamable)!r}",
-        f"_MAX_BUFFER_BYTES = {max_buffer_bytes!r}",
-        *variant_lines,
-        "",
-        "",
-        _streaming_runtime_source(),
-        "",
-        "",
-        hooks,
-        "",
-        _STREAM_DRIVER,
-    ]
-
-
 def render_standalone_module(
     compiled,
     module_doc: Optional[str] = None,
@@ -1257,9 +1193,7 @@ def render_standalone_module(
         f"DECLARED_BLACKBOXES = frozenset(({declared}))" if declared
         else "DECLARED_BLACKBOXES = frozenset()",
         "",
-        _EPILOGUE_CLOSURE,
-        "",
-        _EPILOGUE_COMMON,
+        _EPILOGUE,
     ]
     if stream_compiled is not None:
         stream_source = "\n".join(
@@ -1277,284 +1211,23 @@ def render_standalone_module(
             "_STREAM_FUEL_SLOT = None",
             "_STREAM_SOURCE = None  # no streaming variant was generated",
         ]
-    parts += _streaming_parts(
-        streamable,
-        compiled.limits.max_buffer_bytes,
-        variant_lines,
-        _CLOSURE_STREAM_HOOKS,
-    )
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Table-VM flavor: plan JSON + vendored VM core instead of rule functions
-# ---------------------------------------------------------------------------
-
-_VM_CORE_BEGIN = (
-    "# --- begin vendorable VM core "
-    "(extracted verbatim into AOT table modules) ---"
-)
-_VM_CORE_END = (
-    "# --- end vendorable VM core "
-    "-------------------------------------------------"
-)
-
-_VM_RUNTIME_CACHE: Optional[str] = None
-
-
-def _vm_runtime_source() -> str:
-    """Everything a table-backed module needs beyond the shared prelude.
-
-    Vendored at render time from the live modules (``env``, ``limits``,
-    the ``ir`` deserialization subset, and the marked VM-core slice of
-    :mod:`repro.core.backends.tablevm`), so the emitted copy can never
-    drift from the in-repo engines.
-    """
-    global _VM_RUNTIME_CACHE
-    if _VM_RUNTIME_CACHE is None:
-        import inspect
-
-        from . import env as _env
-        from . import ir as _ir
-        from . import limits as _limits
-        from .backends import tablevm as _tablevm
-
-        env_src = "\n\n\n".join(
-            inspect.getsource(obj).rstrip("\n")
-            for obj in (
-                _env.initial_env,
-                _env.upd_start_end_in_place,
-                _env.EvalContext,
-            )
-        )
-        limits_src = (
-            inspect.getsource(_limits.ParseLimits).rstrip("\n")
-            + "\n\n\nDEFAULT_LIMITS = ParseLimits()"
-        )
-        ir_src = "\n\n\n".join(
-            [f"PLAN_FORMAT = {_ir.PLAN_FORMAT}"]
-            + [
-                inspect.getsource(obj).rstrip("\n")
-                for obj in (
-                    _ir.DispatchIR,
-                    _ir.AltIR,
-                    _ir.RuleIR,
-                    _ir.GrammarPlan,
-                    _ir._rle_decode,
-                    _ir._data_from_jsonable,
-                    _ir._dispatch_from_jsonable,
-                    _ir._rule_from_jsonable,
-                    _ir.plan_from_jsonable,
-                )
-            ]
-        )
-        core = inspect.getsource(_tablevm)
-        begin = core.index(_VM_CORE_BEGIN) + len(_VM_CORE_BEGIN)
-        vm_src = core[begin : core.index(_VM_CORE_END)].strip("\n")
-        _VM_RUNTIME_CACHE = "\n\n".join(
-            [
-                "# -- vendored attribute-environment runtime (repro.core.env) "
-                "-----------------\n\n" + env_src,
-                "\n# -- vendored resource budgets (repro.core.limits) "
-                "---------------------------\n\n" + limits_src,
-                "\n# -- vendored plan deserialization (repro.core.ir) "
-                "---------------------------\n\n" + ir_src,
-                "\n# -- vendored VM core (repro.core.backends.tablevm) "
-                "--------------------------\n\n" + vm_src,
-            ]
-        )
-    return _VM_RUNTIME_CACHE
-
-
-#: Adapters giving the prelude's raw builtin/blackbox helpers the registry
-#: shape the VM core expects (it is written against ``repro.core.builtins``).
-_VM_ADAPTERS = '''\
-class _BuiltinSpec:
-    """Adapter: the VM core looks builtins up as objects with ``.parse``."""
-
-    __slots__ = ("parse",)
-
-    def __init__(self, parse):
-        self.parse = parse
-
-
-BUILTINS = {name: _BuiltinSpec(fn) for name, fn in _BUILTINS.items()}
-BUILTIN_FAIL = _BFAIL
-normalize_blackbox_result = _normalize_blackbox_result
-
-
-def is_builtin(name):
-    return name in _BUILTINS
-'''
-
-#: Table-backend entry points (the counterpart of ``_EPILOGUE_CLOSURE``).
-_EPILOGUE_TABLE = '''\
-def set_limits(max_steps, max_wall_ms=None):
-    """Change (or lift, with ``None``) this module's parse budgets.
-
-    Applies to subsequent top-level parses of both the batch VM and the
-    streaming one; in-flight streaming sessions keep their budgets.
-    ``max_wall_ms`` is a wall-clock budget in milliseconds.
-    """
-    global _LIMITS
-    _LIMITS = _dc_replace(_LIMITS, max_steps=max_steps, max_wall_ms=max_wall_ms)
-    _VM.set_limits(_LIMITS)
-    if _STREAM_VMS:
-        _STREAM_VMS[0].set_limits(_LIMITS)
-
-
-def parse_nonterminal(data, name, lo, hi):
-    """``s[lo, hi] |- name`` -> Node or the FAIL sentinel."""
-    return _VM.parse_nonterminal(data, name, lo, hi)
-'''
-
-
-def render_tablevm_module(
-    plan,
-    limits=None,
-    module_doc: Optional[str] = None,
-) -> str:
-    """Render a lowered :class:`~repro.core.ir.GrammarPlan` as a standalone
-    table-backed parser module.
-
-    Instead of per-rule functions, the module embeds the plan as JSON plus
-    a vendored copy of the table-VM core and links them at import time —
-    the AOT artifact is *data*, far smaller than the closure flavor for
-    large grammars, at the cost of the VM's dispatch overhead.  A second,
-    fully-memoized plan backs the same ``stream()`` / ``parse_stream()``
-    driver the closure flavor carries.
-    """
-    import json
-    from dataclasses import replace
-
-    from .errors import IPGError
-    from .ir import lower, plan_to_jsonable
-    from .limits import DEFAULT_LIMITS
-    from .streamability import analyze_streamability
-
-    grammar = plan.grammar
-    if grammar is None:
-        raise IPGError(
-            "render_tablevm_module needs a plan that still carries its "
-            "source grammar (one produced by lower(), not deserialized "
-            "from JSON)"
-        )
-    if limits is None:
-        limits = DEFAULT_LIMITS
-    streamable = analyze_streamability(grammar).streamable
-
-    # The streaming link: full memoization so probe re-entries replay
-    # decided sub-parses as memo hits (same policy as the closure stream
-    # variant and Parser._tablevm_streaming).
-    if plan.analysis is not None:
-        stream_opts = replace(
-            plan.analysis.opts,
-            module_level_where=True,
-            dense_memo=True,
-            skip_nonrecursive_memo=False,
-            inline_single_use=False,
-        )
-    else:
-        from .ir import Optimizations
-
-        stream_opts = Optimizations(
-            module_level_where=True,
-            dense_memo=True,
-            skip_nonrecursive_memo=False,
-            inline_single_use=False,
-        )
-    memoize = bool(plan.options.get("memoize", True))
-    stream_plan = lower(grammar, memoize=memoize, optimizations=stream_opts)
-    plan_json = json.dumps(
-        plan_to_jsonable(plan), separators=(",", ":"), sort_keys=True
-    )
-    stream_json = json.dumps(
-        plan_to_jsonable(stream_plan), separators=(",", ":"), sort_keys=True
-    )
-    limit_args = ", ".join(
-        f"{name}={getattr(limits, name)!r}"
-        for name in (
-            "max_depth",
-            "max_steps",
-            "max_tree_nodes",
-            "max_memo_entries",
-            "max_buffer_bytes",
-            "max_wall_ms",
-        )
-    )
-
-    if module_doc is None:
-        module_doc = (
-            f"Standalone table-backed IPG parser (start symbol: "
-            f"{grammar.start}).\n\n"
-            "Generated ahead of time by `repro compile --backend tablevm`;\n"
-            "imports with only the standard library on sys.path.  The parser\n"
-            "is an embedded plan (JSON) executed by a vendored copy of the\n"
-            "table-VM core.  Public API: parse(data, start=None),\n"
-            "try_parse(data, start=None), parse_nonterminal(data, name, lo,\n"
-            "hi), register_blackbox(name, fn), stream(start=None,\n"
-            "compact=True, force=False), parse_stream(chunks, ...), START,\n"
-            "DECLARED_BLACKBOXES."
-        )
-    declared = "".join(f"{name!r}, " for name in sorted(grammar.blackboxes))
-    parts = [
-        _doc_literal(module_doc),
-        "",
-        "from __future__ import annotations",
-        "",
-        "import json as _json",
-        "from dataclasses import dataclass, fields, replace as _dc_replace",
-        "",
-        _PRELUDE,
-        "",
-        "# The dataclass machinery resolves string annotations through",
-        "# sys.modules[cls.__module__]; when this source is exec'd into a bare",
-        "# namespace (load_module, the test matrix) that entry may not exist —",
-        "# register a placeholder so the vendored IR dataclasses process",
-        "# cleanly.  A real import leaves this a no-op.",
-        '_MODNAME = globals().get("__name__") or "ipg_aot_table_parser"',
-        "__name__ = _MODNAME",
-        "if _MODNAME not in _sys.modules:",
-        "    import types as _types",
-        "",
-        "    _sys.modules[_MODNAME] = _types.ModuleType(_MODNAME)",
+    parts += [
         "",
         "",
-        _VM_ADAPTERS,
+        "# -- streaming (vendored runtime + driver) -----------------------------------",
         "",
-        _vm_runtime_source(),
-        "",
-        "",
-        "# -- grammar constants -------------------------------------------------------",
-        "",
-        f"GRAMMAR_SOURCE = {grammar.source!r}",
-        f"_LIMITS = ParseLimits({limit_args})",
-        "#: The default-optimization plan (batch parses).",
-        f"_PLAN_JSON = {plan_json!r}",
-        "#: The fully-memoized plan backing stream() re-entries.",
-        f"_STREAM_PLAN_JSON = {stream_json!r}",
-        "",
-        "_VM = TableGrammar(",
-        "    plan_from_jsonable(_json.loads(_PLAN_JSON)),",
-        "    blackboxes=BLACKBOXES,",
-        "    limits=_LIMITS,",
-        ")",
+        "#: Static streamability classification of the grammar (absolute-offset",
+        "#: reads decide without the final length); stream(force=True) overrides.",
+        f"STREAMABLE = {bool(streamable)!r}",
+        f"_MAX_BUFFER_BYTES = {compiled.limits.max_buffer_bytes!r}",
+        *variant_lines,
         "",
         "",
-        "# -- public API --------------------------------------------------------------",
+        _streaming_runtime_source(),
         "",
-        f"START = {grammar.start!r}",
-        f"DECLARED_BLACKBOXES = frozenset(({declared}))" if declared
-        else "DECLARED_BLACKBOXES = frozenset()",
         "",
-        _EPILOGUE_TABLE,
+        _STREAM_HOOKS,
         "",
-        _EPILOGUE_COMMON,
+        _STREAM_DRIVER,
     ]
-    parts += _streaming_parts(
-        streamable,
-        limits.max_buffer_bytes,
-        ["#: (table flavor: the stream variant is the second embedded plan)"],
-        _TABLE_STREAM_HOOKS,
-    )
     return "\n".join(parts)

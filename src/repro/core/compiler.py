@@ -4,10 +4,9 @@ The monolithic compiler moved into the analyze -> lower -> emit pipeline:
 
 * :mod:`repro.core.ir` — the analyze and lower stages: whole-grammar
   facts (:func:`repro.core.ir.analyze`) and per-rule plan-IR programs
-  (:func:`repro.core.ir.lower`), shared by every backend;
+  (:func:`repro.core.ir.lower`, rendered by ``repro compile --explain``);
 * :mod:`repro.core.backends.closures` — the closure-emitting backend
-  (everything this module used to contain);
-* :mod:`repro.core.backends.tablevm` — the table-driven VM backend.
+  (everything this module used to contain).
 
 ``repro.core.compiler`` remains the stable import path for the closure
 backend's public API (`compile_grammar`, :class:`CompiledGrammar`,

@@ -119,10 +119,8 @@ class Parser:
     backend:
         ``"compiled"`` (the default) stages the grammar into specialized
         Python closures via :mod:`repro.core.backends.closures`;
-        ``"tablevm"`` lowers it onto the plan IR and executes the linked
-        tables in the :mod:`repro.core.backends.tablevm` dispatch loop;
         ``"interpreted"`` uses the reference tree-walking interpreter.
-        All produce identical parse trees; when the closure compiler
+        Both produce identical parse trees; when the closure compiler
         cannot specialize a construct the parser silently falls back to
         the interpreter (the :attr:`backend` attribute reports the engine
         actually in use).
@@ -150,7 +148,7 @@ class Parser:
         :class:`~repro.core.errors.LimitExceeded`.
     """
 
-    BACKENDS = ("compiled", "interpreted", "tablevm")
+    BACKENDS = ("compiled", "interpreted")
 
     #: Valid values of the ``emit`` execution-mode argument.
     EMIT_MODES = ("tree", "spans", None)
@@ -182,8 +180,6 @@ class Parser:
         self._compiled = None
         self._compiled_elided = None
         self._compiled_stream: Dict[bool, object] = {}
-        self._tablevm = None
-        self._tablevm_stream = None
         self._interp_dispatch = None
         self._shape_decoder_maps: Dict[bool, Dict[str, object]] = {}
         self._validated_starts: set = set()
@@ -206,19 +202,6 @@ class Parser:
                 # Automatic fallback: constructs the compiler does not yet
                 # specialize run on the reference interpreter instead.
                 self.backend = "interpreted"
-        elif backend == "tablevm":
-            from .backends.tablevm import TableGrammar
-            from .ir import lower
-
-            self._tablevm = TableGrammar(
-                lower(
-                    self.grammar,
-                    memoize=memoize,
-                    optimizations=self._optimizations(),
-                ),
-                blackboxes=self.blackboxes,
-                limits=self.limits,
-            )
 
     def _optimizations(self):
         """The compiler pass set honouring the per-parser toggles."""
@@ -326,26 +309,17 @@ class Parser:
         if self.recursion_limit > previous_limit:
             sys.setrecursionlimit(self.recursion_limit)
         try:
-            if self._tablevm is not None:
-                run = self._tablevm.new_run(data, span_rules=span_rules)
+            engine = (
+                self._span_engine(span_rules) if self.backend == "compiled" else None
+            )
+            if engine is not None:
+                compiled, holder = engine
+                holder[0] = spans = []
+                result = compiled.parse_nonterminal(data, start_name, 0, len(data))
+            else:
+                run = _Run(self, data, span_rules=span_rules)
                 result = run.parse_nonterminal(start_name, 0, len(data), None, None)
                 spans = run.spans
-            else:
-                engine = (
-                    self._span_engine(span_rules)
-                    if self.backend == "compiled"
-                    else None
-                )
-                if engine is not None:
-                    compiled, holder = engine
-                    holder[0] = spans = []
-                    result = compiled.parse_nonterminal(data, start_name, 0, len(data))
-                else:
-                    run = _Run(self, data, span_rules=span_rules)
-                    result = run.parse_nonterminal(
-                        start_name, 0, len(data), None, None
-                    )
-                    spans = run.spans
         except (RecursionError, MemoryError) as exc:
             raise LimitExceeded(
                 f"{type(exc).__name__} while parsing {start_name!r}; the input "
@@ -450,39 +424,6 @@ class Parser:
             except CompilationError:  # pragma: no cover - same checks as batch
                 self._compiled_stream[elide_tree] = None
         return self._compiled_stream[elide_tree]
-
-    def _tablevm_streaming(self):
-        """The table-VM link the streaming driver re-enters (cached).
-
-        Same memo policy as the compiled streaming variant (see
-        :meth:`_streaming_compiled`): every rule memoizes, so stream
-        re-entries replay already-decided sub-parses as memo hits instead
-        of re-reading bytes compaction may have discarded.  The struct
-        decode fast paths are off — plan decoders read whole fixed windows
-        at once, which bypasses the ``NeedMoreInput`` suspension protocol.
-        """
-        if self._tablevm_stream is None:
-            from .backends.tablevm import TableGrammar
-            from .ir import Optimizations, lower
-
-            self._tablevm_stream = TableGrammar(
-                lower(
-                    self.grammar,
-                    memoize=self.memoize,
-                    optimizations=Optimizations(
-                        module_level_where=True,
-                        dense_memo=True,
-                        skip_nonrecursive_memo=False,
-                        inline_single_use=False,
-                        first_byte_dispatch=self.first_byte_dispatch,
-                        bulk_fixed_shape=self.bulk_fixed_shape,
-                    ),
-                ),
-                blackboxes=self.blackboxes,
-                limits=self.limits,
-                use_decoders=False,
-            )
-        return self._tablevm_stream
 
     def register_blackbox(self, name: str, parser: BlackboxCallable) -> None:
         """Register (or replace) the implementation of a blackbox parser.
@@ -594,19 +535,15 @@ class Parser:
         if self.recursion_limit > previous_limit:
             sys.setrecursionlimit(self.recursion_limit)
         try:
-            if self._tablevm is not None:
-                run = self._tablevm.new_run(data, build_tree=emit == "tree")
-                result = run.parse_nonterminal(start_name, 0, len(data), None, None)
+            if emit == "tree":
+                compiled = self._compiled
             else:
-                if emit == "tree":
-                    compiled = self._compiled
-                else:
-                    compiled = self._elided_compiled()
-                if compiled is not None:
-                    result = compiled.parse_nonterminal(data, start_name, 0, len(data))
-                else:
-                    run = _Run(self, data, build_tree=emit == "tree")
-                    result = run.parse_nonterminal(start_name, 0, len(data), None, None)
+                compiled = self._elided_compiled()
+            if compiled is not None:
+                result = compiled.parse_nonterminal(data, start_name, 0, len(data))
+            else:
+                run = _Run(self, data, build_tree=emit == "tree")
+                result = run.parse_nonterminal(start_name, 0, len(data), None, None)
         except (RecursionError, MemoryError) as exc:
             # Safety net: the explicit max_depth check fires first under the
             # default limits; a bare interpreter-stack or allocator blowup

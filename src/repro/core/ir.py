@@ -16,16 +16,14 @@ The compilation pipeline is structured as three stages:
     tuples for match/guard/bind/call/array/switch steps, expression trees
     lowered to pure-data programs, dispatch tables and struct plans
     attached as table entries, memo modes and fuel-charge sites recorded
-    per rule.  The IR is plain data: JSON-serializable
-    (:func:`plan_to_jsonable` / :func:`plan_from_jsonable`) and rendered
-    for humans by :func:`explain_plan` (``repro compile --explain``).
+    per rule.  The IR is plain data, rendered for humans by
+    :func:`explain_plan` (``repro compile --explain`` and the golden IR
+    dumps under ``tests/golden_ir/``).
 
 ``emit``
-    Two backends consume the IR: :mod:`repro.core.backends.closures`
-    (the staged source-emitting compiler behind ``backend="compiled"``
-    and AOT ``to_source()``) and :mod:`repro.core.backends.tablevm`
-    (a compact table-driven VM with one dispatch loop, behind
-    ``backend="tablevm"`` and the table-backed AOT modules).
+    :mod:`repro.core.backends.closures` — the staged source-emitting
+    compiler behind ``backend="compiled"`` and AOT ``to_source()`` —
+    consumes the same analysis facts and emits specialized closures.
 
 Op vocabulary (first element tags the op; expressions are nested tuples):
 
@@ -66,10 +64,6 @@ from .cycles import recursive_vertices
 from .errors import IPGError
 from .expr import BinOp, Cond, Dot, Exists, Expr, Index, Name, Num
 
-#: Serialization format version of :func:`plan_to_jsonable` output.
-PLAN_FORMAT = 1
-
-
 @dataclass(frozen=True)
 class Optimizations:
     """Toggle set for the compilation passes.
@@ -80,16 +74,14 @@ class Optimizations:
     """
 
     #: Compile ``where`` local rules to module-level functions with explicit
-    #: closure-cell lists instead of per-invocation nested ``def`` s
-    #: (closure backend only; the table VM has no per-invocation defs).
+    #: closure-cell lists instead of per-invocation nested ``def`` s.
     module_level_where: bool = True
     #: Collapse the memo key of rules whose ``hi`` is always ``EOI`` from a
     #: ``(lo, hi)`` tuple to the bare ``lo`` offset.
     dense_memo: bool = True
     #: Skip memo tables for rules that cannot recur.
     skip_nonrecursive_memo: bool = True
-    #: Expand single-use single-alternative rules into their call site
-    #: (closure backend; the table VM keeps calls explicit).
+    #: Expand single-use single-alternative rules into their call site.
     inline_single_use: bool = True
     #: Replace ordered trial-and-backtrack with byte-indexed jump tables
     #: where the FIRST-set analysis (:mod:`repro.core.firstsets`) prunes
@@ -273,9 +265,8 @@ class GrammarAnalysis:
     """The shared facts every emission backend consumes.
 
     One :func:`analyze` call replaces the per-backend re-derivation the
-    pre-IR pipeline did: the closure emitter, the table VM, the
-    interpreter's plan consumers and the AOT serializer all read the same
-    object.
+    pre-IR pipeline did: the closure emitter, the interpreter's plan
+    consumers and :func:`lower` all read the same object.
     """
 
     grammar: Grammar
@@ -438,13 +429,13 @@ def render_expr(prog: tuple) -> str:
 
 @dataclass
 class DispatchIR:
-    """A serializable first-byte (and FIRST₂) dispatch table.
+    """A first-byte (and FIRST₂) dispatch table, as plain data.
 
     ``table`` has 256 entries of alternative-index tuples; ``empty`` is the
     entry for zero-length windows; ``pair`` maps a first byte to
     ``(probe_offset, row)`` with another 256-entry row over the probed
     byte.  Mirrors :class:`repro.core.firstsets.DispatchPlan` minus the
-    non-serializable bits.
+    analysis-only bits.
     """
 
     table: Tuple[Tuple[int, ...], ...]
@@ -499,16 +490,14 @@ class RuleIR:
 
 @dataclass
 class GrammarPlan:
-    """The lowered IR of a whole grammar — what the backends emit from."""
+    """The lowered IR of a whole grammar, with its source and analysis."""
 
     start: str
     blackboxes: Tuple[str, ...]
     rules: Dict[str, RuleIR]
     options: Dict[str, object]
-    #: The source grammar and analysis (None on deserialized plans: the
-    #: table VM links those without struct decoders or bulk arrays).
-    grammar: Optional[Grammar] = None
-    analysis: Optional[GrammarAnalysis] = None
+    grammar: Grammar
+    analysis: GrammarAnalysis
 
 
 def _lower_interval(term, what: str) -> Tuple[tuple, tuple]:
@@ -640,152 +629,6 @@ def lower(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (JSON-able plain data)
-# ---------------------------------------------------------------------------
-
-
-def _data_to_jsonable(value):
-    """Ops/expressions -> JSON: tuples become lists, bytes become tagged."""
-    if isinstance(value, tuple):
-        return [_data_to_jsonable(item) for item in value]
-    if isinstance(value, bytes):
-        return {"__bytes__": value.decode("latin-1")}
-    if value is None or isinstance(value, (int, str, bool)):
-        return value
-    raise IPGError(f"non-serializable IR value {value!r}")  # pragma: no cover
-
-
-def _data_from_jsonable(value):
-    if isinstance(value, list):
-        return tuple(_data_from_jsonable(item) for item in value)
-    if isinstance(value, dict):
-        return value["__bytes__"].encode("latin-1")
-    return value
-
-
-def _rle_encode(table) -> list:
-    """Run-length-encode a 256-entry dispatch table for compact JSON."""
-    runs: List[list] = []
-    for entry in table:
-        entry = list(entry)
-        if runs and runs[-1][1] == entry:
-            runs[-1][0] += 1
-        else:
-            runs.append([1, entry])
-    return runs
-
-
-def _rle_decode(runs) -> tuple:
-    table: List[tuple] = []
-    for count, entry in runs:
-        table.extend([tuple(entry)] * count)
-    return tuple(table)
-
-
-def _dispatch_to_jsonable(dispatch: Optional[DispatchIR]):
-    if dispatch is None:
-        return None
-    pair = None
-    if dispatch.pair:
-        pair = {
-            str(byte): [offset, _rle_encode(row)]
-            for byte, (offset, row) in dispatch.pair.items()
-        }
-    return {
-        "table": _rle_encode(dispatch.table),
-        "empty": list(dispatch.empty),
-        "alternatives": dispatch.alternatives,
-        "pair": pair,
-    }
-
-
-def _dispatch_from_jsonable(data) -> Optional[DispatchIR]:
-    if data is None:
-        return None
-    pair = None
-    if data.get("pair"):
-        pair = {
-            int(byte): (offset, _rle_decode(runs))
-            for byte, (offset, runs) in data["pair"].items()
-        }
-    return DispatchIR(
-        table=_rle_decode(data["table"]),
-        empty=tuple(data["empty"]),
-        alternatives=data["alternatives"],
-        pair=pair,
-    )
-
-
-def _rule_to_jsonable(rule: RuleIR) -> dict:
-    return {
-        "name": rule.name,
-        "path": rule.path,
-        "memo": rule.memo,
-        "fuel": rule.fuel,
-        "decoder": rule.decoder,
-        "dispatch": _dispatch_to_jsonable(rule.dispatch),
-        "alts": [
-            {
-                "ops": [_data_to_jsonable(op) for op in alt.ops],
-                "locals": [_rule_to_jsonable(local) for local in alt.locals],
-            }
-            for alt in rule.alts
-        ],
-    }
-
-
-def _rule_from_jsonable(data: dict) -> RuleIR:
-    return RuleIR(
-        name=data["name"],
-        path=data["path"],
-        memo=data["memo"],
-        fuel=data["fuel"],
-        decoder=data["decoder"],
-        dispatch=_dispatch_from_jsonable(data["dispatch"]),
-        alts=tuple(
-            AltIR(
-                ops=tuple(_data_from_jsonable(op) for op in alt["ops"]),
-                locals=tuple(_rule_from_jsonable(local) for local in alt["locals"]),
-            )
-            for alt in data["alts"]
-        ),
-    )
-
-
-def plan_to_jsonable(plan: GrammarPlan) -> dict:
-    """Serialize a :class:`GrammarPlan` to JSON-compatible plain data."""
-    return {
-        "format": PLAN_FORMAT,
-        "start": plan.start,
-        "blackboxes": list(plan.blackboxes),
-        "options": dict(plan.options),
-        "rules": {name: _rule_to_jsonable(rule) for name, rule in plan.rules.items()},
-    }
-
-
-def plan_from_jsonable(data: dict) -> GrammarPlan:
-    """Rebuild a :class:`GrammarPlan` from :func:`plan_to_jsonable` output.
-
-    The source grammar and analysis are not serialized, so backends link
-    deserialized plans without struct-plan decoders or bulk arrays (the
-    AOT table modules embed decoders separately as emitted source).
-    """
-    if data.get("format") != PLAN_FORMAT:
-        raise IPGError(
-            f"unsupported plan format {data.get('format')!r}; "
-            f"expected {PLAN_FORMAT}"
-        )
-    return GrammarPlan(
-        start=data["start"],
-        blackboxes=tuple(data["blackboxes"]),
-        rules={
-            name: _rule_from_jsonable(rule) for name, rule in data["rules"].items()
-        },
-        options=dict(data["options"]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Explain: human-readable IR dump (repro compile --explain, golden dumps)
 # ---------------------------------------------------------------------------
 
@@ -865,14 +708,8 @@ def _explain_rule(rule: RuleIR, plan: GrammarPlan, out: List[str], depth: int) -
     facts = [f"memo={rule.memo}"]
     facts.append("fuel=charged" if rule.fuel else "fuel=free")
     if rule.decoder:
-        shape = None
-        if plan.analysis is not None:
-            shape = plan.analysis.full_shapes.get(rule.name)
-        facts.append(
-            f"decoder=struct[{shape.fmt!r}, {shape.needed}B]"
-            if shape is not None
-            else "decoder=struct"
-        )
+        shape = plan.analysis.full_shapes[rule.name]
+        facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
     out.append(f"{indent}rule {rule.path}: {' '.join(facts)}")
     if rule.dispatch is not None:
         _explain_dispatch(rule.dispatch, out, indent + "  ")

@@ -266,23 +266,19 @@ class LazyDocument:
     def _probe_env(self, name: str, lo: int, hi: int):
         """The rule's attribute environment over ``[lo, hi)``, or ``FAIL``.
 
-        Runs the parser's fastest tree-elision engine (compiled, table
-        VM, or the plain interpreter in elision mode) — top-level rules
+        Runs the parser's fastest tree-elision engine (compiled, or the
+        plain interpreter in elision mode) — top-level rules
         are context-free, so this is exactly the env the eager parse
         records for the same window.
         """
         parser = self.parser
         with self._recursion_headroom():
-            if parser._tablevm is not None:
-                run = parser._tablevm.new_run(self.buffer, build_tree=False)
-                result = run.parse_nonterminal(name, lo, hi, None, None)
+            elided = parser._elided_compiled()
+            if elided is not None:
+                result = elided.parse_nonterminal(self.buffer, name, lo, hi)
             else:
-                elided = parser._elided_compiled()
-                if elided is not None:
-                    result = elided.parse_nonterminal(self.buffer, name, lo, hi)
-                else:
-                    run = _Run(parser, self.buffer, build_tree=False)
-                    result = run.parse_nonterminal(name, lo, hi, None, None)
+                run = _Run(parser, self.buffer, build_tree=False)
+                result = run.parse_nonterminal(name, lo, hi, None, None)
         return FAIL if result is FAIL else result.env
 
     def _materialize(self, slot: _LazySlot) -> list:

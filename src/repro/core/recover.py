@@ -14,7 +14,7 @@ property :mod:`repro.core.lazytree` exploits), so recovery is a
 engine:
 
 1. every top-level-rule window is first *probed* through the parser's
-   configured fast engine (compiled, table VM, or interpreter — the same
+   configured fast engine (compiled or interpreter — the same
    tree-elision re-entry the lazy layer uses).  Windows that probe clean
    decode through that engine and contribute ordinary subtrees;
 2. only windows the fast engine **rejects** enter recovery mode: the
@@ -382,16 +382,12 @@ class _RecoverRun(_Run):
         """
         parser = self.parser
         try:
-            if parser._tablevm is not None:
-                run = parser._tablevm.new_run(self.data, build_tree=False)
-                result = run.parse_nonterminal(name, lo, hi, None, None)
+            elided = parser._elided_compiled()
+            if elided is not None:
+                result = elided.parse_nonterminal(self.data, name, lo, hi)
             else:
-                elided = parser._elided_compiled()
-                if elided is not None:
-                    result = elided.parse_nonterminal(self.data, name, lo, hi)
-                else:
-                    run = _Run(parser, self.data, build_tree=False)
-                    result = run.parse_nonterminal(name, lo, hi, None, None)
+                run = _Run(parser, self.data, build_tree=False)
+                result = run.parse_nonterminal(name, lo, hi, None, None)
         except _CAPTURED:
             return False
         return result is not FAIL
@@ -400,9 +396,6 @@ class _RecoverRun(_Run):
         """Decode a probed-clean window through the configured engine."""
         parser = self.parser
         try:
-            if parser._tablevm is not None:
-                run = parser._tablevm.new_run(self.data, build_tree=True)
-                return run.parse_nonterminal(name, lo, hi, None, None)
             if parser._compiled is not None:
                 return parser._compiled.parse_nonterminal(self.data, name, lo, hi)
             run = _Run(parser, self.data, build_tree=True)

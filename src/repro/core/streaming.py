@@ -568,31 +568,19 @@ class StreamingParse:
         # variant (see Parser._streaming_compiled): the batch compilation
         # elides memo tables for non-recursive rules, which would force
         # every re-entry to re-read bytes compaction already discarded.
-        # The table VM streams through the analogous fully-memoized link
-        # (Parser._tablevm_streaming); its run object shares the reference
-        # interpreter's re-entry interface.  Non-"tree" emit modes elide
-        # tree construction in every engine.
-        if getattr(parser, "_tablevm", None) is not None:
-            self._compiled = None
+        # Non-"tree" emit modes elide tree construction in every engine.
+        self._compiled = parser._streaming_compiled(elide_tree=emit != "tree")
+        if self._compiled is not None:
+            self._state = self._compiled.new_state()
+            self._run = None
+        else:
             self._state = None
-            self._run = parser._tablevm_streaming().new_run(
+            self._run = _Run(
+                parser,
                 self.buffer,
                 build_tree=emit == "tree",
                 dispatch_cache=True,
             )
-        else:
-            self._compiled = parser._streaming_compiled(elide_tree=emit != "tree")
-            if self._compiled is not None:
-                self._state = self._compiled.new_state()
-                self._run = None
-            else:
-                self._state = None
-                self._run = _Run(
-                    parser,
-                    self.buffer,
-                    build_tree=emit == "tree",
-                    dispatch_cache=True,
-                )
 
     # -- engine dispatch ---------------------------------------------------
     def _call_engine(self):

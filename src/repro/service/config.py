@@ -15,6 +15,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from ..core.interpreter import Parser
 from ..core.limits import ParseLimits
 
 #: Directory whose files live in RAM on Linux; spool files placed here
@@ -85,8 +86,9 @@ class ServiceConfig:
         Accept fault-injection directives (``submit_chaos``).  Off by
         default; the chaos harness and tests opt in.
     ``backend``
-        Parse engine workers use (``"compiled"``, ``"interpreted"``,
-        ``"tablevm"``).
+        Parse engine workers use, one of ``Parser.BACKENDS``
+        (``"compiled"`` or ``"interpreted"``).  Anything else raises
+        ``ValueError`` here rather than failing every request.
     ``limits``
         Base :class:`~repro.core.limits.ParseLimits` for worker parses
         (``max_wall_ms`` is overridden per request from the deadline).
@@ -119,6 +121,11 @@ class ServiceConfig:
             raise ValueError("soft_deadline_fraction must be in (0, 1]")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.backend not in Parser.BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{Parser.BACKENDS}"
+            )
 
     def soft_deadline_ms(self, deadline_ms: int) -> int:
         """The in-worker wall budget for a ``deadline_ms`` request."""

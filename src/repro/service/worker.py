@@ -85,7 +85,7 @@ def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
     The interpreter and diagnostic re-run read ``parser.limits`` per
     parse; the staged compilation reads its module-global
     ``_wall_deadline`` factory (rebindable by design — AOT modules'
-    ``set_limits`` uses the same seam); the table VM takes the dataclass.
+    ``set_limits`` uses the same seam).
     """
     if soft_ms is None:
         return
@@ -102,8 +102,6 @@ def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
         if compiled is not None:
             compiled._new_state.__globals__["_wall_deadline"] = factory
             compiled.limits = limits
-    if parser._tablevm is not None:
-        parser._tablevm.set_limits(limits)
 
 
 class _WorkerState:

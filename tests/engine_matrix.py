@@ -14,10 +14,6 @@ The repository ships several executions of the same IPG semantics:
 * ``compiled-unoptimized`` — the compiler with every optimization pass off,
 * ``aot`` — the ahead-of-time emitted standalone module
   (``CompiledGrammar.to_source()``), imported through ``exec``,
-* ``tablevm`` — the table-driven dispatch VM executing the serialized
-  plan IR (``repro.core.backends.tablevm``),
-* ``aot-table`` — the table-backed standalone module
-  (``TableGrammar.to_source()``), imported through ``exec``,
 * ``streaming`` — ``Parser.parse_stream`` over chunked input (only for
   grammars the §8 analysis accepts; chunk sizes deliberately straddle
   fixed-shape record boundaries).
@@ -48,7 +44,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro import Parser, samples
 from repro.core.buffers import as_buffer
 from repro.core.compiler import Optimizations, compile_grammar
-from repro.core.errors import BlackboxError, CompilationError, IPGError, ParseFailure
+from repro.core.errors import BlackboxError, IPGError, ParseFailure
 from repro.core.streamability import analyze_streamability
 
 #: Engines every grammar can run on (streaming joins when streamable).
@@ -59,8 +55,6 @@ CORE_ENGINES = (
     "compiled-nobulk",
     "compiled-unoptimized",
     "aot",
-    "tablevm",
-    "aot-table",
 )
 ALL_ENGINES = CORE_ENGINES + ("streaming",)
 
@@ -150,23 +144,6 @@ class EngineMatrix:
             self.unoptimized = None
             self.nobulk = None
             self.aot = None
-        try:
-            self.tablevm = Parser(
-                grammar_text,
-                blackboxes=blackboxes,
-                memoize=memoize,
-                backend="tablevm",
-            )
-        except CompilationError:
-            # Lowering refuses constructs the plan IR does not cover yet;
-            # the table engines simply sit this grammar out.
-            self.tablevm = None
-            self.aot_table = None
-        else:
-            _AOT_SEQ[0] += 1
-            self.aot_table = self.tablevm._tablevm.load_module(
-                f"_aot_table_matrix_{_AOT_SEQ[0]}"
-            )
         self.streamable = analyze_streamability(grammar_text).streamable
         #: Lazily built: the unoptimized tree-elision compilation used by
         #: the emit-mode differential (see _elided_unoptimized()).
@@ -185,9 +162,6 @@ class EngineMatrix:
                 self.nobulk
             )
             self._runners["aot"] = self._run_aot
-        if self.tablevm is not None:
-            self._runners["tablevm"] = self._run_parser(self.tablevm)
-            self._runners["aot-table"] = self._run_aot_table
 
     # -- engine runners ----------------------------------------------------
     @staticmethod
@@ -224,13 +198,6 @@ class EngineMatrix:
             return ("error", type(exc))
         return ("tree", tree) if tree is not None else ("none",)
 
-    def _run_aot_table(self, data, start):
-        try:
-            tree = self.aot_table.try_parse(data, start)
-        except self.aot_table.IPGError as exc:
-            return ("error", type(exc))
-        return ("tree", tree) if tree is not None else ("none",)
-
     def _run_streaming(self, data, start):
         outcomes = []
         for chunk_size in self.chunk_sizes:
@@ -261,8 +228,6 @@ class EngineMatrix:
         names = ["interpreted", "interpreted-plain", "compiled"]
         if self.unoptimized is not None:
             names += ["compiled-nobulk", "compiled-unoptimized", "aot"]
-        if self.tablevm is not None:
-            names += ["tablevm", "aot-table"]
         return tuple(names)
 
     def error_outcome(self, engine: str, data: bytes, start: Optional[str] = None):
@@ -279,23 +244,21 @@ class EngineMatrix:
         """
         data = bytes(data)
         try:
-            if engine in ("interpreted", "interpreted-plain", "compiled", "tablevm"):
+            if engine in ("interpreted", "interpreted-plain", "compiled"):
                 parser = {
                     "interpreted": self.interpreted,
                     "interpreted-plain": self.interpreted_plain,
                     "compiled": self.compiled,
-                    "tablevm": self.tablevm,
                 }[engine]
                 parser.parse(data, start)
             elif engine == "compiled-nobulk":
                 self.nobulk.parse(data, start)
             elif engine == "compiled-unoptimized":
                 self.unoptimized.parse(data, start)
-            elif engine in ("aot", "aot-table"):
-                module = self.aot if engine == "aot" else self.aot_table
+            elif engine == "aot":
                 try:
-                    module.parse(data, start)
-                except (module.ParseFailure, module.BlackboxError) as exc:
+                    self.aot.parse(data, start)
+                except (self.aot.ParseFailure, self.aot.BlackboxError) as exc:
                     return (type(exc).__name__, getattr(exc, "offset", None))
             else:
                 raise AssertionError(f"no raising entry point for {engine!r}")
@@ -379,8 +342,6 @@ class EngineMatrix:
         names = ["interpreted", "interpreted-plain", "compiled"]
         if self.unoptimized is not None:
             names.append("elided-unoptimized")
-        if self.tablevm is not None:
-            names.append("tablevm")
         if self.streamable:
             names.append("streaming")
         return tuple(names)
@@ -408,7 +369,6 @@ class EngineMatrix:
                     "interpreted": self.interpreted,
                     "interpreted-plain": self.interpreted_plain,
                     "compiled": self.compiled,
-                    "tablevm": self.tablevm,
                 }[engine]
                 outcome = parser.try_parse(data, start, emit=emit)
         except IPGError as exc:

@@ -1,9 +1,8 @@
 """Streaming parity for ahead-of-time emitted modules.
 
-``to_source()`` modules — closure- and table-backed — embed a vendored
-streaming runtime plus a stream-specialized variant of the grammar
-(re-compiled with the stream-safe pass set; second embedded plan for the
-table flavor).  This module pins the parity contract: for streamable
+``to_source()`` modules embed a vendored streaming runtime plus a
+stream-specialized variant of the grammar (re-compiled with the
+stream-safe pass set).  This module pins the parity contract: for streamable
 grammars the emitted module's ``stream()`` / ``parse_stream()`` produce
 the same trees as its own batch entry points and as the in-process
 engines, across record-straddling chunk sizes, with bounded buffering
@@ -31,14 +30,7 @@ def _closure_module(fmt: str):
     ).load_module(f"_aot_stream_closure_{_SEQ[0]}")
 
 
-def _table_module(fmt: str):
-    spec = registry[fmt]
-    _SEQ[0] += 1
-    parser = spec.build_parser(backend="tablevm")
-    return parser._tablevm.load_module(f"_aot_stream_table_{_SEQ[0]}")
-
-
-MODULE_BUILDERS = {"closure": _closure_module, "table": _table_module}
+MODULE_BUILDERS = {"closure": _closure_module}
 
 
 @pytest.fixture(scope="module", params=sorted(MODULE_BUILDERS))

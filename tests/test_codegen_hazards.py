@@ -18,18 +18,15 @@ templating, which creates two classes of hazard this module pins down:
   module.
 
 Everything runs through the full cross-engine matrix, so the interpreter,
-the closure compiler (all pass combinations), both AOT flavors and the
-table VM all chew on the hostile names.
+the closure compiler (all pass combinations) and the AOT module all chew
+on the hostile names.
 """
 
 import pytest
 
 from engine_matrix import EngineMatrix, matrix_for
-from repro.core.backends.tablevm import TableGrammar
 from repro.core.codegen import render_package
 from repro.core.compiler import compile_grammar
-from repro.core.interpreter import prepare_grammar
-from repro.core.ir import lower
 
 #: Names that shadow prelude helpers, runtime sentinels, generated-code
 #: locals, or the compiled calling convention's parameter names.
@@ -133,14 +130,6 @@ class TestModuleDocEscaping:
         compiled = compile_grammar(self.GRAMMAR)
         namespace = {}
         exec(compile(compiled.to_source(module_doc=doc), "<doc>", "exec"), namespace)
-        assert namespace["__doc__"].rstrip("\n") == doc
-        assert namespace["try_parse"](b"\x05").env["v"] == 5
-
-    @pytest.mark.parametrize("doc", HOSTILE_DOCS)
-    def test_table_module_doc_is_inert(self, doc):
-        vm = TableGrammar(lower(prepare_grammar(self.GRAMMAR)))
-        namespace = {}
-        exec(compile(vm.to_source(module_doc=doc), "<doc>", "exec"), namespace)
         assert namespace["__doc__"].rstrip("\n") == doc
         assert namespace["try_parse"](b"\x05").env["v"] == 5
 

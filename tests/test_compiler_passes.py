@@ -4,9 +4,9 @@ Every combination of :class:`repro.core.compiler.Optimizations` flags must
 compile every grammar to the *same* observable parser: identical trees,
 identical failures.  This module fuzzes that claim over the paper's toy
 grammars, the workload generators of ``test_property_based.py``, and a set
-of adversarial shapes aimed at each pass — and checks that ahead-of-time
-emitted modules round-trip through both ``exec`` and a real ``importlib``
-import.
+of adversarial shapes aimed at each pass — on the in-process closures and
+on the ahead-of-time emitted module — and checks that emitted modules
+round-trip through both ``exec`` and a real ``importlib`` import.
 """
 
 import importlib.util
@@ -156,6 +156,69 @@ class TestToggleEquivalence:
         )
         for config in TOGGLE_CONFIGS.values():
             _assert_config_equivalent(registry["dns"].grammar_text, config, packet)
+
+
+_EMITTED_CACHE = {}
+
+
+def _emitted_pair(grammar_text, config, blackboxes=None):
+    """(emitted module, reference interpreter), built once per grammar/config."""
+    key = (grammar_text, config)
+    if key not in _EMITTED_CACHE:
+        _EMITTED_CACHE[key] = (
+            load_aot_module(
+                grammar_text,
+                blackboxes=dict(blackboxes or {}),
+                optimizations=TOGGLE_CONFIGS[config],
+            ),
+            Parser(grammar_text, blackboxes=dict(blackboxes or {}),
+                   backend="interpreted"),
+        )
+    return _EMITTED_CACHE[key]
+
+
+def _outcome(try_parse, data, error_base):
+    try:
+        tree = try_parse(data)
+    except error_base as exc:
+        return ("error", type(exc).__name__)
+    return ("none",) if tree is None else ("tree", tree)
+
+
+def _assert_emitted_equivalent(grammar_text, config, data, blackboxes=None):
+    from repro.core.errors import IPGError
+
+    module, interpreted = _emitted_pair(grammar_text, config, blackboxes)
+    data = bytes(data)
+    expected = _outcome(interpreted.try_parse, data, IPGError)
+    assert _outcome(module.try_parse, data, module.IPGError) == expected
+
+
+class TestEmittedToggleEquivalence:
+    """The toggle fuzz again, through the emitted standalone module.
+
+    ``to_source()`` renders every pass's artifacts (module-level where
+    rules, dense memo tables, dispatch tables, fused decoders) as module
+    text of its own; each combination must still parse exactly like the
+    reference interpreter once the module is executed.
+    """
+
+    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=16))
+    @settings(max_examples=15, deadline=None)
+    def test_toy_grammars(self, config, name, data):
+        _assert_emitted_equivalent(toy.ALL_GRAMMARS[name], config, data)
+
+    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
+    @pytest.mark.parametrize("fmt", ["zip", "dns", "elf"])
+    def test_format_grammars(self, config, fmt):
+        spec = registry[fmt]
+        sample = format_sample(fmt)
+        for data in (sample, sample[: len(sample) // 2]):
+            _assert_emitted_equivalent(
+                spec.grammar_text, config, data, blackboxes=dict(spec.blackboxes)
+            )
 
 
 class TestAOTRoundTrip:

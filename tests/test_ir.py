@@ -1,64 +1,29 @@
 """Tests for the plan IR layer (``repro.core.ir``).
 
-Three contracts:
+**Golden IR dumps** — ``explain_plan`` output for every bundled format is
+pinned under ``tests/golden_ir/``.  A refactor that changes what the front
+end lowers a format to (rule order, dispatch tables, fuel placement, op
+sequences) fails here even when every engine still agrees at runtime.
+Regenerate after an intentional change with::
 
-* **Golden IR dumps** — ``explain_plan`` output for every bundled format
-  is pinned under ``tests/golden_ir/``.  A refactor that changes what the
-  front end lowers a format to (rule order, dispatch tables, fuel
-  placement, op sequences) fails here even when every backend still
-  agrees at runtime.  Regenerate after an intentional change with::
+    PYTHONPATH=src python -m pytest tests/test_ir.py --update-golden
 
-      PYTHONPATH=src python -m pytest tests/test_ir.py --update-golden
-
-* **Serialization round-trip** — ``plan_to_jsonable`` /
-  ``plan_from_jsonable`` must be mutually inverse through a real JSON
-  encode/decode, and the table VM must execute the *deserialized* plan
-  (grammar and analysis stripped, exactly what an AOT table module sees)
-  identically to the reference interpreter.
-
-* **Pass-toggle equivalence on the table backend** — the closure
-  compiler's toggle fuzz (``test_compiler_passes.py``) extended to the
-  VM: every :class:`~repro.core.compiler.Optimizations` combination must
-  lower to a plan the VM executes to identical trees and failures.
+**Plan structure** — a lowered plan always carries the grammar and the
+analysis it came from, and every rule's memo/fuel/decoder/dispatch facts
+are the analysis's.  ``explain_plan`` and the backends read those facts
+straight from ``plan.analysis``.
 """
 
-import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from engine_matrix import format_sample
-from repro import Parser
-from repro.core.backends.tablevm import TableGrammar
 from repro.core.compiler import Optimizations
-from repro.core.interpreter import FAIL, prepare_grammar
-from repro.core.ir import (
-    PLAN_FORMAT,
-    explain_plan,
-    lower,
-    plan_from_jsonable,
-    plan_to_jsonable,
-)
-from repro.formats import registry, toy
+from repro.core.interpreter import prepare_grammar
+from repro.core.ir import analyze, explain_plan, lower
+from repro.formats import registry
 
 GOLDEN_IR_DIR = Path(__file__).parent / "golden_ir"
-
-#: Mirrors test_compiler_passes.TOGGLE_CONFIGS (kept in that module's
-#: positional order: module_level_where, dense_memo, skip_nonrecursive_memo,
-#: inline_single_use, first_byte_dispatch, bulk_fixed_shape).
-TOGGLE_CONFIGS = {
-    "all": Optimizations(),
-    "none": Optimizations.none(),
-    "no-module-where": Optimizations(module_level_where=False),
-    "no-dense": Optimizations(dense_memo=False),
-    "no-skip": Optimizations(skip_nonrecursive_memo=False),
-    "no-inline": Optimizations(inline_single_use=False),
-    "no-dispatch": Optimizations(first_byte_dispatch=False),
-    "no-bulk": Optimizations(bulk_fixed_shape=False),
-    "only-dispatch": Optimizations(False, False, False, False, True, False),
-    "only-bulk": Optimizations(False, False, False, False, False, True),
-}
 
 
 def golden_ir_path(fmt: str) -> Path:
@@ -106,90 +71,45 @@ class TestGoldenIR:
 
 
 # ---------------------------------------------------------------------------
-# Serialization round-trip
+# Plan structure
 # ---------------------------------------------------------------------------
 
 
-def roundtrip(plan):
-    """plan -> jsonable -> JSON text -> jsonable -> plan."""
-    wire = json.dumps(plan_to_jsonable(plan), sort_keys=True)
-    return plan_from_jsonable(json.loads(wire))
+def _walk_rules(rules):
+    for rule in rules:
+        yield rule
+        for alt in rule.alts:
+            yield from _walk_rules(alt.locals)
 
 
-class TestPlanSerialization:
+class TestPlanStructure:
     @pytest.mark.parametrize("fmt", sorted(registry))
-    def test_jsonable_round_trip_is_stable(self, fmt):
+    def test_plan_carries_its_grammar_and_analysis(self, fmt):
+        grammar = prepare_grammar(registry[fmt].grammar_text)
+        plan = lower(grammar)
+        assert plan.grammar is grammar
+        assert plan.analysis.grammar is grammar
+        assert plan.start == grammar.start
+        assert list(plan.rules) == list(grammar.rules)
+        # A caller-supplied analysis is reused, not recomputed.
+        analysis = analyze(grammar, optimizations=Optimizations.none())
+        assert lower(grammar, analysis=analysis).analysis is analysis
+
+    @pytest.mark.parametrize("fmt", sorted(registry))
+    def test_rule_facts_follow_the_analysis(self, fmt):
         plan = format_plan(fmt)
-        first = plan_to_jsonable(plan)
-        assert first["format"] == PLAN_FORMAT
-        # A second encode of the decoded plan must reproduce the wire form
-        # exactly: nothing is lost or reordered by deserialization.
-        assert plan_to_jsonable(roundtrip(plan)) == first
+        analysis = plan.analysis
+        for name, rule in plan.rules.items():
+            assert rule.memo == analysis.memo_modes[name]
+            assert rule.fuel == (name in analysis.recursive)
+            assert rule.decoder == (name in analysis.full_shapes)
+            assert (rule.dispatch is not None) == (name in analysis.dispatch_plans)
+        for rule in _walk_rules(plan.rules.values()):
+            if rule.dispatch is not None:
+                assert len(rule.dispatch.table) == 256
+                assert rule.dispatch.alternatives == len(rule.alts)
 
     @pytest.mark.parametrize("fmt", sorted(registry))
-    def test_deserialized_plan_drops_front_end_state(self, fmt):
-        revived = roundtrip(format_plan(fmt))
-        assert revived.grammar is None
-        assert revived.analysis is None
-
-    @pytest.mark.parametrize("fmt", sorted(registry))
-    def test_vm_executes_deserialized_plan(self, fmt):
-        spec = registry[fmt]
-        vm = TableGrammar(
-            roundtrip(format_plan(fmt)), blackboxes=dict(spec.blackboxes)
-        )
-        sample = format_sample(fmt)
-        expected = spec.build_parser(backend="interpreted").parse(sample)
-        assert _vm_try_parse(vm, sample) == expected
-
-    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
-    @given(data=st.binary(min_size=0, max_size=16))
-    @settings(max_examples=15, deadline=None)
-    def test_toy_round_trip_parses_identically(self, name, data):
-        grammar_text = toy.ALL_GRAMMARS[name]
-        reference = Parser(grammar_text, backend="interpreted")
-        vm = TableGrammar(roundtrip(lower(prepare_grammar(grammar_text))))
-        assert _vm_try_parse(vm, data) == reference.try_parse(data)
-
-
-def _vm_try_parse(vm, data):
-    result = vm.parse_nonterminal(bytes(data), vm.plan.start, 0, len(data))
-    return None if result is FAIL else result
-
-
-# ---------------------------------------------------------------------------
-# Pass-toggle equivalence on the table backend
-# ---------------------------------------------------------------------------
-
-
-def _assert_vm_config_equivalent(grammar_text, config, data, blackboxes=None):
-    reference = Parser(
-        grammar_text, blackboxes=dict(blackboxes or {}), backend="interpreted"
-    )
-    vm = TableGrammar(
-        lower(prepare_grammar(grammar_text), optimizations=config),
-        blackboxes=dict(blackboxes or {}),
-    )
-    assert _vm_try_parse(vm, data) == reference.try_parse(data)
-
-
-class TestTableToggleEquivalence:
-    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
-    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
-    @given(data=st.binary(min_size=0, max_size=16))
-    @settings(max_examples=15, deadline=None)
-    def test_toy_grammars(self, config, name, data):
-        _assert_vm_config_equivalent(
-            toy.ALL_GRAMMARS[name], TOGGLE_CONFIGS[config], data
-        )
-
-    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
-    @pytest.mark.parametrize("fmt", ["zip", "dns", "elf"])
-    def test_format_grammars(self, config, fmt):
-        spec = registry[fmt]
-        _assert_vm_config_equivalent(
-            spec.grammar_text,
-            TOGGLE_CONFIGS[config],
-            format_sample(fmt),
-            blackboxes=dict(spec.blackboxes),
-        )
+    def test_lowering_is_deterministic(self, fmt):
+        # Two independent front-end runs lower to the same dump.
+        assert explain_plan(format_plan(fmt)) == explain_plan(format_plan(fmt))

@@ -28,7 +28,7 @@ from repro.core.parsetree import tree_from_jsonable
 from repro import samples
 from repro.formats import registry
 
-BACKENDS = ("compiled", "interpreted", "tablevm")
+BACKENDS = ("compiled", "interpreted")
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HOSTILE_DIR = Path(__file__).parent / "hostile"
 

@@ -172,14 +172,14 @@ class TestWallClockBudget:
             limits=ParseLimits(**kwargs),
         )
 
-    @pytest.mark.parametrize("backend", ["compiled", "interpreted", "tablevm"])
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
     def test_wall_trips_on_every_engine(self, backend):
         parser = self._parser(backend, max_wall_ms=10)
         with pytest.raises(LimitExceeded) as info:
             parser.parse(bytes(2000))
         assert info.value.limit == "wall"
 
-    @pytest.mark.parametrize("backend", ["compiled", "interpreted", "tablevm"])
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
     def test_generous_wall_budget_leaves_parses_alone(self, backend):
         parser = self._parser(backend, max_wall_ms=60_000)
         assert parser.parse(bytes(64)) is not None

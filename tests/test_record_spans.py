@@ -27,7 +27,7 @@ CASES = {
     "pdf": {"Obj", "XrefEntry"},
 }
 
-BACKENDS = ("interpreted", "compiled", "tablevm")
+BACKENDS = ("interpreted", "compiled")
 
 
 def build(fmt: str, backend: str) -> Parser:

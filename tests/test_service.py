@@ -149,6 +149,18 @@ def test_submit_argument_validation(service):
         service.submit(b"", format="dns", emit="spans", recover=True)
 
 
+@pytest.mark.parametrize("backend", ["tablvm", "tablevm"])
+def test_unknown_backend_is_rejected_at_construction(backend):
+    # A typo and the retired table VM both fail here, not per request.
+    with pytest.raises(ValueError, match="unknown backend"):
+        ServiceConfig(backend=backend)
+    with pytest.raises(ValueError, match="unknown backend"):
+        ServiceConfig().with_overrides(backend=backend)
+    with pytest.raises(ValueError, match="unknown backend"):
+        ParseService(backend=backend)
+    assert ServiceConfig(backend="interpreted").backend == "interpreted"
+
+
 # ---------------------------------------------------------------------------
 # Failure handling: crashes, deadlines, shedding, close
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The parse service keeps exactly one :class:`~repro.Parser` per grammar
 per worker *process*, but in-process embedders (and ``parse_many``
 callers pre-dating the service) share a single parser across threads.
 A parser's hot state — memo tables, staged-compilation namespaces, the
-table VM's run state — must therefore be per-parse, never per-parser:
+interpreter's run state — must therefore be per-parse, never per-parser:
 this test hammers one shared parser per backend with 8 threads over the
 Figure 13 evaluation corpus and requires every concurrent tree to be
 byte-identical to the serial one.
@@ -27,7 +27,7 @@ from repro.formats import registry
 THREADS = 8
 ROUNDS = 3  # corpus passes per thread; rare races need repetition
 
-BACKENDS = ("compiled", "interpreted", "tablevm")
+BACKENDS = ("compiled", "interpreted")
 
 #: The Figure 13 size sweep (quick tier), one entry per format family.
 _FIG13_BUILDERS = {

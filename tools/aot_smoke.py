@@ -8,18 +8,15 @@ Run from a checkout with ``repro`` importable::
 For every bundled format grammar this script
 
 1. emits the ahead-of-time parser module (``CompiledGrammar.to_source()``,
-   the same artifact as ``repro compile``) into ``--out``, plus the
-   table-backed flavor (``TableGrammar.to_source()``, the artifact of
-   ``repro compile --backend tablevm``),
+   the same artifact as ``repro compile``) into ``--out``,
 2. writes the format's canonical deterministic sample input next to it,
 3. launches an **isolated subprocess** (``python -I``) whose ``sys.path``
    contains only the stdlib and the output directory — it asserts that
-   ``repro`` is *not* importable, imports each emitted module (both
-   flavors), registers the one stdlib-implementable blackbox (ZIP's
-   raw-deflate ``Inflate``), parses the sample, checks a truncated input
-   is cleanly rejected, checks both flavors agree on the root and node
-   count, and — for the streamable formats — runs one chunked
-   ``parse_stream`` per flavor and checks it equals the batch tree.
+   ``repro`` is *not* importable, imports each emitted module, registers
+   the one stdlib-implementable blackbox (ZIP's raw-deflate ``Inflate``),
+   parses the sample, checks a truncated input is cleanly rejected, and —
+   for the streamable formats — runs one chunked ``parse_stream`` and
+   checks it equals the batch tree.
 
 CI runs this after the test suite and uploads ``--out`` as an artifact, so
 every PR leaves behind the inspectable generated parsers it shipped.
@@ -91,46 +88,32 @@ manifest = json.load(open(f"{out_dir}/manifest.json"))
 failures = 0
 for fmt, entry in sorted(manifest.items()):
     data = open(f"{out_dir}/{entry['sample']}", "rb").read()
-    shapes = {}
-    for flavor, module_name in (
-        ("closure", entry["module"]),
-        ("table", entry["table_module"]),
-    ):
-        module = importlib.import_module(module_name)
-        for blackbox in entry["blackboxes"]:
-            if blackbox != "Inflate":
-                print(f"FATAL: no stdlib implementation for blackbox {blackbox!r}")
-                sys.exit(2)
-            module.register_blackbox("Inflate", inflate)
-        tree = module.try_parse(data)
-        if tree is None:
-            print(f"FAIL {fmt}/{flavor}: sample did not parse")
-            failures += 1
-            continue
-        nodes = sum(1 for _ in tree.walk())
-        # Each flavor vendors its own tree classes, so cross-flavor
-        # equality is structural: root name/env plus node count.
-        shapes[flavor] = (tree.name, dict(tree.env), nodes)
-        truncated = module.try_parse(data[: max(1, len(data) // 2)])
-        if truncated is not None:
-            print(f"FAIL {fmt}/{flavor}: truncated sample unexpectedly parsed")
-            failures += 1
-            continue
-        streamed = ""
-        if module.STREAMABLE:
-            chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
-            if module.parse_stream(chunks) != tree:
-                print(f"FAIL {fmt}/{flavor}: streamed parse differs from batch")
-                failures += 1
-                continue
-            streamed = f" streamed({len(chunks)} chunks)"
-        print(
-            f"ok   {fmt}/{flavor}: root={tree.name} nodes={nodes} "
-            f"bytes={len(data)}{streamed}"
-        )
-    if len(shapes) == 2 and shapes["closure"] != shapes["table"]:
-        print(f"FAIL {fmt}: closure and table flavors disagree: {shapes}")
+    module = importlib.import_module(entry["module"])
+    for blackbox in entry["blackboxes"]:
+        if blackbox != "Inflate":
+            print(f"FATAL: no stdlib implementation for blackbox {blackbox!r}")
+            sys.exit(2)
+        module.register_blackbox("Inflate", inflate)
+    tree = module.try_parse(data)
+    if tree is None:
+        print(f"FAIL {fmt}: sample did not parse")
         failures += 1
+        continue
+    nodes = sum(1 for _ in tree.walk())
+    truncated = module.try_parse(data[: max(1, len(data) // 2)])
+    if truncated is not None:
+        print(f"FAIL {fmt}: truncated sample unexpectedly parsed")
+        failures += 1
+        continue
+    streamed = ""
+    if module.STREAMABLE:
+        chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
+        if module.parse_stream(chunks) != tree:
+            print(f"FAIL {fmt}: streamed parse differs from batch")
+            failures += 1
+            continue
+        streamed = f" streamed({len(chunks)} chunks)"
+    print(f"ok   {fmt}: root={tree.name} nodes={nodes} bytes={len(data)}{streamed}")
 sys.exit(1 if failures else 0)
 '''
 
@@ -151,20 +134,15 @@ def main(argv=None) -> int:
         module_path = os.path.join(args.out, f"{module_name}.py")
         with open(module_path, "w", encoding="utf-8") as handle:
             handle.write(compiled.to_source())
-        table_name = f"{fmt.replace('-', '_')}_table_parser"
-        table_path = os.path.join(args.out, f"{table_name}.py")
-        with open(table_path, "w", encoding="utf-8") as handle:
-            handle.write(spec.build_parser(backend="tablevm")._tablevm.to_source())
         sample_name = f"{fmt}.sample.bin"
         with open(os.path.join(args.out, sample_name), "wb") as handle:
             handle.write(SAMPLES[fmt]())
         manifest[fmt] = {
             "module": module_name,
-            "table_module": table_name,
             "sample": sample_name,
             "blackboxes": sorted(spec.blackboxes),
         }
-        print(f"emitted {module_path} + {table_path}")
+        print(f"emitted {module_path}")
 
     import json
 

@@ -4,12 +4,13 @@ Compares a freshly measured Fig. 13 benchmark report (the CI smoke run of
 ``benchmarks/bench_compiler_speedup.py``) against the committed
 ``BENCH_compiler.json`` trajectory and exits non-zero when any gated
 median regressed more than the tolerance (default 15%) below the
-committed value.  Gated medians:
+committed value, or when a gated median committed there is missing from
+the measured report (a benchmark that stopped reporting a metric must not
+pass by omission).  A gated key the baseline does not commit is reported
+and skipped.  Gated medians:
 
 * ``median_speedup`` — compiled tree-mode vs the frozen interpreter,
 * ``aot_median_speedup`` — the ahead-of-time emitted module,
-* ``tablevm_median_speedup`` — the table-driven dispatch VM executing
-  the same lowered plan the closure backend specializes,
 * ``validate_median_speedup_vs_tree`` — the tree-elision fast path,
 * ``streaming_median_speedup`` — chunked streaming on the §8-streamable
   formats.
@@ -59,7 +60,6 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GATED_MEDIANS = (
     ("median_speedup", "median compiled speedup"),
     ("aot_median_speedup", "median AOT speedup"),
-    ("tablevm_median_speedup", "median table-VM speedup"),
     ("validate_median_speedup_vs_tree", "median validate-only speedup vs tree"),
     ("streaming_median_speedup", "median streaming speedup"),
 )
@@ -68,8 +68,6 @@ GATED_MEDIANS = (
 _FORMAT_METRICS = (
     "speedup",
     "aot_speedup",
-    "tablevm_speedup",
-    "tablevm_vs_compiled",
     "validate_speedup_vs_tree",
     "streaming_speedup",
 )
@@ -114,8 +112,15 @@ def gate(current_path: str, baseline_path: str, tolerance: float) -> int:
     for key, label in GATED_MEDIANS:
         committed = baseline.get(key)
         measured = current.get(key)
-        if committed is None or measured is None:
-            print(f"bench-gate: {label}: missing ({key}); skipped")
+        if committed is None:
+            print(f"bench-gate: {label}: not committed ({key}); skipped")
+            continue
+        if measured is None:
+            print(
+                f"bench-gate: {label}: committed {committed:.2f}x but not "
+                f"measured ({key}): MISSING"
+            )
+            failures.append(label)
             continue
         floor = committed * (1.0 - tolerance)
         verdict = "ok" if measured >= floor else "REGRESSION"
@@ -126,17 +131,13 @@ def gate(current_path: str, baseline_path: str, tolerance: float) -> int:
         if measured < floor:
             failures.append(label)
     for name, entry in sorted(current.get("formats", {}).items()):
-        closure_size = entry.get("aot_module_bytes")
-        table_size = entry.get("aot_table_module_bytes")
-        if closure_size or table_size:
-            print(
-                f"bench-gate: {name:6s} AOT module size: {closure_size} B "
-                f"(closure) / {table_size} B (table)"
-            )
+        size = entry.get("aot_module_bytes")
+        if size:
+            print(f"bench-gate: {name:6s} AOT module size: {size} B")
     if failures:
         print(
-            f"bench-gate: FAILED — {', '.join(failures)} regressed more than "
-            f"{tolerance:.0%} below the committed BENCH_compiler.json",
+            f"bench-gate: FAILED — {', '.join(failures)} missing or regressed "
+            f"more than {tolerance:.0%} below the committed BENCH_compiler.json",
             file=sys.stderr,
         )
         _print_format_deltas(current, baseline)

@@ -6,8 +6,8 @@ Run from a checkout with ``repro`` importable::
     PYTHONPATH=src python tools/faultline.py
     PYTHONPATH=src python tools/faultline.py --format zip --diff-dir diffs
 
-Three injection modes, each exercised over every backend (compiled,
-interpreted, table VM):
+Three injection modes, each exercised over every backend (compiled and
+interpreted):
 
 1. **Raising blackboxes** — the ZIP format's ``Inflate`` blackbox is
    replaced by one that raises.  With recovery off, every engine must
@@ -16,7 +16,7 @@ interpreted, table VM):
    documents must be identical across engines.
 2. **Hostile corpus replay** — every regenerated hostile sample (the
    same generators behind ``tests/hostile/``) is parsed in recovery
-   mode on all three backends.  The recovered documents must be
+   mode on both backends.  The recovered documents must be
    identical, error-node windows in bounds, and
    ``salvaged_bytes + error_bytes == len(input)`` (``error_bytes`` is a
    union length: random-access formats like PDF can legitimately report
@@ -62,7 +62,7 @@ from repro.formats import registry  # noqa: E402
 
 from hostile import FORMATS, SAMPLES, corpus  # noqa: E402
 
-BACKENDS = ("compiled", "interpreted", "tablevm")
+BACKENDS = ("compiled", "interpreted")
 
 
 class InjectedFault(OSError):

@@ -26,7 +26,7 @@ whose contract is stricter still: it must **never raise** for
 input-shaped problems, its salvage accounting must balance
 (``salvaged_bytes + error_bytes == len(input)``, every error window in
 bounds), and every ``--nth-agree`` inputs the recovered documents from
-the compiled, interpreted and table-VM backends must be identical.
+the compiled and interpreted backends must be identical.
 
 Crashing or disagreeing inputs are written to ``--crash-dir`` with a
 replayable name (``<format>-<seed>-<iteration>.bin``) and the run exits
@@ -54,7 +54,7 @@ from hostile import FORMATS, SAMPLES  # noqa: E402
 #: that a hostile one is cut off in well under a second.
 FUZZ_LIMITS = ParseLimits(max_steps=2_000_000)
 
-RECOVER_BACKENDS = ("compiled", "interpreted", "tablevm")
+RECOVER_BACKENDS = ("compiled", "interpreted")
 
 
 def check_recovered_document(document, data) -> None:
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run every mutant through parse_recover (never raises, "
         "salvage accounting balances; every Nth mutant compares the "
-        "recovered documents across the three tree backends)",
+        "recovered documents across the tree backends)",
     )
     parser.add_argument(
         "--replay-quarantine",
