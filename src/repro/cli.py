@@ -657,8 +657,13 @@ def cmd_serve(args) -> int:
         blackbox_provider=args.blackbox_provider,
         retries=args.retries,
     )
+    try:
+        service = ParseService(config)
+    except IPGError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     failures = 0
-    with ParseService(config) as service:
+    with service:
         pending = []  # (path, future), answered in completion order
 
         def drain(block: bool) -> None:

@@ -510,8 +510,11 @@ class _GrammarCompiler:
         self._struct_lines: List[str] = []
         #: Deterministic per-compilation plan numbering: shape-plan attr
         #: locals must not depend on process-global analysis order, or two
-        #: emissions of the same grammar would differ textually.
-        self._plan_uids: Dict[int, int] = {}
+        #: emissions of the same grammar would differ textually.  Keyed by
+        #: ``id(plan)`` with the plan kept alive alongside its uid: a plan
+        #: built for one bulk array and then dropped would otherwise free
+        #: an id that a later plan can reuse, inheriting the stale uid.
+        self._plan_uids: Dict[int, Tuple[int, object]] = {}
         #: Rules whose alternatives decode a fused fixed-shape prefix, and
         #: array element rules lowered to bulk struct decoding.
         self.shaped_rules: Set[str] = set()
@@ -571,11 +574,10 @@ class _GrammarCompiler:
 
     def _assign_plan_uid(self, plan) -> None:
         """Renumber a shape plan for deterministic generated-local names."""
-        uid = self._plan_uids.get(id(plan))
-        if uid is None:
-            uid = len(self._plan_uids)
-            self._plan_uids[id(plan)] = uid
-        plan.uid = uid
+        numbered = self._plan_uids.get(id(plan))
+        if numbered is None:
+            numbered = self._plan_uids[id(plan)] = (len(self._plan_uids), plan)
+        plan.uid = numbered[0]
 
     def _abs(self, offset: str) -> str:
         """Render the absolute input position of relative ``offset``."""

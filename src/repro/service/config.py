@@ -82,6 +82,8 @@ class ServiceConfig:
         callable, imported inside each worker and applied to ad-hoc
         grammar requests.  A string rather than callables so it
         survives the process boundary and the quarantine metadata.
+        ``ParseService`` resolves it once at construction and raises
+        :class:`~repro.core.errors.IPGError` if it cannot.
     ``allow_chaos``
         Accept fault-injection directives (``submit_chaos``).  Off by
         default; the chaos harness and tests opt in.

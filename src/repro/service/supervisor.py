@@ -53,7 +53,7 @@ from ..core.errors import (
 from .config import ServiceConfig
 from .quarantine import QuarantineCorpus
 from .wire import config_error_from_wire, failure_from_wire, spool_write
-from .worker import worker_main
+from .worker import resolve_blackbox_provider, worker_main
 
 __all__ = ["ParseService", "ServiceResult", "parse_many"]
 
@@ -155,6 +155,9 @@ class ParseService:
             config = ServiceConfig(**overrides)
         elif overrides:
             config = config.with_overrides(**overrides)
+        # Fail here, not per request: a worker that cannot resolve the
+        # provider dies before answering anything.
+        resolve_blackbox_provider(config.blackbox_provider)
         self.config = config
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -650,6 +653,13 @@ class ParseService:
             except (EOFError, OSError):
                 continue  # the sentinel handler classifies the death
             request = slot.busy
+            if reply.get("id") is None:
+                # The worker failed to initialize and is exiting: answer
+                # with its error now, so its death is not blamed on (and
+                # the input not quarantined for) the request in flight.
+                slot.busy = None
+                self._resolve_locked(request, self._reply_to_result(request, reply))
+                continue
             if reply.get("id") != request.id:
                 continue  # stale reply from a pre-kill request; drop it
             slot.busy = None

@@ -33,16 +33,40 @@ stalls the fuel checks cannot see (a sleeping blackbox).
 Fault injection (``op: "chaos"``) is only honoured when the service was
 configured with ``allow_chaos`` — production services reject the
 directives as errors.
+
+Collection policy.  The worker owns its process, so it sets the cyclic
+garbage collector's policy itself; nothing caller-visible changes:
+
+* ``gc.freeze()`` once at start moves the heap inherited from the
+  supervisor through fork to the permanent generation.  The worker's
+  collections never scan those objects and never dirty their
+  copy-on-write pages (the ``gc`` documentation's advice for processes
+  that fork without exec).
+* Automatic collection is off from the moment a message is received
+  until its reply has been sent and ``msg``/``reply`` are dropped; then
+  the state found is restored (an inherited disabled state stays
+  disabled).  While a message is handled — parse, ``tree_to_jsonable``,
+  pickling the reply, and the first request's grammar staging — every
+  allocated object is still alive, so a collection would only rescan
+  and promote live nodes and reclaim nothing.  When the request ends,
+  refcounting frees its tree and the gen-0 count falls back on its own;
+  only real cyclic garbage is left, and the first allocations after the
+  state is restored collect it, between requests.
+
+The in-process :class:`~repro.core.interpreter.Parser`, the supervisor
+and the caller's process keep Python's default collector.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import os
 import signal
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Optional
 
@@ -65,7 +89,11 @@ def grammar_fingerprint(kind: str, ident: str, backend: str) -> str:
 
 
 def resolve_blackbox_provider(spec: Optional[str]) -> Dict[str, object]:
-    """Import a ``"module:attribute"`` provider into a blackbox dict."""
+    """Import a ``"module:attribute"`` provider into a blackbox dict.
+
+    Raises :class:`IPGError` carrying the import or attribute error when
+    the provider cannot be resolved.
+    """
     if not spec:
         return {}
     module_name, _, attr = spec.partition(":")
@@ -73,7 +101,13 @@ def resolve_blackbox_provider(spec: Optional[str]) -> Dict[str, object]:
         raise IPGError(
             f"blackbox_provider {spec!r} is not of the form 'module:attribute'"
         )
-    value = getattr(importlib.import_module(module_name), attr)
+    try:
+        value = getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise IPGError(
+            f"blackbox_provider {spec!r} cannot be resolved: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(value, dict) and callable(value):
         value = value()
     return dict(value)
@@ -246,11 +280,56 @@ def _handle_chaos(state: _WorkerState, msg: dict) -> dict:
     }
 
 
+@contextmanager
+def _collection_paused():
+    """Switch automatic cyclic collection off for the ``with`` body.
+
+    The state found on entry is restored on the way out, whether the body
+    finishes or raises; a process that inherited collection disabled
+    keeps it disabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _answer(conn, state: _WorkerState, msg: dict) -> bool:
+    """Handle one message and send its reply; False ends the loop."""
+    op = msg.get("op")
+    if op == "shutdown":
+        return False
+    if op == "ping":
+        reply = {"kind": "pong"}
+    elif op == "chaos":
+        reply = _handle_chaos(state, msg)
+    elif op == "parse":
+        reply = _handle_parse(state, msg)
+    else:
+        reply = {
+            "kind": "worker-error",
+            "class": "ProtocolError",
+            "message": f"unknown op {op!r}",
+        }
+    reply["id"] = msg.get("id")
+    reply["pid"] = os.getpid()
+    try:
+        conn.send(reply)
+    except (BrokenPipeError, OSError):
+        return False
+    return True
+
+
 def worker_main(conn, payload: dict) -> None:
     """The worker process main loop (target of the supervisor's spawn)."""
     # The supervisor owns lifecycle; a terminal Ctrl-C must interrupt it,
     # not strand half a pool mid-request.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The heap inherited through fork is long-lived: never rescan it.
+    gc.freeze()
     try:
         state = _WorkerState(payload)
     except BaseException as exc:  # provider import failed: report and die
@@ -272,24 +351,10 @@ def worker_main(conn, payload: dict) -> None:
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        op = msg.get("op")
-        if op == "shutdown":
-            return
-        if op == "ping":
-            reply = {"kind": "pong"}
-        elif op == "chaos":
-            reply = _handle_chaos(state, msg)
-        elif op == "parse":
-            reply = _handle_parse(state, msg)
-        else:
-            reply = {
-                "kind": "worker-error",
-                "class": "ProtocolError",
-                "message": f"unknown op {op!r}",
-            }
-        reply["id"] = msg.get("id")
-        reply["pid"] = os.getpid()
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
+        # No automatic collection while a message is handled: see the
+        # collection policy in the module docstring.
+        with _collection_paused():
+            more = _answer(conn, state, msg)
+            del msg
+        if not more:
             return

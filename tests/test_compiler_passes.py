@@ -10,16 +10,23 @@ round-trip through both ``exec`` and a real ``importlib`` import.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from engine_matrix import format_sample, load_aot_module
 from repro import Parser, samples
+from repro.core.backends.closures import _GrammarCompiler
 from repro.core.compiler import Optimizations, compile_grammar
-from repro.core.interpreter import FAIL
+from repro.core.interpreter import FAIL, prepare_grammar
 from repro.formats import registry, toy
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: All-on, all-off, and each pass individually disabled / enabled.
 TOGGLE_CONFIGS = {
@@ -260,6 +267,50 @@ class TestAOTRoundTrip:
         first = compile_grammar(spec.grammar_text).to_source()
         second = compile_grammar(spec.grammar_text).to_source()
         assert first == second
+
+    def test_new_plan_never_inherits_a_freed_plans_uid(self):
+        # Plans built for one bulk array can be dropped mid-compilation;
+        # CPython then hands the next same-sized object the freed address.
+        # Numbering must follow first use, not whichever id is current.
+        compiler = _GrammarCompiler(prepare_grammar(toy.FIGURE_3))
+        uids = []
+        for _ in range(32):
+            plan = types.SimpleNamespace(uid=None)
+            compiler._assign_plan_uid(plan)
+            uids.append(plan.uid)
+            del plan
+        assert uids == list(range(32))
+        kept = types.SimpleNamespace(uid=None)
+        compiler._assign_plan_uid(kept)
+        compiler._assign_plan_uid(kept)
+        assert kept.uid == 32
+
+    def test_elf_source_is_identical_across_interpreters(self):
+        # Address reuse differs run to run, so only fresh processes show
+        # whether emitted names depend on it.  Tree and elided modes both.
+        script = (
+            "import hashlib\n"
+            "from repro.core.compiler import compile_grammar\n"
+            "from repro.formats import registry\n"
+            "spec = registry['elf']\n"
+            "for elide in (False, True):\n"
+            "    source = compile_grammar(spec.grammar_text, "
+            "blackboxes=dict(spec.blackboxes), elide_tree=elide).to_source()\n"
+            "    print(hashlib.sha256(source.encode()).hexdigest())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for _ in range(6)
+        ]
+        digests = {run.communicate(timeout=120)[0] for run in runs}
+        assert all(run.returncode == 0 for run in runs)
+        assert len(digests) == 1, digests
 
     @given(value=st.integers(min_value=0, max_value=2**24 - 1))
     @settings(max_examples=25, deadline=None)

@@ -20,6 +20,7 @@ import pytest
 from repro import samples
 from repro.core.errors import (
     DeadlineExceeded,
+    IPGError,
     LimitExceeded,
     ServiceClosed,
     ServiceError,
@@ -354,3 +355,188 @@ def test_quarantine_corpus_dedupes_by_content(tmp_path):
         with open(entry.bin_path[: -len(".bin")] + ".json") as handle:
             meta = json.load(handle)
         assert meta["sha256_prefix"] == entry.digest
+
+
+# ---------------------------------------------------------------------------
+# Satellite: an unresolvable blackbox_provider fails at construction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, cause",
+    [
+        ("no_such_blackbox_module_xyz:BLACKBOXES", "ModuleNotFoundError"),
+        ("crashy_blackbox_mod:NO_SUCH_ATTRIBUTE", "AttributeError"),
+    ],
+)
+def test_unresolvable_provider_fails_at_construction(
+    tmp_path, crashy_provider, dns_data, spec, cause
+):
+    qdir = tmp_path / "quarantine"
+    with pytest.raises(IPGError, match=cause) as raised:
+        ParseService(workers=1, quarantine_dir=str(qdir), blackbox_provider=spec)
+    assert spec in str(raised.value)
+    assert not qdir.exists() or not any(qdir.iterdir())
+
+
+def test_serve_cli_reports_an_unresolvable_provider(capsys):
+    from repro.cli import main as cli_main
+
+    code = cli_main(
+        ["serve", "--format", "dns", "--blackbox-provider", "no_such_module_xyz:X"]
+    )
+    assert code == 2
+    assert "ModuleNotFoundError" in capsys.readouterr().err
+
+
+WORKER_ONLY_FAILURE_PROVIDER = textwrap.dedent(
+    '''
+    """Test-only provider that resolves in the supervisor only."""
+    import os
+
+    _HOME = os.getpid()
+
+    def blackboxes():
+        if os.getpid() != _HOME:
+            raise RuntimeError("provider refuses to load in a worker")
+        return {}
+    '''
+)
+
+
+def test_worker_initialization_failure_never_quarantines(
+    tmp_path, monkeypatch, dns_data
+):
+    (tmp_path / "worker_only_failure_mod.py").write_text(
+        WORKER_ONLY_FAILURE_PROVIDER
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    qdir = tmp_path / "quarantine"
+    with ParseService(
+        workers=1,
+        quarantine_dir=str(qdir),
+        blackbox_provider="worker_only_failure_mod:blackboxes",
+        default_deadline_ms=DEADLINE,
+    ) as svc:
+        result = svc.submit(dns_data, format="dns").result(timeout=60)
+        stats = svc.stats()
+    assert type(result.error) is ServiceError
+    assert "worker initialization failed" in str(result.error)
+    assert "provider refuses to load in a worker" in str(result.error)
+    assert not result.retried
+    assert stats["quarantined"] == 0 and stats["retries"] == 0
+    assert not qdir.exists() or not any(qdir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# The worker's collection policy: no automatic GC inside a request
+# ---------------------------------------------------------------------------
+
+GC_PROVIDER = textwrap.dedent(
+    '''
+    """Test-only blackboxes reporting the worker's collector state."""
+    import gc
+
+    CYCLES_PER_CALL = 1000
+    COUNTS = {"created": 0, "finalized": 0}
+
+
+    class Knot:
+        def __init__(self):
+            self.partner = self
+
+        def __del__(self):
+            COUNTS["finalized"] += 1
+
+
+    def probe(data):
+        return {"enabled": int(gc.isenabled()), "frozen": gc.get_freeze_count()}
+
+
+    def litter(data):
+        # Report first: the cycles made below are this call's garbage.
+        seen = dict(COUNTS)
+        for _ in range(CYCLES_PER_CALL):
+            Knot()
+        COUNTS["created"] += CYCLES_PER_CALL
+        return seen
+
+
+    BLACKBOXES = {"Probe": probe, "Litter": litter}
+    '''
+)
+
+PROBE_GRAMMAR = """
+S -> Probe {enabled = Probe.enabled} {frozen = Probe.frozen} ;
+blackbox Probe ;
+"""
+
+LITTER_GRAMMAR = """
+S -> Litter {created = Litter.created} {finalized = Litter.finalized} ;
+blackbox Litter ;
+"""
+
+
+@pytest.fixture()
+def gc_provider(tmp_path, monkeypatch):
+    (tmp_path / "gc_probe_mod.py").write_text(GC_PROVIDER)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return "gc_probe_mod:BLACKBOXES"
+
+
+def test_worker_requests_run_without_automatic_gc(gc_provider):
+    with ParseService(workers=1, blackbox_provider=gc_provider) as svc:
+        for _ in range(3):
+            result = svc.submit(
+                b"x", grammar=PROBE_GRAMMAR, emit="spans", deadline_ms=DEADLINE
+            ).result()
+            assert result.ok, result.error
+            assert result.env["enabled"] == 0
+            # The heap inherited through fork sits in the permanent generation.
+            assert result.env["frozen"] > 0
+        assert svc.stats()["respawns"] == 0
+
+
+def test_worker_cyclic_garbage_is_reclaimed_between_requests(gc_provider):
+    requests = 40
+    with ParseService(workers=1, blackbox_provider=gc_provider) as svc:
+        for _ in range(requests):
+            result = svc.submit(
+                b"x", grammar=LITTER_GRAMMAR, emit="spans", deadline_ms=DEADLINE
+            ).result()
+            assert result.ok, result.error
+        assert svc.stats()["respawns"] == 0
+    created, finalized = result.env["created"], result.env["finalized"]
+    assert created == (requests - 1) * 1000
+    # Every earlier request's cycles were collected before the last one
+    # ran, except at most the previous request's: nothing piles up.
+    assert finalized >= created - 1000
+
+
+def test_collection_paused_restores_the_state_it_found():
+    import gc
+
+    from repro.service.worker import _collection_paused
+
+    def failing_handler():
+        with _collection_paused():
+            assert not gc.isenabled()
+            raise RuntimeError("handler failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            failing_handler()
+        assert gc.isenabled()
+        # A process that inherited collection disabled keeps it disabled.
+        gc.disable()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            failing_handler()
+        assert not gc.isenabled()
+        with _collection_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
