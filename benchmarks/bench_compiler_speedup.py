@@ -11,12 +11,11 @@ instead of asserted once.  The emitted artifact size
 
 Two measurement conventions keep the trajectory comparable across PRs:
 
-* the interpreted baseline is *frozen*: it runs with first-byte dispatch
-  and fixed-shape vectorization disabled (``first_byte_dispatch=False,
-  bulk_fixed_shape=False``), i.e. the plain reference semantics every
-  earlier BENCH_compiler.json was measured against — otherwise every
-  interpreter optimization would silently deflate the compiled speedup it
-  is the denominator of;
+* the interpreted baseline is *frozen*: the plain reference semantics
+  (no first-byte dispatch, no fixed-shape plans) every earlier
+  BENCH_compiler.json was measured against — the interpreter carries no
+  fast paths, so nothing can silently deflate the compiled speedup it is
+  the denominator of;
 * the compiled backend runs with its default pass set (now including the
   first-byte dispatch tables and the fixed-shape struct plans).
 
@@ -105,13 +104,9 @@ def run(quick: bool, output: str) -> int:
         data = build(quick)
         spec = registry[fmt]
         compiled = spec.build_parser(backend="compiled")
-        # Frozen baseline: the reference interpreter without first-byte
-        # dispatch or fixed-shape plans (see the module docstring).
-        interpreted = spec.build_parser(
-            backend="interpreted",
-            first_byte_dispatch=False,
-            bulk_fixed_shape=False,
-        )
+        # Frozen baseline: the plain reference interpreter (see the
+        # module docstring).
+        interpreted = spec.build_parser(backend="interpreted")
         aot = load_aot_module(spec)
         if compiled.backend != "compiled":
             print(f"ERROR: {fmt}: compiler fell back to the interpreter")

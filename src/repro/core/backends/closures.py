@@ -118,7 +118,7 @@ from ..exprcomp import (
     compile_expr,
     fold,
 )
-from ..interpreter import FAIL, prepare_grammar
+from ..interpreter import _VARIANT_PASSES, FAIL, prepare_grammar
 from ..limits import DEFAULT_LIMITS, ParseLimits
 from ..parsetree import ArrayNode, Leaf, Node
 from ..runtime import _div, _mod, _shift_l, _shift_r
@@ -270,6 +270,14 @@ def _make_wall_deadline(max_wall_ms):
         return _monotonic() + budget
 
     return _wall_deadline
+
+
+def _limit_globals(limits: ParseLimits) -> Dict[str, object]:
+    """The module globals a staged grammar's ``_fuel()`` reads its budgets from."""
+    return {
+        "_MAX_STEPS": limits.fuel(),
+        "_wall_deadline": _make_wall_deadline(limits.max_wall_ms),
+    }
 
 
 def _undef(name):
@@ -2080,6 +2088,7 @@ class CompiledGrammar:
         "bulk_arrays",
         "limits",
         "fuel_slot",
+        "span_trail",
         "_entry",
         "_new_state",
         "_bb",
@@ -2107,6 +2116,9 @@ class CompiledGrammar:
         #: MemoryError are intercepted at the entry points.
         self.limits = DEFAULT_LIMITS if limits is None else limits
         self.fuel_slot = compiler.fuel_slot
+        #: The ``[spans]`` holder of a record_spans instrumentation (see
+        #: :func:`instrument_span_recording`); None when uninstrumented.
+        self.span_trail = None
         self.optimizations = compiler.opts
         #: Rule name -> "dict" | "dense" | "skipped" | "unmemoized":
         #: how each rule's packrat memo was specialized.
@@ -2134,6 +2146,24 @@ class CompiledGrammar:
         self._builtin_runner_names = {
             var: name for name, var in compiler._runner_cache.items()
         }
+
+    def set_limits(self, limits: ParseLimits) -> bool:
+        """Enforce ``limits`` from the next parse on.
+
+        Rebinds the module globals ``_MAX_STEPS`` and ``_wall_deadline``
+        that each parse's fresh fuel cell is seeded from — the seam an
+        emitted module's ``set_limits`` uses.  Returns ``False`` and
+        changes nothing when ``limits`` need a fuel cell this compilation
+        was staged without (it was staged with every step and wall budget
+        off); restage with the new limits instead.
+        """
+        if self.fuel_slot is None and (
+            limits.max_steps is not None or limits.max_wall_ms is not None
+        ):
+            return False
+        self._new_state.__globals__.update(_limit_globals(limits))
+        self.limits = limits
+        return True
 
     def new_state(self) -> list:
         """Allocate a fresh per-parse memo state list.
@@ -2234,11 +2264,7 @@ class CompiledGrammar:
                     memoize=self.memoize,
                     blackboxes=self.blackboxes,
                     optimizations=replace(
-                        self.optimizations,
-                        module_level_where=True,
-                        dense_memo=True,
-                        skip_nonrecursive_memo=False,
-                        inline_single_use=False,
+                        self.optimizations, **_VARIANT_PASSES["stream"]
                     ),
                     elide_tree=self.elide_tree,
                     stream_dispatch_cache=True,
@@ -2272,7 +2298,7 @@ class CompiledGrammar:
         return module
 
 
-def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> list:
+def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
     """Instrument a *dedicated* compilation to record committed rule spans.
 
     Wraps the compilation's namespace globals so that every alternative
@@ -2283,18 +2309,19 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> list:
     trail.
 
     Requirements on ``compiled`` (the caller builds it this way; see
-    ``Parser._span_engine``): ``memoize=False`` (every occurrence must
+    ``Parser._engine``): ``memoize=False`` (every occurrence must
     execute) and ``Optimizations(module_level_where=True,
     inline_single_use=False, first_byte_dispatch=False,
     bulk_fixed_shape=False)`` — so every rule and alternative exists as a
     module-level function reached through a *late-bound global name* this
     function can rebind, and no decode fast path skips sub-rule calls.
 
-    Returns a single-element ``holder`` list; the wrappers append to
-    ``holder[0]``, which the caller swaps for a fresh list per parse.
+    The wrappers append to ``compiled.span_trail[0]`` (a single-element
+    holder), which the caller swaps for a fresh list per parse.
     """
     namespace = compiled._new_state.__globals__
     holder: list = [[]]
+    compiled.span_trail = holder
 
     def _wrap_alt(fn):
         # *extra: `where`-rule alternatives take trailing closure-cell
@@ -2335,7 +2362,6 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> list:
             wrapped = _wrap_rule(value, rule_name)
             namespace[global_name] = wrapped
             entry[rule_name] = wrapped
-    return holder
 
 
 def compile_grammar(
@@ -2384,14 +2410,9 @@ def compile_grammar(
     namespace: Dict[str, object] = {
         "FAIL": FAIL,
         "EvaluationError": EvaluationError,
-        "_MAX_STEPS": (
-            float("inf")
-            if resolved_limits.max_steps is None
-            else resolved_limits.max_steps
-        ),
+        **_limit_globals(resolved_limits),
         "_limit_steps": _limit_steps,
         "_limit_refill": _limit_refill,
-        "_wall_deadline": _make_wall_deadline(resolved_limits.max_wall_ms),
         "_MISS": _MISS,
         "_mk_node": _mk_node,
         "_mk_leaf": _mk_leaf,

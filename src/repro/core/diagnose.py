@@ -11,11 +11,10 @@ encounters and keeps the *furthest* one (the classic furthest-failure
 heuristic of PEG error reporting).
 
 Because every engine funnels failures through this one implementation —
-run in a canonical configuration (no first-byte dispatch, no fixed-shape
-plans, memoized) — the error class and byte offset are identical across
-the interpreter, the staged compiler, AOT modules and streaming by
-construction; ``tests/engine_matrix.py::assert_error_agree`` locks that
-in.
+the plain reference interpreter, run memoized — the error class and byte
+offset are identical across the interpreter, the staged compiler, AOT
+modules and streaming by construction;
+``tests/engine_matrix.py::assert_error_agree`` locks that in.
 
 Classification (ties at the same offset resolved by priority
 truncation > bounds > guard):
@@ -84,12 +83,8 @@ class _DiagRun(_Run):
 
     def __init__(self, parser, data, build_tree=False):
         super().__init__(parser, data, build_tree=build_tree)
-        # Canonical configuration: the fast paths change *where* work
-        # happens but not the semantics; diagnosis must visit failure
-        # sites itself, so it runs the plain per-term interpreter.
-        self.dispatch = None
-        self.dispatch_cache = None
-        self.shapes = None
+        # Canonical configuration: always memoized, whatever the parser's
+        # memoize flag, so every engine's failure diagnoses identically.
         self.memoize = True
         self.rstack = []
         self.best = None
@@ -391,11 +386,6 @@ def diagnose_failure(
             prepared = _PREPARED[grammar] = prepare_grammar(grammar)
         grammar = prepared
     parser = Parser(
-        grammar,
-        blackboxes=blackboxes,
-        backend="interpreted",
-        first_byte_dispatch=False,
-        bulk_fixed_shape=False,
-        limits=limits,
+        grammar, blackboxes=blackboxes, backend="interpreted", limits=limits
     )
     return _run_diagnosis(parser, as_buffer(data), start or grammar.start)

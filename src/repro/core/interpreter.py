@@ -27,6 +27,7 @@ The public entry point is :class:`Parser`.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Union
 
@@ -68,6 +69,42 @@ from .parsetree import ArrayNode, Leaf, Node, ParseTree
 #: Sentinel returned by the internal machinery when parsing fails; public
 #: entry points convert it into :class:`ParseFailure`.
 FAIL = object()
+
+#: Compiler passes each kind of compiled engine pins on top of the
+#: parser's ``first_byte_dispatch``/``bulk_fixed_shape`` toggles.
+#:
+#: * ``batch`` — ``parse``/``try_parse`` in every emit mode: all passes.
+#: * ``stream`` — the variant the streaming driver re-enters.  Streaming
+#:   soundness leans on *complete* memoization: after a suspension the
+#:   engine re-enters from the start symbol and every already-decided
+#:   sub-parse must replay as a memo hit, never by re-reading bytes the
+#:   compaction policy may have discarded.  So memo elision for
+#:   non-recursive rules and single-use inlining are off (dense tables
+#:   and module-level where-rules keep working: ``lo`` stays a plain
+#:   offset and memo persistence is per-slot either way).  Dispatch
+#:   decisions are memoized per parse (``stream_dispatch_cache``) so a
+#:   re-entry never re-reads an in-flight spine rule's first byte, which
+#:   would pin the compaction watermark at its window start.
+#: * ``spans`` — ``record_spans``: unmemoized, every rule and alternative
+#:   reached through a late-bound module global (no inlining, no dispatch
+#:   tables, no decode fast paths), so
+#:   :func:`~repro.core.backends.closures.instrument_span_recording` can
+#:   wrap each one.
+_VARIANT_PASSES = {
+    "batch": {},
+    "stream": {
+        "module_level_where": True,
+        "dense_memo": True,
+        "skip_nonrecursive_memo": False,
+        "inline_single_use": False,
+    },
+    "spans": {
+        "module_level_where": True,
+        "inline_single_use": False,
+        "first_byte_dispatch": False,
+        "bulk_fixed_shape": False,
+    },
+}
 
 
 class _LocalRules:
@@ -125,27 +162,29 @@ class Parser:
         the interpreter (the :attr:`backend` attribute reports the engine
         actually in use).
     first_byte_dispatch:
-        Enable first-byte dispatch (:mod:`repro.core.firstsets`): rules
-        whose alternatives have distinguishable admissible first bytes
-        consult a byte-indexed jump table instead of trying alternatives
-        in order.  On by default for both backends; dispatch preserves
-        biased order among the admitted alternatives, so trees are
-        identical either way (the flag exists for differential testing
-        and as an escape hatch).
+        Enable first-byte dispatch (:mod:`repro.core.firstsets`) in the
+        compiled backend: rules whose alternatives have distinguishable
+        admissible first bytes consult a byte-indexed jump table instead
+        of trying alternatives in order.  On by default; dispatch
+        preserves biased order among the admitted alternatives, so trees
+        are identical either way (the flag exists for differential
+        testing and as an escape hatch).  The interpreter always runs the
+        plain reference semantics and ignores it.
     bulk_fixed_shape:
-        Enable fixed-shape vectorization (:mod:`repro.core.shapes`): rules
-        whose byte layout is statically fixed decode through precompiled
-        ``struct`` plans — the compiled backend fuses fixed prefixes and
-        bulk-decodes fixed-stride arrays, the interpreter runs one-shot
-        plan decoders.  On by default; plans are observably identical to
-        the per-term path (the flag exists for differential testing and
-        as an escape hatch).
+        Enable fixed-shape vectorization (:mod:`repro.core.shapes`) in the
+        compiled backend: rules whose byte layout is statically fixed
+        decode through precompiled ``struct`` plans — fused fixed
+        prefixes and bulk-decoded fixed-stride arrays.  On by default;
+        plans are observably identical to the per-term path (the flag
+        exists for differential testing and as an escape hatch).  The
+        interpreter ignores it.
     limits:
         :class:`~repro.core.limits.ParseLimits` resource budgets applied
         to every parse (``None`` selects the production defaults).  Pass
         ``ParseLimits.unlimited()`` to disable budgeting for trusted
         input.  Tripped budgets raise
-        :class:`~repro.core.errors.LimitExceeded`.
+        :class:`~repro.core.errors.LimitExceeded`.  Reassigning
+        :attr:`limits` takes effect at the next parse on every engine.
     """
 
     BACKENDS = ("compiled", "interpreted")
@@ -177,114 +216,71 @@ class Parser:
         self.backend = backend
         self.first_byte_dispatch = bool(first_byte_dispatch)
         self.bulk_fixed_shape = bool(bulk_fixed_shape)
-        self._compiled = None
-        self._compiled_elided = None
-        self._compiled_stream: Dict[bool, object] = {}
-        self._interp_dispatch = None
-        self._shape_decoder_maps: Dict[bool, Dict[str, object]] = {}
+        #: Compiled engines by variant ``(tree, stream, spans)``; only
+        #: :meth:`_engine` reads or fills it.
+        self._engines: Dict[tuple, object] = {}
         self._validated_starts: set = set()
         self._streamability = None
-        #: record_spans engines, keyed by the frozen rule-name set (the
-        #: instrumentation bakes the recorded set into the wrappers).
-        self._span_engines: Dict[frozenset, object] = {}
         if backend == "compiled":
-            from .compiler import compile_grammar  # deferred: avoids an import cycle
-
             try:
-                self._compiled = compile_grammar(
-                    self.grammar,
-                    memoize=memoize,
-                    blackboxes=self.blackboxes,
-                    optimizations=self._optimizations(),
-                    limits=self.limits,
-                )
+                self._engine()
             except CompilationError:
                 # Automatic fallback: constructs the compiler does not yet
                 # specialize run on the reference interpreter instead.
                 self.backend = "interpreted"
 
-    def _optimizations(self):
-        """The compiler pass set honouring the per-parser toggles."""
-        if self.first_byte_dispatch and self.bulk_fixed_shape:
-            return None  # compiler default: every pass on
-        from .compiler import Optimizations
+    def _engine(
+        self,
+        tree: bool = True,
+        stream: bool = False,
+        spans: Optional[frozenset] = None,
+    ):
+        """The compiled engine of one execution variant (cached).
 
-        return Optimizations(
-            first_byte_dispatch=self.first_byte_dispatch,
-            bulk_fixed_shape=self.bulk_fixed_shape,
-        )
+        ``tree=False`` selects tree elision (``emit="spans"``/``None``);
+        ``stream`` the variant the streaming driver re-enters; ``spans``
+        — a frozenset of top-level rule names — the ``record_spans``
+        variant, whose trail holder is ``engine.span_trail``.  Returns
+        ``None`` on the interpreter backend.
 
-    def _shape_decoders(self, build_tree: bool) -> Optional[Dict[str, object]]:
-        """One-shot fixed-shape decoders for the interpreter (cached).
-
-        Maps top-level rule names to plan decoders
-        (:func:`repro.core.shapes.rule_decoders`); ``None`` when
-        vectorization is disabled or no rule has a worthwhile full plan.
+        Each variant is staged on first use with the passes of
+        :data:`_VARIANT_PASSES`.  Every lookup also binds the engine to
+        the current :attr:`limits`: an engine staged under other limits
+        is rebound in place, and re-staged only when the new limits need
+        the fuel cell its code was staged without.
         """
-        if not self.bulk_fixed_shape:
+        key = (tree, stream, spans)
+        engine = self._engines.get(key)
+        if engine is not None and engine.limits is self.limits:
+            return engine
+        if self.backend != "compiled":
             return None
-        if build_tree not in self._shape_decoder_maps:
-            from .shapes import rule_decoders
-
-            self._shape_decoder_maps[build_tree] = rule_decoders(
-                self.grammar, build_tree
-            )
-        return self._shape_decoder_maps[build_tree] or None
-
-    def _elided_compiled(self):
-        """The tree-elision compilation backing ``emit="spans"``/``None``."""
-        if self._compiled is None:
-            return None
-        if self._compiled_elided is None:
-            from .compiler import compile_grammar
-
-            try:
-                self._compiled_elided = compile_grammar(
-                    self.grammar,
-                    memoize=self.memoize,
-                    blackboxes=self.blackboxes,
-                    optimizations=self._optimizations(),
-                    elide_tree=True,
-                    limits=self.limits,
-                )
-            except CompilationError:  # pragma: no cover - same checks as batch
-                self._compiled_elided = False
-        return self._compiled_elided or None
-
-    def _span_engine(self, span_rules: frozenset):
-        """The compiled record_spans engine for ``span_rules`` (cached).
-
-        A dedicated unmemoized compilation in which every rule and
-        alternative is reached through a late-bound global name (no
-        inlining, no dispatch tables, no decode fast paths), instrumented
-        by :func:`~repro.core.backends.closures.instrument_span_recording`.
-        Returns ``(compiled, holder)``, or ``None`` to fall back to the
-        reference interpreter's native span trail.
-        """
-        engine = self._span_engines.get(span_rules)
-        if engine is None:
-            from .backends.closures import instrument_span_recording
+        if engine is None or not engine.set_limits(self.limits):
+            # Deferred imports: avoids an import cycle.
             from .compiler import Optimizations, compile_grammar
 
-            try:
-                compiled = compile_grammar(
-                    self.grammar,
-                    memoize=False,
-                    blackboxes=self.blackboxes,
-                    optimizations=Optimizations(
-                        module_level_where=True,
-                        inline_single_use=False,
-                        first_byte_dispatch=False,
-                        bulk_fixed_shape=False,
+            kind = "spans" if spans is not None else "stream" if stream else "batch"
+            engine = compile_grammar(
+                self.grammar,
+                memoize=self.memoize and spans is None,
+                blackboxes=self.blackboxes,
+                optimizations=replace(
+                    Optimizations(
+                        first_byte_dispatch=self.first_byte_dispatch,
+                        bulk_fixed_shape=self.bulk_fixed_shape,
                     ),
-                    limits=self.limits,
-                )
-            except CompilationError:
-                engine = False
-            else:
-                engine = (compiled, instrument_span_recording(compiled, span_rules))
-            self._span_engines[span_rules] = engine
-        return engine or None
+                    **_VARIANT_PASSES[kind],
+                ),
+                elide_tree=not tree,
+                stream_dispatch_cache=stream,
+                limits=self.limits,
+            )
+            if spans is not None:
+                from .backends.closures import instrument_span_recording
+
+                instrument_span_recording(engine, spans)
+            self._engines[key] = engine
+        return engine
 
     def _try_parse_recording(self, data, start_name, span_rules):
         """The ``record_spans`` execution path: ``(result, spans)``.
@@ -309,12 +305,9 @@ class Parser:
         if self.recursion_limit > previous_limit:
             sys.setrecursionlimit(self.recursion_limit)
         try:
-            engine = (
-                self._span_engine(span_rules) if self.backend == "compiled" else None
-            )
-            if engine is not None:
-                compiled, holder = engine
-                holder[0] = spans = []
+            compiled = self._engine(spans=span_rules)
+            if compiled is not None:
+                compiled.span_trail[0] = spans = []
                 result = compiled.parse_nonterminal(data, start_name, 0, len(data))
             else:
                 run = _Run(self, data, span_rules=span_rules)
@@ -334,96 +327,6 @@ class Parser:
         if result is FAIL:
             return None, []
         return result, spans
-
-    def _interpreter_dispatch(self) -> Dict[int, tuple]:
-        """First-byte jump tables for the interpreter, keyed by rule id.
-
-        Each entry maps a rule — top-level *or* ``where`` local — to
-        ``(table, empty, pair_table)`` where ``table[byte]`` is the
-        biased-ordered tuple of alternatives still admissible for that
-        first byte, ``empty`` the tuple to try on an empty window, and
-        ``pair_table`` the optional FIRST₂ prefix-probe refinement
-        (first byte -> probe offset + probed-byte row).
-        """
-        if not self.first_byte_dispatch:
-            return {}
-        if self._interp_dispatch is None:
-            from .firstsets import dispatch_plans, local_dispatch_plans
-
-            def convert(rule, plan):
-                alternatives = rule.alternatives
-
-                def alts(entry):
-                    return tuple(alternatives[i] for i in entry)
-
-                pair_table = None
-                if plan.pair_table:
-                    pair_table = {
-                        byte: (offset, tuple(alts(entry) for entry in row))
-                        for byte, (offset, row) in plan.pair_table.items()
-                    }
-                return (
-                    tuple(alts(entry) for entry in plan.table),
-                    alts(plan.empty),
-                    pair_table,
-                )
-
-            tables: Dict[int, tuple] = {}
-            for name, plan in dispatch_plans(self.grammar).items():
-                rule = self.grammar.rule(name)
-                tables[id(rule)] = convert(rule, plan)
-            for rule, plan in local_dispatch_plans(self.grammar):
-                tables[id(rule)] = convert(rule, plan)
-            self._interp_dispatch = tables
-        return self._interp_dispatch
-
-    def _streaming_compiled(self, elide_tree: bool = False):
-        """The compiled grammar the streaming driver re-enters (cached).
-
-        Streaming soundness leans on *complete* memoization: after a
-        suspension the engine re-enters from the start symbol and every
-        already-decided sub-parse must be replayed as a memo hit, never by
-        re-reading bytes the compaction policy may have discarded.  The
-        default batch-parse compilation elides memo tables for
-        non-recursive rules and inlines single-use rules, so streaming uses
-        a dedicated variant with those two passes off (dense tables and
-        module-level where-rules keep working: ``lo`` stays a plain offset
-        and memo persistence is per-slot either way).  First-byte dispatch
-        also keeps working: an undecidable byte read suspends via
-        ``NeedMoreInput`` like any other read.  ``elide_tree`` selects the
-        tree-elision variant for ``emit="spans"``/validate-only streams.
-        """
-        if self._compiled is None:
-            return None
-        if elide_tree not in self._compiled_stream:
-            from .compiler import Optimizations, compile_grammar
-
-            try:
-                self._compiled_stream[elide_tree] = compile_grammar(
-                    self.grammar,
-                    memoize=self.memoize,
-                    blackboxes=self.blackboxes,
-                    optimizations=Optimizations(
-                        module_level_where=True,
-                        dense_memo=True,
-                        skip_nonrecursive_memo=False,
-                        inline_single_use=False,
-                        first_byte_dispatch=self.first_byte_dispatch,
-                        bulk_fixed_shape=self.bulk_fixed_shape,
-                    ),
-                    elide_tree=elide_tree,
-                    # Dispatch decisions are memoized per parse so stream
-                    # re-entries never re-read already-dispatched bytes
-                    # (a re-read of an in-flight spine rule's first byte
-                    # would pin the compaction watermark at its window
-                    # start, reverting compact=True to whole-stream
-                    # buffering).
-                    stream_dispatch_cache=True,
-                    limits=self.limits,
-                )
-            except CompilationError:  # pragma: no cover - same checks as batch
-                self._compiled_stream[elide_tree] = None
-        return self._compiled_stream[elide_tree]
 
     def register_blackbox(self, name: str, parser: BlackboxCallable) -> None:
         """Register (or replace) the implementation of a blackbox parser.
@@ -535,10 +438,7 @@ class Parser:
         if self.recursion_limit > previous_limit:
             sys.setrecursionlimit(self.recursion_limit)
         try:
-            if emit == "tree":
-                compiled = self._compiled
-            else:
-                compiled = self._elided_compiled()
+            compiled = self._engine(tree=emit == "tree")
             if compiled is not None:
                 result = compiled.parse_nonterminal(data, start_name, 0, len(data))
             else:
@@ -756,13 +656,9 @@ class _Run:
     complete attribute semantics (node environments, element lists for
     array references) but never appends children, so no ``Leaf`` or
     ``ArrayNode`` is allocated and builtin/blackbox payloads are dropped.
-    ``dispatch`` holds the parser's first-byte jump tables (rule id ->
-    ``(table, empty)``; see :meth:`Parser._interpreter_dispatch`).
-    ``dispatch_cache=True`` (set by the streaming driver, whose runs
-    persist across re-entries) memoizes each dispatch decision per
-    ``(rule, lo)`` so re-entries never re-read already-dispatched bytes —
-    the re-read of an in-flight spine rule's first byte on every attempt
-    would pin the compaction watermark at its window start.
+    The run is the plain reference semantics: alternatives are tried in
+    biased order and every term executes, whatever the parser's
+    ``first_byte_dispatch``/``bulk_fixed_shape`` toggles say.
     """
 
     __slots__ = (
@@ -772,9 +668,6 @@ class _Run:
         "memo",
         "memoize",
         "build",
-        "dispatch",
-        "dispatch_cache",
-        "shapes",
         "limits",
         "fuel",
         "fuel0",
@@ -792,28 +685,19 @@ class _Run:
         parser: Parser,
         data: bytes,
         build_tree: bool = True,
-        dispatch_cache: bool = False,
         span_rules: Optional[frozenset] = None,
     ):
         self.parser = parser
         self.grammar = parser.grammar
         self.data = data
         self.memo: Dict[tuple, object] = {}
-        # Span recording disables memoization and the decode fast paths:
-        # the recorded trail is then exactly the committed derivation,
-        # identical across engines by construction (see _VMRun).
+        # Span recording disables memoization: the recorded trail is then
+        # exactly the committed derivation, identical across engines by
+        # construction (see Parser._try_parse_recording).
         self.span_rules = span_rules
         self.spans: Optional[List[tuple]] = [] if span_rules is not None else None
         self.memoize = parser.memoize and span_rules is None
         self.build = build_tree
-        self.dispatch = parser._interpreter_dispatch() or None
-        self.dispatch_cache: Optional[dict] = (
-            {} if dispatch_cache and self.dispatch else None
-        )
-        #: Fixed-shape one-shot decoders (rule name -> fn) or None.
-        self.shapes = (
-            None if span_rules is not None else parser._shape_decoders(build_tree)
-        )
         # Resource budgets (None = every budget unlimited; see limits.py).
         # fuel/nodes are single-element cells so checks cost one list op;
         # the rule-name stack is popped on success only — a suspension
@@ -885,13 +769,7 @@ class _Run:
             key = (name, lo, hi)
             if self.memoize and key in self.memo:
                 return self.memo[key]
-            decoder = None if self.shapes is None else self.shapes.get(name)
-            if decoder is not None:
-                # One-shot fixed-shape path: decode the whole rule through
-                # its precompiled struct plan (observably identical).
-                result = decoder(self.data, lo, hi)
-            else:
-                result = self._parse_rule(self.grammar.rule(name), lo, hi, None, None)
+            result = self._parse_rule(self.grammar.rule(name), lo, hi, None, None)
             if self.memoize:
                 memo = self.memo
                 memo[key] = result
@@ -978,36 +856,9 @@ class _Run:
         outer_ctx: Optional[EvalContext],
         local_rules: Optional[_LocalRules],
     ):
-        alternatives = rule.alternatives
-        dispatch = self.dispatch
-        entry = dispatch.get(id(rule)) if dispatch is not None else None
-        if entry is not None:
-            # First-byte dispatch: prune alternatives the window's first
-            # byte (or two-byte prefix, where FIRST₂ refines) already rules
-            # out (biased order preserved).  On a stream, reading the bytes
-            # may suspend via NeedMoreInput — exactly as streaming-safe as
-            # the pruned alternatives' own leading reads — and streaming
-            # runs memoize the decision so re-entries never touch the
-            # buffer again.
-            if hi > lo:
-                cache = self.dispatch_cache
-                key = (id(rule), lo) if cache is not None else None
-                alternatives = cache.get(key) if cache is not None else None
-                if alternatives is None:
-                    byte = self.data[lo]
-                    pair_table = entry[2]
-                    probe = pair_table.get(byte) if pair_table is not None else None
-                    if probe is not None and lo + probe[0] < hi:
-                        alternatives = probe[1][self.data[lo + probe[0]]]
-                    else:
-                        alternatives = entry[0][byte]
-                    if cache is not None:
-                        cache[key] = alternatives
-            else:
-                alternatives = entry[1]
         spans = self.spans
         checkpoint = len(spans) if spans is not None else 0
-        for alternative in alternatives:
+        for alternative in rule.alternatives:
             result = self._parse_alternative(
                 rule.name, alternative, lo, hi, outer_ctx, local_rules
             )

@@ -283,7 +283,7 @@ class GrammarAnalysis:
     dispatch_plans: Dict[str, object]
     #: id(local Rule) -> firstsets.DispatchPlan for where-rule dispatch.
     local_plans: Dict[int, object]
-    #: Rule name -> full worthwhile AltShape plan (one-shot decodable).
+    #: Rule name -> full worthwhile AltShape plan (one struct decode).
     full_shapes: Dict[str, object]
     #: Lazily computed §8 streamability verdict (None until requested).
     _streamable: Optional[bool] = field(default=None, repr=False)
@@ -472,8 +472,8 @@ class RuleIR:
     """One lowered rule: alternatives, dispatch table, memo/fuel facts.
 
     ``decoder`` marks rules whose whole body is a worthwhile fixed-shape
-    struct plan: backends may decode them through a one-shot plan decoder
-    (:func:`repro.core.shapes.make_decoder`) instead of running the ops.
+    struct plan: one struct decode covers the rule instead of the ops
+    (the closure backend fuses it as a fixed prefix spanning the body).
     ``fuel`` marks the rules whose entry charges the step budget (the
     recursive ones — everything else is a DAG of straight-line bodies
     whose work is a constant factor of those charges).

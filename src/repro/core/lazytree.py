@@ -273,7 +273,7 @@ class LazyDocument:
         """
         parser = self.parser
         with self._recursion_headroom():
-            elided = parser._elided_compiled()
+            elided = parser._engine(tree=False)
             if elided is not None:
                 result = elided.parse_nonterminal(self.buffer, name, lo, hi)
             else:

@@ -325,12 +325,9 @@ class _RecoverRun(_Run):
     the substitution hooks active (``self.recovering > 0``), replacing
     child windows that still fail with :class:`ErrorNode` leaves.
 
-    Dispatch tables, fixed-shape plan decoders and the base memo are off:
-    first-byte pruning assumes no substitution (an alternative pruned on
-    its first byte may now recover), plan decoders bypass the hooks, and
-    recovered results memoize in ``rmemo`` instead.  This is a cold path
-    — it only ever runs on windows the optimized engines already
-    rejected.
+    The base memo is off: recovered results memoize in ``rmemo``
+    instead.  This is a cold path — it only ever runs on windows the
+    optimized engines already rejected.
     """
 
     __slots__ = (
@@ -348,9 +345,6 @@ class _RecoverRun(_Run):
     def __init__(self, parser, data, *, scan_bytes: int, max_probes: int):
         super().__init__(parser, data, build_tree=True)
         self.memoize = False
-        self.dispatch = None
-        self.dispatch_cache = None
-        self.shapes = None
         #: (name, lo, hi) -> recovered result (tree, ErrorNode-bearing
         #: tree, or FAIL).  Deterministic per key, so safe to reuse even
         #: when first computed inside a later-abandoned alternative.
@@ -382,7 +376,7 @@ class _RecoverRun(_Run):
         """
         parser = self.parser
         try:
-            elided = parser._elided_compiled()
+            elided = parser._engine(tree=False)
             if elided is not None:
                 result = elided.parse_nonterminal(self.data, name, lo, hi)
             else:
@@ -396,8 +390,9 @@ class _RecoverRun(_Run):
         """Decode a probed-clean window through the configured engine."""
         parser = self.parser
         try:
-            if parser._compiled is not None:
-                return parser._compiled.parse_nonterminal(self.data, name, lo, hi)
+            compiled = parser._engine()
+            if compiled is not None:
+                return compiled.parse_nonterminal(self.data, name, lo, hi)
             run = _Run(parser, self.data, build_tree=True)
             return run.parse_nonterminal(name, lo, hi, None, None)
         except _CAPTURED:

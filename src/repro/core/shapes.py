@@ -34,8 +34,7 @@ chasing the ``P.end`` chains interval auto-completion leaves behind:
   walk.  The terms covered so far form a fixed *prefix* plan (ZIP's CDE and
   LFH records are a 46/30-byte fixed prefix followed by variable-length
   names); a plan covering every term is *full* and additionally enables
-  bulk array decoding (one ``Struct.iter_unpack`` per array) and the
-  interpreter's one-shot decoders.
+  bulk array decoding (one ``Struct.iter_unpack`` per array).
 
 Records with a *variable-width gap* get a second, **anchored** analysis
 (:func:`alternative_suffix`): when the prefix walk stops at a nonterminal
@@ -69,8 +68,6 @@ Consumers:
   covered prefixes into the generated alternatives and lowers eligible
   ``for`` arrays to ``iter_unpack`` loops — all as plain source, so the
   ahead-of-time emitter vendors the ``struct.Struct`` constants for free;
-* :class:`repro.core.interpreter.Parser` consults :func:`rule_decoders`
-  for its one-shot path;
 * ``repro compile --explain-shapes`` prints :func:`explain_shapes`.
 """
 
@@ -101,7 +98,6 @@ __all__ = [
     "alternative_shape",
     "alternative_suffix",
     "rule_shape",
-    "rule_decoders",
     "linear_stride",
     "explain_shapes",
 ]
@@ -1168,7 +1164,7 @@ def explain_shapes(grammar: Grammar) -> List[Tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Plan -> Python source (shared by the compiler and the one-shot decoders)
+# Plan -> Python source (the compiler's consumer)
 # ---------------------------------------------------------------------------
 
 
@@ -1261,8 +1257,8 @@ def emit_plan_code(
     eoi_src: str,
     abs_base: str,
     build: bool,
+    leaf_const: Callable[[bytes], str],
     data_var: str = "data",
-    leaf_const: Optional[Callable[[bytes], str]] = None,
     rel_base: Optional[str] = None,
 ) -> PlanCode:
     """Render a plan instantiation as straight-line Python.
@@ -1272,8 +1268,7 @@ def emit_plan_code(
     Every env offset is a frame-relative constant: a caller that rebases
     the frame (bulk array elements) builds the top env itself from
     ``attr_locals`` and the plan's static span.  ``leaf_const`` interns
-    literal leaves (the compiler's shared constants); by default literals
-    are rebuilt inline.  The caller is responsible for the ``window >=
+    literal leaves (the compiler's shared constants).  The caller is responsible for the ``window >=
     plan.needed`` bounds check and for the ``unpack``/``unpack_from``
     call producing ``slot_var``.
 
@@ -1297,11 +1292,6 @@ def emit_plan_code(
         if rel_base is not None:
             return _add_src(rel_base, offset)
         return repr(offset)
-
-    def leaf(value: bytes) -> str:
-        if leaf_const is not None:
-            return leaf_const(value)
-        return f"_mk_leaf({value!r})"
 
     def int_env(field: _Field, rel, frame_eoi: str) -> str:
         if field.eoi is not None:
@@ -1329,7 +1319,7 @@ def emit_plan_code(
 
     def field_node(field: _Field, rel, frame_eoi: str) -> str:
         if field.kind == "lit":
-            return leaf(field.value)
+            return leaf_const(field.value)
         if field.kind == "int":
             window = (
                 f"{data_var}[{_add_src(abs_base, field.offset)}:"
@@ -1437,92 +1427,3 @@ def emit_plan_code(
                     elements.append(f"{{{', '.join(nested_env_items(step, top_rel))}}}")
             code._array_srcs[item.name] = f"[{', '.join(elements)}]"
     return code
-
-
-# ---------------------------------------------------------------------------
-# Generic one-shot decoders (the interpreter's consumer)
-# ---------------------------------------------------------------------------
-
-
-def _decoder_source(plan: AltShape, build_tree: bool) -> str:
-    """Source of ``_dec(data, lo, hi)`` decoding one full plan."""
-    lines = ["def _dec(data, lo, hi):", "    _hl = hi - lo"]
-    if plan.needed:
-        lines.append(f"    if _hl < {plan.needed}:")
-        lines.append("        return FAIL")
-    if plan.nslots:
-        # Slicing (instead of unpack_from) keeps the decoder working on
-        # StreamBuffer inputs: a read past the received bytes suspends.
-        lines.append(f"    _t = _S.unpack(data[lo:lo + {plan.size}])")
-    code = emit_plan_code(
-        plan, slot_var="_t", eoi_src="_hl", abs_base="lo", build=build_tree
-    )
-    if code.lines:
-        lines.append("    try:")
-        lines += ["        " + line for line in code.lines]
-        lines.append("    except EvaluationError:")
-        lines.append("        return FAIL")
-    env_items = ["'EOI': _hl"]
-    if plan.touch:
-        env_items.append(f"'start': {plan.start}")
-        env_items.append(f"'end': {plan.end}")
-    else:
-        env_items.append("'start': _hl")
-        env_items.append("'end': 0")
-    for name, local in code.attr_locals.items():
-        env_items.append(f"{name!r}: {local}")
-    children = f"[{', '.join(code.child_exprs)}]" if build_tree else "_E"
-    lines.append(
-        f"    return _mk_node({plan.rule_name!r}, "
-        f"{{{', '.join(env_items)}}}, {children})"
-    )
-    return "\n".join(lines)
-
-
-def make_decoder(plan: AltShape, build_tree: bool = True):
-    """Exec a plan into a callable ``(data, lo, hi) -> Node | FAIL``."""
-    from .compiler import _SHARED_EMPTY, _mk_array, _mk_leaf, _mk_node
-    from .interpreter import FAIL
-    from .runtime import _div, _mod, _shift_l, _shift_r
-
-    namespace = {
-        "FAIL": FAIL,
-        "EvaluationError": EvaluationError,
-        "_mk_node": _mk_node,
-        "_mk_leaf": _mk_leaf,
-        "_mk_array": _mk_array,
-        "_E": _SHARED_EMPTY,
-        "_div": _div,
-        "_mod": _mod,
-        "_shift_l": _shift_l,
-        "_shift_r": _shift_r,
-        "_S": struct.Struct(plan.fmt) if plan.fmt else None,
-    }
-    exec(
-        compile(_decoder_source(plan, build_tree), "<ipg-shape-decoder>", "exec"),
-        namespace,
-    )
-    return namespace["_dec"]
-
-
-def rule_decoders(grammar: Grammar, build_tree: bool = True) -> Dict[str, object]:
-    """One-shot decoders for every fully fixed single-alternative rule.
-
-    Only *worthwhile* plans (enough slots to amortize the struct call) get a
-    decoder; the mapping is cached on the grammar per tree mode.
-    """
-    cache = getattr(grammar, "_shape_decoder_cache", None)
-    if cache is None:
-        cache = grammar._shape_decoder_cache = {}
-    cached = cache.get(build_tree)
-    if cached is not None:
-        return cached
-    decoders: Dict[str, object] = {}
-    for name, rule in grammar.rules.items():
-        if len(rule.alternatives) != 1:
-            continue
-        plan = alternative_shape(grammar, name, 0)
-        if plan.full and plan.worthwhile:
-            decoders[name] = make_decoder(plan, build_tree)
-    cache[build_tree] = decoders
-    return decoders

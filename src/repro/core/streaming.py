@@ -565,22 +565,18 @@ class StreamingParse:
         #: Number of parse re-entries performed (observability/benchmarks).
         self.attempts = 0
         # The compiled engine streams through a dedicated fully-memoized
-        # variant (see Parser._streaming_compiled): the batch compilation
-        # elides memo tables for non-recursive rules, which would force
-        # every re-entry to re-read bytes compaction already discarded.
-        # Non-"tree" emit modes elide tree construction in every engine.
-        self._compiled = parser._streaming_compiled(elide_tree=emit != "tree")
+        # variant (see the "stream" passes in repro.core.interpreter): the
+        # batch compilation elides memo tables for non-recursive rules,
+        # which would force every re-entry to re-read bytes compaction
+        # already discarded.  Non-"tree" emit modes elide tree
+        # construction in every engine.
+        self._compiled = parser._engine(tree=emit == "tree", stream=True)
         if self._compiled is not None:
             self._state = self._compiled.new_state()
             self._run = None
         else:
             self._state = None
-            self._run = _Run(
-                parser,
-                self.buffer,
-                build_tree=emit == "tree",
-                dispatch_cache=True,
-            )
+            self._run = _Run(parser, self.buffer, build_tree=emit == "tree")
 
     # -- engine dispatch ---------------------------------------------------
     def _call_engine(self):

@@ -4,9 +4,10 @@ Each worker is a single-threaded loop over its supervisor pipe: receive
 a request dict, parse, send a reply dict.  Parsers are built lazily and
 cached by grammar fingerprint (sha256 of the grammar text + backend), so
 a grammar is staged/compiled once per worker process and every later
-request for it pays only the parse.  Input payloads arrive inline for
-small requests or as a shared-memory spool file the worker maps
-read-only and parses zero-copy (see :mod:`repro.service.wire`).
+request for it pays only the parse; the cache keeps the
+``_MAX_PARSERS`` most recently used parsers.  Input payloads arrive
+inline for small requests or as a shared-memory spool file the worker
+maps read-only and parses zero-copy (see :mod:`repro.service.wire`).
 
 The worker converts every outcome into a reply:
 
@@ -66,6 +67,7 @@ import os
 import signal
 import time
 import traceback
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Optional
@@ -77,9 +79,15 @@ from ..core.parsetree import tree_to_jsonable
 from .wire import SpooledInput, failure_to_wire
 
 #: Wall budget compiled into cached parsers when the base limits carry
-#: none: the per-request soft deadline rebinds the live budget, but the
-#: wall *checks* must exist in the staged code from the start.
+#: none: the per-request soft deadline rebinds the live budget, and with
+#: the wall *checks* in the staged code from the start that rebinding
+#: never has to re-stage an engine.
 _FALLBACK_WALL_MS = 60_000
+
+#: Parsers a worker keeps, least recently used evicted first.  Each
+#: distinct ``grammar=`` text stages its own parser (tens to hundreds of
+#: KB retained), so an unbounded cache grows with every new text.
+_MAX_PARSERS = 64
 
 
 def grammar_fingerprint(kind: str, ident: str, backend: str) -> str:
@@ -113,31 +121,6 @@ def resolve_blackbox_provider(spec: Optional[str]) -> Dict[str, object]:
     return dict(value)
 
 
-def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
-    """Point every engine of ``parser`` at a fresh wall budget.
-
-    The interpreter and diagnostic re-run read ``parser.limits`` per
-    parse; the staged compilation reads its module-global
-    ``_wall_deadline`` factory (rebindable by design — AOT modules'
-    ``set_limits`` uses the same seam).
-    """
-    if soft_ms is None:
-        return
-    limits = replace(parser.limits, max_wall_ms=soft_ms)
-    parser.limits = limits
-    from ..core.backends.closures import _make_wall_deadline
-
-    factory = _make_wall_deadline(soft_ms)
-    for compiled in (
-        parser._compiled,
-        parser._compiled_elided,
-        *parser._compiled_stream.values(),
-    ):
-        if compiled is not None:
-            compiled._new_state.__globals__["_wall_deadline"] = factory
-            compiled.limits = limits
-
-
 class _WorkerState:
     """Per-process state: the parser cache and resolved blackboxes."""
 
@@ -152,13 +135,15 @@ class _WorkerState:
         self.provider_blackboxes = resolve_blackbox_provider(
             payload.get("blackbox_provider")
         )
-        self.parsers: Dict[str, Parser] = {}
+        #: Fingerprint -> Parser, in least-recently-used order.
+        self.parsers: "OrderedDict[str, Parser]" = OrderedDict()
 
     def parser_for(self, grammar_spec) -> Parser:
         kind, ident = grammar_spec
         key = grammar_fingerprint(kind, ident, self.backend)
         parser = self.parsers.get(key)
         if parser is not None:
+            self.parsers.move_to_end(key)
             return parser
         if kind == "format":
             from ..formats import registry
@@ -182,6 +167,8 @@ class _WorkerState:
         else:
             raise IPGError(f"unknown grammar spec kind {kind!r}")
         self.parsers[key] = parser
+        if len(self.parsers) > _MAX_PARSERS:
+            self.parsers.popitem(last=False)
         return parser
 
 
@@ -195,7 +182,10 @@ def _handle_parse(state: _WorkerState, msg: dict) -> dict:
             data = spooled.data
         else:
             data = msg.get("data", b"")
-        _set_wall(parser, msg.get("soft_deadline_ms"))
+        soft_ms = msg.get("soft_deadline_ms")
+        if soft_ms is not None:
+            # Every engine of the parser enforces its current limits.
+            parser.limits = replace(parser.limits, max_wall_ms=soft_ms)
         begin = time.perf_counter()
         if msg.get("recover"):
             from ..core.recover import document_to_jsonable

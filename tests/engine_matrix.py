@@ -2,11 +2,8 @@
 
 The repository ships several executions of the same IPG semantics:
 
-* ``interpreted`` — the reference tree-walking interpreter (with its
-  default fast paths: dispatch tables and fixed-shape one-shot decoders),
-* ``interpreted-plain`` — the interpreter with first-byte dispatch *and*
-  fixed-shape vectorization disabled: the pristine reference semantics
-  every optimized engine is compared against,
+* ``interpreted`` — the reference tree-walking interpreter: the plain
+  semantics every optimized engine is compared against,
 * ``compiled`` — the staged closure compiler (the default engine, with
   dispatch tables and fixed-shape vectorization),
 * ``compiled-nobulk`` — the compiler with only ``bulk_fixed_shape`` off
@@ -29,8 +26,8 @@ on the same input.  ``test_compiler_equivalence.py``, ``test_cross_engine.py``,
 checks through here instead of maintaining ad-hoc comparison loops.
 
 On top of the tree contract, :meth:`EngineMatrix.assert_agree` also runs
-every emit-capable engine (interpreter with and without dispatch, staged
-compiler, unoptimized-elided compiler, chunked streaming) in the
+every emit-capable engine (interpreter, staged compiler,
+unoptimized-elided compiler, chunked streaming) in the
 ``emit="spans"`` and validate-only tree-elision modes and checks the root
 (name, env) — respectively the accept/reject outcome — against the full
 tree the reference interpreter produced.
@@ -50,7 +47,6 @@ from repro.core.streamability import analyze_streamability
 #: Engines every grammar can run on (streaming joins when streamable).
 CORE_ENGINES = (
     "interpreted",
-    "interpreted-plain",
     "compiled",
     "compiled-nobulk",
     "compiled-unoptimized",
@@ -108,14 +104,6 @@ class EngineMatrix:
         self.interpreted = Parser(
             grammar_text, blackboxes=blackboxes, memoize=memoize, backend="interpreted"
         )
-        self.interpreted_plain = Parser(
-            grammar_text,
-            blackboxes=blackboxes,
-            memoize=memoize,
-            backend="interpreted",
-            first_byte_dispatch=False,
-            bulk_fixed_shape=False,
-        )
         self.compiled = Parser(
             grammar_text, blackboxes=blackboxes, memoize=memoize, backend="compiled"
         )
@@ -150,7 +138,6 @@ class EngineMatrix:
         self._elided_unopt = None
         self._runners: Dict[str, Callable] = {
             "interpreted": self._run_parser(self.interpreted),
-            "interpreted-plain": self._run_parser(self.interpreted_plain),
             "compiled": self._run_parser(self.compiled),
             "streaming": self._run_streaming,
         }
@@ -225,7 +212,7 @@ class EngineMatrix:
     # -- structured-error agreement ----------------------------------------
     def error_engines(self) -> Tuple[str, ...]:
         """Engines with a *raising* entry point (streaming checked apart)."""
-        names = ["interpreted", "interpreted-plain", "compiled"]
+        names = ["interpreted", "compiled"]
         if self.unoptimized is not None:
             names += ["compiled-nobulk", "compiled-unoptimized", "aot"]
         return tuple(names)
@@ -244,10 +231,9 @@ class EngineMatrix:
         """
         data = bytes(data)
         try:
-            if engine in ("interpreted", "interpreted-plain", "compiled"):
+            if engine in ("interpreted", "compiled"):
                 parser = {
                     "interpreted": self.interpreted,
-                    "interpreted-plain": self.interpreted_plain,
                     "compiled": self.compiled,
                 }[engine]
                 parser.parse(data, start)
@@ -339,7 +325,7 @@ class EngineMatrix:
 
     def emit_engines(self) -> Tuple[str, ...]:
         """Engines that natively run the spans / validate-only fast path."""
-        names = ["interpreted", "interpreted-plain", "compiled"]
+        names = ["interpreted", "compiled"]
         if self.unoptimized is not None:
             names.append("elided-unoptimized")
         if self.streamable:
@@ -367,7 +353,6 @@ class EngineMatrix:
             else:
                 parser = {
                     "interpreted": self.interpreted,
-                    "interpreted-plain": self.interpreted_plain,
                     "compiled": self.compiled,
                 }[engine]
                 outcome = parser.try_parse(data, start, emit=emit)
@@ -411,7 +396,7 @@ class EngineMatrix:
         full tree's — on every engine, including chunked streaming.
         """
         if reference is None:
-            reference = self.run("interpreted-plain", data, start)
+            reference = self.run("interpreted", data, start)
         if reference[0] == "tree":
             expected_spans = ("spans", reference[1].name, dict(reference[1].env))
             expected_ok = ("ok",)
@@ -454,10 +439,10 @@ class EngineMatrix:
         start: Optional[str] = None,
         engines: Optional[Iterable[str]] = None,
     ):
-        """Assert every engine matches the plain reference interpreter."""
-        reference = self.run("interpreted-plain", data, start)
+        """Assert every engine matches the reference interpreter."""
+        reference = self.run("interpreted", data, start)
         for engine in engines if engines is not None else self.engines():
-            if engine == "interpreted-plain":
+            if engine == "interpreted":
                 continue
             outcome = self.run(engine, data, start)
             if reference[0] == "tree":

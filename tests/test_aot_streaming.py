@@ -48,7 +48,7 @@ class TestEmittedModuleStreaming:
         expected = module.parse(data)
         spec = registry[fmt]
         matrix = matrix_for(spec.grammar_text, dict(spec.blackboxes))
-        assert expected == matrix.run("interpreted-plain", data, None)[1]
+        assert expected == matrix.run("interpreted", data, None)[1]
         chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
         assert module.parse_stream(chunks) == expected
 

@@ -48,11 +48,15 @@ class TestParserEmitAPI:
     def test_accepts_uses_the_fast_path(self):
         parser = build("gif")
         data = format_sample("gif")
+        # accepts() runs on the elided compilation, never the tree engine.
+        lookups = []
+        engine = parser._engine
+        parser._engine = lambda **variant: lookups.append(variant) or engine(
+            **variant
+        )
         assert parser.accepts(data)
         assert not parser.accepts(data[:-1])
-        # accepts() must not have built the tree-mode engine state beyond
-        # the elided compilation.
-        assert parser._compiled_elided is not None
+        assert lookups == [{"tree": False}, {"tree": False}]
 
     def test_unknown_emit_mode_raises(self):
         parser = build("gif")
@@ -69,10 +73,10 @@ class TestParserEmitAPI:
     def test_elided_compilation_is_cached_and_marked(self):
         parser = build("gif")
         parser.parse(format_sample("gif"), emit=None)
-        elided = parser._elided_compiled()
-        assert elided is parser._elided_compiled()
+        elided = parser._engine(tree=False)
+        assert elided is parser._engine(tree=False)
         assert elided.elide_tree
-        assert not parser._compiled.elide_tree
+        assert not parser._engine().elide_tree
 
     def test_builtin_start_symbol_is_elided_too(self):
         # The compiled fallback for a builtin start symbol must honour the

@@ -145,6 +145,58 @@ class TestCompiledBudgets:
             assert parser.parse(b"101", "Int")["val"] == 0b101
 
 
+def _zip_variants(parser, data):
+    """Run ``data`` through every engine variant a Parser stages."""
+    return [
+        parser.parse(data),
+        parser.parse(data, emit="spans"),
+        parser.parse(data, emit=None),
+        parser.parse_stream([data], force=True, compact=False),
+        parser.parse(data, record_spans={"LFH"}),
+    ]
+
+
+class TestReassignedLimits:
+    """``parser.limits = ...`` reaches engines staged under other limits."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    def test_every_variant_enforces_the_current_limits(self, backend):
+        from repro.formats import registry
+        from repro.samples import build_zip
+
+        parser = registry["zip"].build_parser(backend=backend)
+        assert parser.backend == backend
+        data = build_zip(member_count=50, member_size=64)
+        expected = _zip_variants(parser, data)  # stages every variant
+        parser.limits = ParseLimits(max_steps=5)
+        for run in (
+            lambda: parser.parse(data),
+            lambda: parser.parse(data, emit="spans"),
+            lambda: parser.parse(data, emit=None),
+            lambda: parser.parse_stream([data], force=True, compact=False),
+            lambda: parser.parse(data, record_spans={"LFH"}),
+        ):
+            with pytest.raises(LimitExceeded) as info:
+                run()
+            assert info.value.limit == "max_steps"
+        parser.limits = DEFAULT_LIMITS
+        assert _zip_variants(parser, data) == expected
+
+    def test_rebinds_in_place_and_restages_only_for_a_missing_fuel_cell(self):
+        parser = Parser(toy.FIGURE_3, limits=ParseLimits.unlimited())
+        unfueled = parser._engine()
+        assert unfueled.fuel_slot is None
+        parser.limits = ParseLimits(max_steps=3)
+        with pytest.raises(LimitExceeded):
+            parser.parse(b"1" * 64, "Int")
+        fueled = parser._engine()
+        assert fueled is not unfueled and fueled.fuel_slot is not None
+        # Lifting the budget keeps the fuel cell: a rebind, not a restage.
+        parser.limits = ParseLimits.unlimited()
+        assert parser.parse(b"1" * 64, "Int")["val"] == int("1" * 64, 2)
+        assert parser._engine() is fueled
+
+
 #: Recursion + a sleeping blackbox: the blackbox burns the wall budget up
 #: front, then the recursive spine charges fuel, so the first amortized
 #: refill (≤ 256 charges later) observes the expired deadline on every

@@ -136,12 +136,12 @@ class TestStreamingKeepsFullMemo:
     def test_streaming_variant_never_skips(self):
         # Streaming re-entry replays completed work as memo hits; the
         # driver must get a compilation with elision off even though the
-        # batch engine skips (see Parser._streaming_compiled).
+        # batch engine skips (see the "stream" compiler passes).
         parser = Parser("S -> Hdr[0, 2] Raw[2, EOI] ;\n"
                         "Hdr -> U16LE[0, 2] {n = U16LE.val} ;")
         assert parser.backend == "compiled"
-        assert parser._compiled.memo_modes["Hdr"] == "skipped"
-        streaming = parser._streaming_compiled()
+        assert parser._engine().memo_modes["Hdr"] == "skipped"
+        streaming = parser._engine(stream=True)
         assert streaming is not None
         assert "skipped" not in streaming.memo_modes.values()
         # And the streamed tree still matches the batch tree.

@@ -200,24 +200,51 @@ def test_hung_worker_is_killed_at_the_deadline(service, dns_data):
     assert service.submit(dns_data, format="dns", deadline_ms=DEADLINE).result().ok
 
 
-def test_soft_deadline_degrades_to_wall_limit(dns_data):
+@pytest.mark.parametrize("emit", ["tree", None])
+@pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+def test_soft_deadline_degrades_to_wall_limit(backend, emit):
     # A near-zero in-worker wall budget fails the parse structurally
-    # (LimitExceeded limit="wall") — no SIGKILL, no respawn burned.
-    big = samples.build_zip(member_count=200, member_size=200)
-    # The warm-up stages the zip grammar with a one-member archive: its
-    # soft budget (120 ms) must not depend on how fast the host parses.
+    # (LimitExceeded limit="wall") — no SIGKILL, no respawn burned.  The
+    # compiled engines were staged under the warm request's budget, so
+    # this also checks that a new soft deadline reaches them.  The
+    # archive outlasts a 2 ms budget on the compiled engine too.
+    big = samples.build_zip(member_count=2000, member_size=200)
+    # The warm-up stages the zip grammar with a one-member archive under
+    # a soft budget (10 s) the big archive parses well within, so an
+    # engine still bound to it would not trip.
     small = samples.build_zip(member_count=1, member_size=200)
     with ParseService(
-        workers=1, backend="interpreted", soft_deadline_fraction=0.001
+        workers=1, backend=backend, soft_deadline_fraction=0.001
     ) as svc:
-        warm = svc.submit(small, format="zip", deadline_ms=120_000).result()
+        warm = svc.submit(
+            small, format="zip", deadline_ms=10_000_000, emit=emit
+        ).result()
         assert warm.ok
-        tight = svc.submit(big, format="zip", deadline_ms=2_000).result()
+        tight = svc.submit(big, format="zip", deadline_ms=2_000, emit=emit).result()
         assert isinstance(tight.error, LimitExceeded)
         assert tight.error.limit == "wall"
         stats = svc.stats()
         assert stats["deadline_kills"] == 0
         assert stats["crashes"] == 0
+
+
+def test_worker_parser_cache_is_bounded():
+    # One parser per distinct grammar text, least recently used evicted.
+    from repro.service.worker import _MAX_PARSERS, _WorkerState
+
+    state = _WorkerState({"backend": "interpreted"})
+    texts = [f'S -> "{i}" ;' for i in range(100)]
+    for text in texts:
+        state.parser_for(("text", text))
+    assert len(state.parsers) == _MAX_PARSERS
+    recent = state.parser_for(("text", texts[-1]))
+    assert state.parser_for(("text", texts[-1])) is recent
+    # A hit refreshes recency: the oldest survivor outlives one new text.
+    survivor = texts[len(texts) - _MAX_PARSERS]
+    oldest = state.parser_for(("text", survivor))
+    state.parser_for(("text", 'S -> "new" ;'))
+    assert state.parser_for(("text", survivor)) is oldest
+    assert len(state.parsers) == _MAX_PARSERS
 
 
 def test_overload_sheds_with_retry_after():

@@ -3,7 +3,7 @@
 Locks down :mod:`repro.core.shapes` — width/layout inference (struct format
 strings, covered prefixes, nesting, fixed-count arrays) and its conservative
 bail-outs on anything interval-dependent — plus the engine-level contract:
-bulk-on, bulk-off, one-shot-decoder and chunked-streaming executions all
+bulk-on, bulk-off, interpreted and chunked-streaming executions all
 produce identical trees, including at adversarial record-boundary chunk
 sizes.
 """
@@ -22,7 +22,6 @@ from repro.core.shapes import (
     alternative_suffix,
     explain_shapes,
     linear_stride,
-    make_decoder,
     rule_shape,
 )
 from repro.formats import registry
@@ -307,7 +306,7 @@ class TestLinearStride:
         """
         data = pystruct.pack("<II", 9, 2)
         bulk = Parser(grammar)
-        assert "E" not in bulk._compiled.bulk_arrays
+        assert "E" not in bulk._engine().bulk_arrays
         matrix_for(grammar).assert_agree(data)
 
     def test_raising_attr_steps_are_never_skipped(self):
@@ -321,7 +320,7 @@ class TestLinearStride:
         bad = pystruct.pack("<II", 2, 0)
         good = pystruct.pack("<II", 2, 4)
         parser = Parser(grammar)
-        assert "R" in parser._compiled.bulk_arrays
+        assert "R" in parser._engine().bulk_arrays
         plan = rule_shape(prepare_grammar(grammar), "R")
         assert plan.has_raising_attrs and plan.checks_anything
         assert parser.try_parse(bad) is None
@@ -370,7 +369,7 @@ class TestBulkDifferential:
     def test_bulk_formats_match_across_engines(self, fmt):
         spec = registry[fmt]
         matrix = matrix_for(spec.grammar_text, dict(spec.blackboxes))
-        assert matrix.compiled._compiled.bulk_arrays
+        assert matrix.compiled._engine().bulk_arrays
         matrix.assert_agree(format_sample(fmt))
 
     def test_bulk_array_reported(self):
@@ -399,35 +398,17 @@ class TestBulkDifferential:
         matrix.assert_agree(b"")
         matrix.assert_agree(pystruct.pack(">HH", 0, 1))
 
-    def test_interpreter_one_shot_decoder_used_and_equal(self):
-        spec = registry["elf"]
-        with_shapes = spec.build_parser(backend="interpreted")
-        without = spec.build_parser(backend="interpreted", bulk_fixed_shape=False)
-        assert with_shapes._shape_decoders(True)
-        assert "Sym" in with_shapes._shape_decoders(True)
-        assert without._shape_decoders(True) is None
-        data = format_sample("elf")
-        assert with_shapes.parse(data) == without.parse(data)
-
-    def test_decoder_matches_term_path_on_short_windows(self):
-        grammar = prepare_grammar(registry["elf"].grammar_text)
-        plan = alternative_shape(grammar, "Sym", 0)
-        decoder = make_decoder(plan, build_tree=True)
-        reference = Parser(
-            registry["elf"].grammar_text,
-            backend="interpreted",
-            bulk_fixed_shape=False,
-        )
-        from repro.core.interpreter import FAIL
-
+    def test_fused_plan_matches_term_path_on_short_windows(self):
+        # Sym's whole body is one struct plan in the compiled engine; on
+        # windows too short for it the plan must fail exactly where the
+        # interpreter's per-term path does.
+        compiled = registry["elf"].build_parser()
+        assert "Sym" in compiled._engine().shaped_rules
+        reference = registry["elf"].build_parser(backend="interpreted")
         data = bytes(range(64))
         for hi in (0, 5, 23, 24, 30, 64):
-            got = decoder(data, 0, hi)
             expected = reference.try_parse(data[:hi], start="Sym")
-            if expected is None:
-                assert got is FAIL
-            else:
-                assert got == expected
+            assert compiled.try_parse(data[:hi], start="Sym") == expected
 
 
 class TestBulkStreaming:
@@ -440,7 +421,7 @@ class TestBulkStreaming:
         # multiple record boundaries.
         data = build_bulk_stream_input()
         parser = Parser(grammar)
-        assert "Rec" in parser._compiled.bulk_arrays
+        assert "Rec" in parser._engine().bulk_arrays
         expected = parser.parse(data)
         chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
         assert parser.parse_stream(iter(chunks), force=True) == expected
@@ -491,9 +472,5 @@ class TestGoldenAgreement:
     def test_formats_agree_with_plain_reference(self, fmt):
         spec = registry[fmt]
         data = format_sample(fmt)
-        plain = spec.build_parser(
-            backend="interpreted", first_byte_dispatch=False, bulk_fixed_shape=False
-        )
-        expected = plain.parse(data)
+        expected = spec.build_parser(backend="interpreted").parse(data)
         assert spec.build_parser(backend="compiled").parse(data) == expected
-        assert spec.build_parser(backend="interpreted").parse(data) == expected

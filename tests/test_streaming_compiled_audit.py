@@ -184,6 +184,6 @@ class TestBufferContract:
         # 3./4. Source-level audit: the generated module must not reference
         # len(data) or materialize the whole buffer.
         parser = Parser('S -> "x" U32LE Raw[U32LE.val] B[EOI - 1, EOI] ; B -> "!" ;')
-        source = parser._compiled.source
+        source = parser._engine().source
         assert "len(data)" not in source
         assert "bytes(data)" not in source

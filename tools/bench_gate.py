@@ -201,7 +201,10 @@ def limits_smoke(tolerance: float) -> int:
         iterations = 500_000
 
         def run(check: bool) -> float:
-            cell = [256, 10**12]  # refill path taken every 256 charges
+            # The generated fuel cell: hot counter, rest of the budget and
+            # wall deadline (None: no wall budget); the refill path is
+            # taken every 256 charges.
+            cell = [256, 10**12, None]
             begin = time.perf_counter()
             if check:
                 for _ in range(iterations):
