@@ -449,9 +449,9 @@ def _cmd_explain_shapes(args) -> int:
 
 
 def _cmd_explain_ir(args) -> int:
-    """``repro compile --explain``: dump the per-rule plan IR."""
+    """``repro compile --explain``: dump the grammar with its analysis facts."""
     from .core.compiler import Optimizations
-    from .core.ir import explain_plan, lower
+    from .core.ir import analyze, explain_plan
 
     if args.format:
         if args.format not in registry:
@@ -467,8 +467,8 @@ def _cmd_explain_ir(args) -> int:
         print("error: --explain needs --format or a grammar file", file=sys.stderr)
         return 2
     optimizations = Optimizations.none() if args.no_optimize else None
-    plan = lower(prepare_grammar(grammar_text), optimizations=optimizations)
-    print(explain_plan(plan), end="")
+    analysis = analyze(prepare_grammar(grammar_text), optimizations=optimizations)
+    print(explain_plan(analysis), end="")
     return 0
 
 
@@ -538,7 +538,7 @@ def cmd_compile(args) -> int:
     if args.explain:
         if args.package or args.output:
             print(
-                "error: --explain prints the plan IR and cannot be combined "
+                "error: --explain prints the analysis facts and cannot be combined "
                 "with --package or -o/--output",
                 file=sys.stderr,
             )
@@ -886,7 +886,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     compile_command.add_argument(
         "--explain",
         action="store_true",
-        help="print the per-rule plan IR (the analyze->lower output) "
+        help="print each rule with the analysis facts the compiler emits "
+        "from (memo mode, fuel, fixed-shape decoder, dispatch table) "
         "instead of emitting a module",
     )
     compile_command.add_argument(

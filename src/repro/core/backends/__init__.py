@@ -1,7 +1,7 @@
 """Emission backends of the compilation pipeline.
 
-The pipeline is analyze -> lower -> emit (see :mod:`repro.core.ir`).  One
-backend consumes the shared analysis:
+The pipeline is analyze -> emit (see :mod:`repro.core.ir`).  One backend
+reads the grammar plus the shared analysis:
 :mod:`repro.core.backends.closures`, the staged source compiler, emits one
 specialized Python closure per alternative (``backend="compiled"``, AOT
 ``to_source()``).  The reference interpreter

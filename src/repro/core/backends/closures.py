@@ -988,19 +988,6 @@ class _GrammarCompiler:
             return plan
         return None
 
-    def _alt_suffix(self, rule_name: str, alt_index: int, alternative: Alternative):
-        """The fused anchored-suffix plan behind the gap, if worthwhile."""
-        if not self.opts.bulk_fixed_shape or alternative.local_rules:
-            return None
-        if self.stream_cache:
-            # Streaming frames check bounds against an EOIProxy one term at
-            # a time; the suffix's aggregate anchor+needed check (and its
-            # unpack_from over the tail) is a batch-only specialization.
-            return None
-        from ..shapes import alternative_suffix  # deferred: keeps imports light
-
-        return alternative_suffix(self.grammar, rule_name, alt_index)
-
     def _alternative_inner(
         self,
         rule_name: str,
@@ -1049,26 +1036,11 @@ class _GrammarCompiler:
             plan = (
                 self._alt_plan(rule_name, alt_index, alternative) if toplevel else None
             )
-            suffix = (
-                self._alt_suffix(rule_name, alt_index, alternative)
-                if toplevel
-                else None
-            )
             if plan is not None:
                 self._emit_fused_prefix(
                     plan, alternative, scope, body, attr_order, sink
                 )
             consumed = plan.covered if plan else 0
-            if suffix is not None:
-                # Per-term through the gap (inclusive), then the fused tail.
-                for term in alternative.terms[consumed : suffix.gap_index + 1]:
-                    self._emit_term(
-                        term, scope, local_bindings, body, attr_order, sink
-                    )
-                self._emit_fused_suffix(
-                    suffix, alternative, scope, body, attr_order, sink
-                )
-                consumed = suffix.gap_index + 1 + suffix.plan.covered
             for term in alternative.terms[consumed:]:
                 self._emit_term(term, scope, local_bindings, body, attr_order, sink)
         finally:
@@ -1225,82 +1197,6 @@ class _GrammarCompiler:
             # values, so the statically known span assigns directly.
             body.append(f"{scope.start} = {plan.start}")
             body.append(f"{scope.end} = {plan.end}")
-
-    def _emit_fused_suffix(
-        self,
-        suffix,
-        alternative: Alternative,
-        scope: Scope,
-        body: List[str],
-        attr_order: List[str],
-        sink: _ChildSink,
-    ) -> None:
-        """Decode the fixed tail behind a variable-width gap with one struct.
-
-        The plan's offsets are all relative to the gap's ``end`` attribute
-        (the *anchor*), so a single ``anchor + needed <= EOI`` bounds check
-        subsumes every covered interval-validity check — anchored left
-        endpoints are non-negative constants and the per-term path fails
-        with the same clean FAIL in exactly the cases the check rejects.
-        Record envs and the start/end specials rebase through the anchor
-        at runtime instead of through compile-time constants.
-        """
-        from ..shapes import emit_plan_code
-
-        plan = suffix.plan
-        self.shaped_rules.add(plan.rule_name)
-        self._assign_plan_uid(plan)
-        fid = scope.fid
-        hl = f"_hl{fid}"
-        record_var, _certain = scope.node_envs[suffix.gap_name]
-        anch = self.namer.fresh("_t")
-        body.append(f"{anch} = {record_var}['end']")
-        if plan.needed:
-            body.append(f"if {anch} + {plan.needed} > {hl}:")
-            body.append("    return FAIL")
-        base = self.namer.fresh("_t")
-        body.append(f"{base} = {self._abs(anch)}")
-        tup = self.namer.fresh("_t")
-        if plan.nslots:
-            sconst = self._struct_const(plan.fmt)
-            body.append(f"{tup} = {sconst}.unpack_from(data, {base})")
-        code = emit_plan_code(
-            plan,
-            slot_var=tup,
-            eoi_src=hl,
-            abs_base=base,
-            build=sink.mode != "none",
-            leaf_const=self._leaf_const,
-            rel_base=anch,
-        )
-        body += code.lines
-        for name, local in code.attr_locals.items():
-            scope.names[name] = local
-            if name not in attr_order:
-                attr_order.append(name)
-        for child in code.child_exprs:
-            sink.add(child, body)
-        # Materialize node envs only for names the remaining terms reference
-        # — overwriting any same-named pre-gap record (latest binding wins,
-        # as in the per-term path).
-        later_refs = set()
-        for term in alternative.terms[suffix.gap_index + 1 + plan.covered :]:
-            later_refs |= {name for tag, name in term.references() if tag == "nt"}
-        for name in dict.fromkeys(plan.recorded_names()):
-            if name in later_refs:
-                record = f"_nv{fid}_{self._token(name)}"
-                body.append(f"{record} = {code.env_src(name)}")
-                self._mirror(scope, record, body)
-                scope.node_envs[name] = (record, True)
-        if plan.touch:
-            # updStartEnd over the whole anchored span: offsets share one
-            # anchor, so min/max commute with the rebase.
-            start = self._plus(anch, plan.start)
-            body.append(f"if {start} < {scope.start}:")
-            body.append(f"    {scope.start} = {start}")
-            end = self._plus(anch, plan.end)
-            body.append(f"if {end} > {scope.end}:")
-            body.append(f"    {scope.end} = {end}")
 
     def _try_emit_bulk_array(
         self,
@@ -1836,17 +1732,9 @@ class _GrammarCompiler:
             body += sink.init_lines()
             attr_order: List[str] = []
             plan = self._alt_plan(name, 0, alternative)
-            suffix = self._alt_suffix(name, 0, alternative)
             if plan is not None:
                 self._emit_fused_prefix(plan, alternative, iscope, body, attr_order, sink)
             consumed = plan.covered if plan else 0
-            if suffix is not None:
-                for term in alternative.terms[consumed : suffix.gap_index + 1]:
-                    self._emit_term(term, iscope, {}, body, attr_order, sink)
-                self._emit_fused_suffix(
-                    suffix, alternative, iscope, body, attr_order, sink
-                )
-                consumed = suffix.gap_index + 1 + suffix.plan.covered
             for term in alternative.terms[consumed:]:
                 self._emit_term(term, iscope, {}, body, attr_order, sink)
         finally:

@@ -1,10 +1,10 @@
 """Compatibility surface of the staged compiler.
 
-The monolithic compiler moved into the analyze -> lower -> emit pipeline:
+The monolithic compiler moved into the analyze -> emit pipeline:
 
-* :mod:`repro.core.ir` — the analyze and lower stages: whole-grammar
-  facts (:func:`repro.core.ir.analyze`) and per-rule plan-IR programs
-  (:func:`repro.core.ir.lower`, rendered by ``repro compile --explain``);
+* :mod:`repro.core.ir` — the analyze stage: whole-grammar facts
+  (:func:`repro.core.ir.analyze`), rendered with the grammar by
+  ``repro compile --explain``;
 * :mod:`repro.core.backends.closures` — the closure-emitting backend
   (everything this module used to contain).
 

@@ -1,47 +1,36 @@
-"""The plan IR connecting grammar analysis to the emission backends.
+"""Whole-grammar analysis facts shared by the engine and ``--explain``.
 
-The compilation pipeline is structured as three stages:
+The compilation pipeline has two stages:
 
 ``analyze``
     Run the whole-grammar analyses once — call-site collection, recursion
     and EOI-anchoring fixpoints, single-use inline candidates, FIRST-set
     dispatch plans (:mod:`repro.core.firstsets`), fixed-shape layout plans
     (:mod:`repro.core.shapes`) — and record the resulting *facts* in a
-    :class:`GrammarAnalysis`.  Every backend consumes the same facts; no
-    pass patches source strings or re-derives another pass's decisions.
-
-``lower``
-    Translate the grammar plus its analysis into per-rule IR programs
-    (:class:`GrammarPlan` / :class:`RuleIR` / :class:`AltIR`): flat tagged
-    tuples for match/guard/bind/call/array/switch steps, expression trees
-    lowered to pure-data programs, dispatch tables and struct plans
-    attached as table entries, memo modes and fuel-charge sites recorded
-    per rule.  The IR is plain data, rendered for humans by
-    :func:`explain_plan` (``repro compile --explain`` and the golden IR
-    dumps under ``tests/golden_ir/``).
+    :class:`GrammarAnalysis`.  No pass patches source strings or
+    re-derives another pass's decisions.
 
 ``emit``
     :mod:`repro.core.backends.closures` — the staged source-emitting
     compiler behind ``backend="compiled"`` and AOT ``to_source()`` —
-    consumes the same analysis facts and emits specialized closures.
+    reads the grammar AST plus those facts and emits specialized closures.
 
-Op vocabulary (first element tags the op; expressions are nested tuples):
+:func:`explain_plan` renders the same two inputs for humans
+(``repro compile --explain`` and the golden dumps under
+``tests/golden_ir/``): per rule its memo mode, fuel placement, fixed-shape
+decoder and dispatch table, then one line per term —
 
-====================  =====================================================
-``("attr", n, e)``     bind attribute ``n`` to the value of ``e``
-``("guard", e)``       fail the alternative when ``e`` evaluates to 0
-``("lit", l, r, b)``   match literal bytes ``b`` inside interval ``[l, r)``
-``("call", n, l, r)``  parse nonterminal ``n`` confined to ``[l, r)``
-``("array", v, s, t, n, l, r, w)``
-                       ``for v = s to t do n[l, r]``; ``w`` is the
-                       statically proven element stride (or ``None``)
-``("switch", cases)``  first case whose condition is non-zero wins;
-                       each case is ``(cond | None, n, l, r)``
-====================  =====================================================
+==========  ===========================================================
+``attr``    bind an attribute to an expression's value
+``guard``   fail the alternative when the expression evaluates to 0
+``lit``     match literal bytes inside an interval
+``call``    parse a nonterminal confined to an interval
+``array``   ``for v = s to t do A[l, r]``, with the statically proven
+            element ``stride`` when there is one
+``switch``  the first case whose condition is non-zero wins
+==========  ===========================================================
 
-Expression programs: ``("num", v)``, ``("name", id)``, ``("dot", A, a)``,
-``("idx", A, a, e)``, ``("bin", op, e1, e2)``, ``("cond", c, t, e)`` and
-``("exists", var, array, c, t, e)``.
+Expressions print in IPG surface syntax (:meth:`Expr.to_source`).
 """
 
 from __future__ import annotations
@@ -50,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import (
-    Alternative,
     Grammar,
     Rule,
     TermArray,
@@ -62,7 +50,7 @@ from .ast import (
 )
 from .cycles import recursive_vertices
 from .errors import IPGError
-from .expr import BinOp, Cond, Dot, Exists, Expr, Index, Name, Num
+from .expr import Name
 
 @dataclass(frozen=True)
 class Optimizations:
@@ -264,9 +252,8 @@ def inline_candidates(
 class GrammarAnalysis:
     """The shared facts every emission backend consumes.
 
-    One :func:`analyze` call replaces the per-backend re-derivation the
-    pre-IR pipeline did: the closure emitter, the interpreter's plan
-    consumers and :func:`lower` all read the same object.
+    One :func:`analyze` call per compilation: the closure emitter and
+    :func:`explain_plan` read the same object.
     """
 
     grammar: Grammar
@@ -366,270 +353,7 @@ def analyze(
 
 
 # ---------------------------------------------------------------------------
-# Lower: grammar + analysis -> per-rule IR programs
-# ---------------------------------------------------------------------------
-
-
-def lower_expr(expr: Expr) -> tuple:
-    """Lower an expression AST to a pure-data program."""
-    if isinstance(expr, Num):
-        return ("num", expr.value)
-    if isinstance(expr, Name):
-        return ("name", expr.ident)
-    if isinstance(expr, Dot):
-        return ("dot", expr.nonterminal, expr.attr)
-    if isinstance(expr, Index):
-        return ("idx", expr.nonterminal, expr.attr, lower_expr(expr.index))
-    if isinstance(expr, BinOp):
-        return ("bin", expr.op, lower_expr(expr.left), lower_expr(expr.right))
-    if isinstance(expr, Cond):
-        return (
-            "cond",
-            lower_expr(expr.condition),
-            lower_expr(expr.then),
-            lower_expr(expr.otherwise),
-        )
-    if isinstance(expr, Exists):
-        return (
-            "exists",
-            expr.var,
-            expr._target_array(),
-            lower_expr(expr.condition),
-            lower_expr(expr.then),
-            lower_expr(expr.otherwise),
-        )
-    raise IPGError(f"cannot lower expression {expr!r}")  # pragma: no cover
-
-
-def render_expr(prog: tuple) -> str:
-    """Render a lowered expression program back to surface-ish syntax."""
-    tag = prog[0]
-    if tag == "num":
-        return str(prog[1])
-    if tag == "name":
-        return prog[1]
-    if tag == "dot":
-        return f"{prog[1]}.{prog[2]}"
-    if tag == "idx":
-        return f"{prog[1]}({render_expr(prog[3])}).{prog[2]}"
-    if tag == "bin":
-        return f"({render_expr(prog[2])} {prog[1]} {render_expr(prog[3])})"
-    if tag == "cond":
-        return (
-            f"({render_expr(prog[1])} ? {render_expr(prog[2])}"
-            f" : {render_expr(prog[3])})"
-        )
-    if tag == "exists":
-        return (
-            f"(exists {prog[1]} . {render_expr(prog[3])} ? "
-            f"{render_expr(prog[4])} : {render_expr(prog[5])})"
-        )
-    raise IPGError(f"unknown expression tag {tag!r}")  # pragma: no cover
-
-
-@dataclass
-class DispatchIR:
-    """A first-byte (and FIRST₂) dispatch table, as plain data.
-
-    ``table`` has 256 entries of alternative-index tuples; ``empty`` is the
-    entry for zero-length windows; ``pair`` maps a first byte to
-    ``(probe_offset, row)`` with another 256-entry row over the probed
-    byte.  Mirrors :class:`repro.core.firstsets.DispatchPlan` minus the
-    analysis-only bits.
-    """
-
-    table: Tuple[Tuple[int, ...], ...]
-    empty: Tuple[int, ...]
-    alternatives: int
-    pair: Optional[Dict[int, Tuple[int, Tuple[Tuple[int, ...], ...]]]] = None
-
-    @classmethod
-    def from_plan(cls, plan) -> "DispatchIR":
-        pair = None
-        if plan.pair_table:
-            pair = {
-                byte: (offset, tuple(tuple(entry) for entry in row))
-                for byte, (offset, row) in plan.pair_table.items()
-            }
-        return cls(
-            table=tuple(tuple(entry) for entry in plan.table),
-            empty=tuple(plan.empty),
-            alternatives=plan.alternatives,
-            pair=pair,
-        )
-
-
-@dataclass
-class AltIR:
-    """One lowered alternative: a flat op program plus local rules."""
-
-    ops: Tuple[tuple, ...]
-    locals: Tuple["RuleIR", ...] = ()
-
-
-@dataclass
-class RuleIR:
-    """One lowered rule: alternatives, dispatch table, memo/fuel facts.
-
-    ``decoder`` marks rules whose whole body is a worthwhile fixed-shape
-    struct plan: one struct decode covers the rule instead of the ops
-    (the closure backend fuses it as a fixed prefix spanning the body).
-    ``fuel`` marks the rules whose entry charges the step budget (the
-    recursive ones — everything else is a DAG of straight-line bodies
-    whose work is a constant factor of those charges).
-    """
-
-    name: str
-    path: str
-    alts: Tuple[AltIR, ...]
-    memo: str  # "dict" | "dense" | "skipped" | "unmemoized" | "local"
-    fuel: bool
-    dispatch: Optional[DispatchIR]
-    decoder: bool = False
-
-
-@dataclass
-class GrammarPlan:
-    """The lowered IR of a whole grammar, with its source and analysis."""
-
-    start: str
-    blackboxes: Tuple[str, ...]
-    rules: Dict[str, RuleIR]
-    options: Dict[str, object]
-    grammar: Grammar
-    analysis: GrammarAnalysis
-
-
-def _lower_interval(term, what: str) -> Tuple[tuple, tuple]:
-    interval = term.interval
-    if interval.left is None or interval.right is None:
-        raise IPGError(
-            f"cannot lower {what}: interval of {term!r} is incomplete; "
-            f"run interval auto-completion first"
-        )
-    return lower_expr(interval.left), lower_expr(interval.right)
-
-
-def _lower_alternative(
-    grammar: Grammar,
-    analysis: GrammarAnalysis,
-    alternative: Alternative,
-    path: str,
-) -> AltIR:
-    from .shapes import linear_stride
-
-    ops: List[tuple] = []
-    for term in alternative.terms:
-        if isinstance(term, TermAttrDef):
-            ops.append(("attr", term.name, lower_expr(term.expr)))
-        elif isinstance(term, TermGuard):
-            ops.append(("guard", lower_expr(term.expr)))
-        elif isinstance(term, TermTerminal):
-            left, right = _lower_interval(term, path)
-            ops.append(("lit", left, right, term.value))
-        elif isinstance(term, TermNonterminal):
-            left, right = _lower_interval(term, path)
-            ops.append(("call", term.name, left, right))
-        elif isinstance(term, TermArray):
-            left, right = _lower_interval(term.element, path)
-            stride = linear_stride(
-                term.element.interval.left, term.element.interval.right, term.var
-            )
-            ops.append(
-                (
-                    "array",
-                    term.var,
-                    lower_expr(term.start),
-                    lower_expr(term.stop),
-                    term.element.name,
-                    left,
-                    right,
-                    stride,
-                )
-            )
-        elif isinstance(term, TermSwitch):
-            cases = []
-            for case in term.cases:
-                left, right = _lower_interval(case.target, path)
-                cases.append(
-                    (
-                        None if case.condition is None else lower_expr(case.condition),
-                        case.target.name,
-                        left,
-                        right,
-                    )
-                )
-            ops.append(("switch", tuple(cases)))
-        else:  # pragma: no cover
-            raise IPGError(f"unknown term kind {type(term).__name__}")
-    locals_ir = tuple(
-        _lower_rule(grammar, analysis, local, f"{path}/{local.name}", toplevel=False)
-        for local in alternative.local_rules
-    )
-    return AltIR(ops=tuple(ops), locals=locals_ir)
-
-
-def _lower_rule(
-    grammar: Grammar,
-    analysis: GrammarAnalysis,
-    rule: Rule,
-    path: str,
-    toplevel: bool,
-) -> RuleIR:
-    plan = (
-        analysis.dispatch_plans.get(rule.name)
-        if toplevel
-        else analysis.local_plans.get(id(rule))
-    )
-    alts = tuple(
-        _lower_alternative(grammar, analysis, alternative, f"{path}/a{index}")
-        for index, alternative in enumerate(rule.alternatives)
-    )
-    return RuleIR(
-        name=rule.name,
-        path=path,
-        alts=alts,
-        memo=analysis.memo_modes[rule.name] if toplevel else "local",
-        fuel=(rule.name in analysis.recursive) if toplevel else True,
-        dispatch=None if plan is None else DispatchIR.from_plan(plan),
-        decoder=toplevel and rule.name in analysis.full_shapes,
-    )
-
-
-def lower(
-    grammar: Grammar,
-    *,
-    memoize: bool = True,
-    optimizations: Optional[Optimizations] = None,
-    analysis: Optional[GrammarAnalysis] = None,
-) -> GrammarPlan:
-    """Lower a prepared grammar to its per-rule IR programs."""
-    if analysis is None:
-        analysis = analyze(grammar, memoize=memoize, optimizations=optimizations)
-    rules = {
-        name: _lower_rule(grammar, analysis, rule, name, toplevel=True)
-        for name, rule in grammar.rules.items()
-    }
-    opts = analysis.opts
-    options: Dict[str, object] = {
-        "memoize": analysis.memoize,
-        "first_byte_dispatch": opts.first_byte_dispatch,
-        "bulk_fixed_shape": opts.bulk_fixed_shape,
-        "dense_memo": opts.dense_memo,
-        "skip_nonrecursive_memo": opts.skip_nonrecursive_memo,
-    }
-    return GrammarPlan(
-        start=grammar.start,
-        blackboxes=tuple(sorted(grammar.blackboxes)),
-        rules=rules,
-        options=options,
-        grammar=grammar,
-        analysis=analysis,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Explain: human-readable IR dump (repro compile --explain, golden dumps)
+# Explain: human-readable dump of grammar + analysis (repro compile --explain)
 # ---------------------------------------------------------------------------
 
 
@@ -647,9 +371,10 @@ def _byte_ranges(bytes_: List[int]) -> str:
     return ",".join(parts)
 
 
-def _explain_dispatch(dispatch: DispatchIR, out: List[str], indent: str) -> None:
+def _explain_dispatch(plan, out: List[str], indent: str) -> None:
+    """Dump a :class:`repro.core.firstsets.DispatchPlan` as compact rows."""
     groups: Dict[tuple, List[int]] = {}
-    for byte, entry in enumerate(dispatch.table):
+    for byte, entry in enumerate(plan.table):
         groups.setdefault(entry, []).append(byte)
     # Most common entry becomes the default row for a compact dump.
     default = max(groups, key=lambda entry: len(groups[entry]))
@@ -658,10 +383,10 @@ def _explain_dispatch(dispatch: DispatchIR, out: List[str], indent: str) -> None
         if entry == default:
             continue
         out.append(f"{indent}  {_byte_ranges(bytes_)} -> {list(entry)}")
-    out.append(f"{indent}  empty-window -> {list(dispatch.empty)}")
-    if dispatch.pair:
-        for byte in sorted(dispatch.pair):
-            offset, row = dispatch.pair[byte]
+    out.append(f"{indent}  empty-window -> {list(plan.empty)}")
+    if plan.pair_table:
+        for byte in sorted(plan.pair_table):
+            offset, row = plan.pair_table[byte]
             rows: Dict[tuple, List[int]] = {}
             for probed, entry in enumerate(row):
                 rows.setdefault(entry, []).append(probed)
@@ -677,59 +402,113 @@ def _explain_dispatch(dispatch: DispatchIR, out: List[str], indent: str) -> None
             )
 
 
-def _explain_op(op: tuple) -> str:
-    tag = op[0]
-    if tag == "attr":
-        return f"attr   {op[1]} = {render_expr(op[2])}"
-    if tag == "guard":
-        return f"guard  {render_expr(op[1])}"
-    if tag == "lit":
-        return f"lit    {op[3]!r} [{render_expr(op[1])}, {render_expr(op[2])}]"
-    if tag == "call":
-        return f"call   {op[1]} [{render_expr(op[2])}, {render_expr(op[3])}]"
-    if tag == "array":
-        stride = f" stride={op[7]}" if op[7] is not None else ""
-        return (
-            f"array  for {op[1]} = {render_expr(op[2])} to {render_expr(op[3])} "
-            f"do {op[4]} [{render_expr(op[5])}, {render_expr(op[6])}]{stride}"
+def _explain_interval(interval, what: str, path: str) -> str:
+    """``[l, r]``; the interval must be auto-completed."""
+    if interval.left is None or interval.right is None:
+        raise IPGError(
+            f"cannot explain {path}: interval of {what} is incomplete; "
+            f"run interval auto-completion first"
         )
-    if tag == "switch":
+    return f"[{interval.left.to_source()}, {interval.right.to_source()}]"
+
+
+def _explain_term(term, path: str) -> str:
+    from .shapes import linear_stride
+
+    if isinstance(term, TermAttrDef):
+        return f"attr   {term.name} = {term.expr.to_source()}"
+    if isinstance(term, TermGuard):
+        return f"guard  {term.expr.to_source()}"
+    if isinstance(term, TermTerminal):
+        interval = _explain_interval(term.interval, repr(term.value), path)
+        return f"lit    {term.value!r} {interval}"
+    if isinstance(term, TermNonterminal):
+        interval = _explain_interval(term.interval, term.name, path)
+        return f"call   {term.name} {interval}"
+    if isinstance(term, TermArray):
+        element = term.element
+        interval = _explain_interval(element.interval, element.name, path)
+        stride = linear_stride(element.interval.left, element.interval.right, term.var)
+        return (
+            f"array  for {term.var} = {term.start.to_source()} to "
+            f"{term.stop.to_source()} do {element.name} {interval}"
+            + (f" stride={stride}" if stride is not None else "")
+        )
+    if isinstance(term, TermSwitch):
         cases = " / ".join(
-            (f"{render_expr(cond)} : " if cond is not None else "default : ")
-            + f"{name} [{render_expr(left)}, {render_expr(right)}]"
-            for cond, name, left, right in op[1]
+            (
+                "default : "
+                if case.condition is None
+                else f"{case.condition.to_source()} : "
+            )
+            + f"{case.target.name} "
+            + _explain_interval(case.target.interval, case.target.name, path)
+            for case in term.cases
         )
         return f"switch {cases}"
-    raise IPGError(f"unknown op tag {tag!r}")  # pragma: no cover
+    raise IPGError(f"unknown term kind {type(term).__name__}")  # pragma: no cover
 
 
-def _explain_rule(rule: RuleIR, plan: GrammarPlan, out: List[str], depth: int) -> None:
+def _explain_rule(
+    analysis: GrammarAnalysis,
+    rule: Rule,
+    path: str,
+    toplevel: bool,
+    out: List[str],
+    depth: int,
+) -> None:
     indent = "  " * depth
-    facts = [f"memo={rule.memo}"]
-    facts.append("fuel=charged" if rule.fuel else "fuel=free")
-    if rule.decoder:
-        shape = plan.analysis.full_shapes[rule.name]
+    if toplevel:
+        memo = analysis.memo_modes[rule.name]
+        fuel = rule.name in analysis.recursive
+        dispatch = analysis.dispatch_plans.get(rule.name)
+    else:
+        # Where-rule names can shadow each other, so their dispatch plans
+        # are keyed by rule identity.
+        memo, fuel = "local", True
+        dispatch = analysis.local_plans.get(id(rule))
+    facts = [f"memo={memo}", "fuel=charged" if fuel else "fuel=free"]
+    if toplevel and rule.name in analysis.full_shapes:
+        shape = analysis.full_shapes[rule.name]
         facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
-    out.append(f"{indent}rule {rule.path}: {' '.join(facts)}")
-    if rule.dispatch is not None:
-        _explain_dispatch(rule.dispatch, out, indent + "  ")
-    for index, alt in enumerate(rule.alts):
+    out.append(f"{indent}rule {path}: {' '.join(facts)}")
+    if dispatch is not None:
+        _explain_dispatch(dispatch, out, indent + "  ")
+    for index, alternative in enumerate(rule.alternatives):
+        alt_path = f"{path}/a{index}"
         out.append(f"{indent}  alt {index}:")
-        for op in alt.ops:
-            out.append(f"{indent}    {_explain_op(op)}")
-        for local in alt.locals:
-            _explain_rule(local, plan, out, depth + 2)
+        for term in alternative.terms:
+            out.append(f"{indent}    {_explain_term(term, alt_path)}")
+        for local in alternative.local_rules:
+            _explain_rule(
+                analysis, local, f"{alt_path}/{local.name}", False, out, depth + 2
+            )
 
 
-def explain_plan(plan: GrammarPlan) -> str:
-    """Render the full per-rule IR for humans (``repro compile --explain``)."""
+def explain_plan(analysis: GrammarAnalysis) -> str:
+    """Render a grammar and its analysis facts for humans.
+
+    One ``rule`` line per (top-level or where-) rule with its memo mode,
+    fuel placement and fixed-shape decoder, then its dispatch table and one
+    line per term.  This is ``repro compile --explain`` and the golden dumps
+    under ``tests/golden_ir/``.
+    """
+    grammar = analysis.grammar
+    opts = analysis.opts
+    options = {
+        "memoize": analysis.memoize,
+        "first_byte_dispatch": opts.first_byte_dispatch,
+        "bulk_fixed_shape": opts.bulk_fixed_shape,
+        "dense_memo": opts.dense_memo,
+        "skip_nonrecursive_memo": opts.skip_nonrecursive_memo,
+    }
     out: List[str] = [
-        f"start: {plan.start}",
+        f"start: {grammar.start}",
         "options: "
-        + " ".join(f"{key}={value}" for key, value in sorted(plan.options.items())),
+        + " ".join(f"{key}={value}" for key, value in sorted(options.items())),
     ]
-    if plan.blackboxes:
-        out.append("blackboxes: " + ", ".join(plan.blackboxes))
-    for rule in plan.rules.values():
-        _explain_rule(rule, plan, out, 0)
+    if grammar.blackboxes:
+        out.append("blackboxes: " + ", ".join(sorted(grammar.blackboxes)))
+    for name, rule in grammar.rules.items():
+        _explain_rule(analysis, rule, name, True, out, 0)
     return "\n".join(out) + "\n"

@@ -36,18 +36,6 @@ chasing the ``P.end`` chains interval auto-completion leaves behind:
   names); a plan covering every term is *full* and additionally enables
   bulk array decoding (one ``Struct.iter_unpack`` per array).
 
-Records with a *variable-width gap* get a second, **anchored** analysis
-(:func:`alternative_suffix`): when the prefix walk stops at a nonterminal
-term (the gap), the remaining terms are re-analyzed with every offset
-expressed relative to the gap's ``end`` attribute — symbolically, as an
-affine value ``anchor + k``.  A term joins the anchored plan only when both
-interval endpoints are affine in the anchor with coefficient exactly one
-(the ``P.end`` chains auto-completion emits qualify; frame-absolute
-constants and nonlinear uses of positions do not), so the suffix struct's
-single ``anchor + needed <= EOI`` bounds check stays sound.  DNS resource
-records are the motivating case: a variable-width ``Name`` followed by the
-10-byte type/class/ttl/rdlength tail (one ``>HHIH`` unpack per record).
-
 Soundness contract: executing a plan is observably identical to executing
 the covered terms one by one.  The single ``window >= needed`` bounds check
 subsumes every covered interval-validity check (all offsets are constants),
@@ -94,9 +82,7 @@ from .exprcomp import SPECIALS, fold
 __all__ = [
     "AltShape",
     "PlanCode",
-    "SuffixShape",
     "alternative_shape",
-    "alternative_suffix",
     "rule_shape",
     "linear_stride",
     "explain_shapes",
@@ -123,70 +109,6 @@ class _Stop(Exception):
 
 class _NotConst(Exception):
     """A statically evaluated expression referenced a runtime value."""
-
-
-def _affine(coeff: int, const: int):
-    return const if coeff == 0 else _Affine(coeff, const)
-
-
-class _Affine:
-    """``coeff * anchor + const`` flowing through static interval evaluation.
-
-    Anchored suffix analyses store positions as affine values in the anchor
-    (the gap's runtime ``end``).  Addition, subtraction and integer scaling
-    keep the form — differences of two positions collapse back to plain
-    ints — and every other operation raises :class:`_NotConst`, so any
-    nonlinear use of a position (division, comparison, a conditional's
-    test) conservatively stops the walk instead of mis-anchoring a field.
-    """
-
-    __slots__ = ("coeff", "const")
-
-    def __init__(self, coeff: int, const: int):
-        self.coeff = coeff
-        self.const = const
-
-    def __add__(self, other):
-        if isinstance(other, _Affine):
-            return _affine(self.coeff + other.coeff, self.const + other.const)
-        if isinstance(other, int):
-            return _Affine(self.coeff, self.const + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Affine):
-            return _affine(self.coeff - other.coeff, self.const - other.const)
-        if isinstance(other, int):
-            return _Affine(self.coeff, self.const - other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return _affine(-self.coeff, other - self.const)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _affine(self.coeff * other, self.const * other)
-        raise _NotConst()
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _affine(-self.coeff, -self.const)
-
-    # Any observation that depends on the anchor's runtime value.
-    def _opaque(self, *_args):
-        raise _NotConst()
-
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _opaque
-    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _opaque
-    __truediv__ = __rtruediv__ = __abs__ = __bool__ = _opaque
-    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _opaque
-    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _opaque
-    __hash__ = None
 
 
 def _rw_can_raise(rw) -> bool:
@@ -391,7 +313,6 @@ class _Analyzer:
         width: Optional[int],
         in_progress: frozenset,
         flat_only: bool = False,
-        anchor: Optional[str] = None,
     ):
         self.grammar = grammar
         self.width = width
@@ -403,14 +324,7 @@ class _Analyzer:
         #: start (the same reason the streaming variant disables single-use
         #: inlining).
         self.flat_only = flat_only
-        #: Anchored (suffix) mode: the name of the gap nonterminal whose
-        #: ``end`` attribute every plan offset is relative to.  Positions
-        #: become :class:`_Affine` values during static evaluation and
-        #: ``("anch", k)`` nodes in rewritten expressions.
-        self.anchor = anchor
         self.ctx = _StaticCtx()
-        if anchor is not None:
-            self.ctx.records[anchor] = {"end": _Affine(1, 0)}
         #: name -> ("int" | "raw" | "bytes", _Field) | ("nested", _NestedStep)
         self.records: Dict[str, tuple] = {}
         self.attrs_by_name: Dict[str, _AttrStep] = {}
@@ -421,10 +335,9 @@ class _Analyzer:
         rule_name: str,
         alt_index: int,
         alternative: Alternative,
-        start_at: int = 0,
     ) -> AltShape:
         plan = AltShape(rule_name, alt_index, self.width)
-        terms = alternative.terms[start_at:]
+        terms = alternative.terms
         plan.total = len(terms)
         if alternative.local_rules:
             plan.stop_reason = "declares where-rules"
@@ -453,20 +366,6 @@ class _Analyzer:
             # let the ordinary term path produce the failure.
             raise _Stop("expression raises statically")
 
-    def _unwrap(self, value, what: str, which: str) -> int:
-        """Anchor-normalize one static endpoint to a plain int offset.
-
-        Anchored analyses accept only ``anchor + k`` positions (affine,
-        coefficient exactly one) and return ``k``; a plain int there is a
-        frame-absolute position that cannot share the anchored struct's
-        base.  Parametric/width-known analyses never see affine values.
-        """
-        if self.anchor is not None:
-            if not isinstance(value, _Affine) or value.coeff != 1:
-                raise _Stop(f"{what}: {which} endpoint is not anchored on the gap")
-            return value.const
-        return value
-
     def _interval(self, term, what: str) -> Tuple[int, object]:
         """Resolve a term's interval to ``(left, right)``; right may be "EOI"."""
         interval = term.interval
@@ -475,7 +374,6 @@ class _Analyzer:
         left = self._static(interval.left)
         if left is None:
             raise _Stop(f"{what}: left endpoint is not static")
-        left = self._unwrap(left, what, "left")
         right = self._static(interval.right)
         if right is None:
             folded = fold(interval.right)
@@ -484,22 +382,11 @@ class _Analyzer:
                     return left, self.width
                 return left, "EOI"
             raise _Stop(f"{what}: right endpoint is not static")
-        return left, self._unwrap(right, what, "right")
-
-    def _pos(self, offset: int):
-        """A position value for the static ctx (affine when anchored)."""
-        return _Affine(1, offset) if self.anchor is not None else offset
-
-    def _pos_rw(self, offset: int):
-        """A position node for rewritten expressions (anchored when anchored)."""
-        return ("anch", offset) if self.anchor is not None else ("num", offset)
+        return left, right
 
     def _check_window(self, plan: AltShape, left: int, right, consumed: int, what: str) -> None:
         """Static part of the ``0 <= l <= r <= EOI`` / width validity checks."""
         if left < 0:
-            if self.anchor is not None:
-                # anchor + left could still be in range; just unsupported.
-                raise _Stop(f"{what}: anchored field before the gap's end")
             raise _Stop(f"{what}: always fails (negative left endpoint)")
         if right == "EOI":
             plan.needed = max(plan.needed, left + consumed)
@@ -567,10 +454,6 @@ class _Analyzer:
             ident = expr.ident
             if ident == "EOI":
                 return ("num", self.width) if self.width is not None else ("eoi",)
-            if ident in ("start", "end") and self.anchor is not None:
-                # The running specials mix pre-gap touches (unknown here)
-                # with anchored ones; no static form exists.
-                raise _Stop(f"anchored plan reads the {ident!r} special")
             if ident == "end":
                 return ("num", plan.end if plan.touch else 0)
             if ident == "start":
@@ -604,8 +487,6 @@ class _Analyzer:
     def _rewrite_dot(self, expr: Dot):
         record = self.records.get(expr.nonterminal)
         if record is None:
-            if expr.nonterminal == self.anchor and expr.attr == "end":
-                return ("anch", 0)  # the gap's end IS the anchor
             raise _Stop(f"references unparsed nonterminal {expr.nonterminal!r}")
         kind, item = record
         attr = expr.attr
@@ -614,13 +495,13 @@ class _Analyzer:
             if attr == "start":
                 # Every field rebases its start to its window offset — a
                 # zero-width Raw included (callee start = its own length 0).
-                return self._pos_rw(offset)
+                return ("num", offset)
             if attr == "end":
-                return self._pos_rw(offset + width)
+                return ("num", offset + width)
             if attr == "EOI":
                 if item.eoi is not None:
                     return ("num", item.eoi)
-                return ("bin", "-", ("eoi",), self._pos_rw(offset))
+                return ("bin", "-", ("eoi",), ("num", offset))
             if kind == "int" and attr == "val":
                 return ("slot", item)
             if kind in ("raw", "bytes") and attr in ("len", "val"):
@@ -632,11 +513,9 @@ class _Analyzer:
         if attr == "EOI":
             return ("num", step.width)
         if attr == "start":
-            return self._pos_rw(
-                step.offset + (nested.start if nested.touch else step.width)
-            )
+            return ("num", step.offset + (nested.start if nested.touch else step.width))
         if attr == "end":
-            return self._pos_rw(step.offset + (nested.end if nested.touch else 0))
+            return ("num", step.offset + (nested.end if nested.touch else 0))
         for astep in nested.attr_steps:
             if astep.name == attr:
                 return ("attr", astep)
@@ -655,8 +534,6 @@ class _Analyzer:
             self.attrs_by_name[term.name] = step
             if rw[0] == "num":
                 self.ctx.names[term.name] = rw[1]
-            elif rw[0] == "anch":
-                self.ctx.names[term.name] = _Affine(1, rw[1])
             else:
                 self.ctx.names.pop(term.name, None)
             return
@@ -712,7 +589,7 @@ class _Analyzer:
             plan.items.append(field)
             self._touch_span(plan, left, left + width)
             self.records[name] = ("int", field)
-            entry = {"start": self._pos(left), "end": self._pos(left + width)}
+            entry = {"start": left, "end": left + width}
             if eoi is not None:
                 entry["EOI"] = eoi
             self.ctx.records[name] = entry
@@ -731,8 +608,8 @@ class _Analyzer:
                 self._touch_span(plan, left, left + width)
             self.records[name] = (kind, field)
             self.ctx.records[name] = {
-                "start": self._pos(left),
-                "end": self._pos(left + width),
+                "start": left,
+                "end": left + width,
                 "EOI": width,
                 "len": width,
                 "val": width,
@@ -758,8 +635,8 @@ class _Analyzer:
         plan.items.append(step)
         self.records[name] = ("nested", step)
         entry = {
-            "start": self._pos(left + (nested.start if nested.touch else width)),
-            "end": self._pos(left + (nested.end if nested.touch else 0)),
+            "start": left + (nested.start if nested.touch else width),
+            "end": left + (nested.end if nested.touch else 0),
             "EOI": width,
         }
         for astep in nested.attr_steps:
@@ -809,10 +686,6 @@ class _Analyzer:
     def _walk_array(self, term: TermArray, plan: AltShape) -> None:
         if self.flat_only:
             raise _Stop("arrays not absorbed (flat-only plan)")
-        if self.anchor is not None:
-            # Anchored positions must never leak into a *count* (bounds are
-            # dimensionless); refusing arrays outright keeps that sound.
-            raise _Stop("arrays not absorbed (anchored plan)")
         first = self._static(term.start)
         stop = self._static(term.stop)
         if first is None or stop is None:
@@ -1048,86 +921,6 @@ def alternative_shape(
     return plan
 
 
-class SuffixShape:
-    """An anchored plan for the fixed tail behind one variable-width gap.
-
-    ``gap_index`` is the term index of the gap nonterminal (the prefix
-    walk's stop point); ``gap_name`` its name; ``plan`` the anchored
-    :class:`AltShape` over the terms after the gap, every offset relative
-    to the gap's runtime ``end`` attribute.
-    """
-
-    __slots__ = ("gap_index", "gap_name", "plan")
-
-    def __init__(self, gap_index: int, gap_name: str, plan: AltShape):
-        self.gap_index = gap_index
-        self.gap_name = gap_name
-        self.plan = plan
-
-    def describe(self) -> str:
-        plan = self.plan
-        parts = [
-            f"anchored tail after {self.gap_name}, "
-            f"{plan.needed} byte(s), {plan.nslots} slot(s)"
-        ]
-        if plan.fmt:
-            parts.append(f"fmt {plan.fmt!r}")
-        parts.append(f"covers {plan.covered}/{plan.total} tail terms")
-        return ", ".join(parts)
-
-
-#: Cache miss sentinel — ``None`` is a valid (negative) analysis result.
-_NO_SUFFIX = object()
-
-
-def alternative_suffix(
-    grammar: Grammar,
-    rule_name: str,
-    alt_index: int,
-    flat_only: bool = False,
-) -> Optional[SuffixShape]:
-    """The anchored fixed-suffix plan behind an alternative's gap, if any.
-
-    Returns ``None`` unless the (cached) prefix analysis stopped at a
-    nonterminal term with fixed terms behind it whose intervals all chain
-    off that gap's ``end`` — the multi-segment *fixed prefix + variable
-    gap + fixed suffix* shape (DNS RRs, length-prefixed name + fixed tail
-    records generally).  Only worthwhile plans (enough struct slots to
-    amortize the unpack) are returned; parametric results are cached on
-    the grammar like :func:`alternative_shape`.
-    """
-    cache = getattr(grammar, "_suffix_cache", None)
-    if cache is None:
-        cache = grammar._suffix_cache = {}
-    key = (rule_name, alt_index, flat_only)
-    cached = cache.get(key, _NO_SUFFIX)
-    if cached is not _NO_SUFFIX:
-        return cached
-    result = None
-    alternative = grammar.rule(rule_name).alternatives[alt_index]
-    prefix = alternative_shape(grammar, rule_name, alt_index, flat_only=flat_only)
-    if not prefix.full and not alternative.local_rules:
-        gap_index = prefix.covered
-        terms = alternative.terms
-        if gap_index + 1 < len(terms):
-            gap = terms[gap_index]
-            if isinstance(gap, TermNonterminal):
-                analyzer = _Analyzer(
-                    grammar,
-                    None,
-                    frozenset({rule_name}),
-                    flat_only=flat_only,
-                    anchor=gap.name,
-                )
-                plan = analyzer.analyze(
-                    rule_name, alt_index, alternative, start_at=gap_index + 1
-                )
-                if plan.covered and plan.worthwhile:
-                    result = SuffixShape(gap_index, gap.name, plan)
-    cache[key] = result
-    return result
-
-
 def rule_shape(grammar: Grammar, name: str, width: Optional[int] = None) -> Optional[AltShape]:
     """The full fixed plan of a single-alternative rule, or ``None``."""
     if not grammar.has_rule(name):
@@ -1156,9 +949,6 @@ def explain_shapes(grammar: Grammar) -> List[Tuple[str, str]]:
             description = f"not fixed ({reason})"
         else:
             description = plan.describe()
-        suffix = alternative_suffix(grammar, name, 0)
-        if suffix is not None:
-            description = f"{description}; {suffix.describe()}"
         lines.append((name, description))
     return lines
 
@@ -1197,32 +987,25 @@ def _attr_local(step: _AttrStep, plan: AltShape) -> str:
     return f"_fa{plan.uid}_{step.key}"
 
 
-def _render(rw, slot_src: Callable[[_Field], str], attr_src, eoi_src: str,
-            anch_src=None) -> str:
+def _render(rw, slot_src: Callable[[_Field], str], attr_src, eoi_src: str) -> str:
     kind = rw[0]
     if kind == "num":
         return repr(rw[1])
     if kind == "eoi":
         return eoi_src
-    if kind == "anch":
-        assert anch_src is not None, "anchored node outside an anchored emission"
-        src = anch_src(rw[1])
-        # ``anchor + offset`` is multi-token: parenthesize so it binds
-        # tighter than the surrounding operator (``hl - (anchor + k)``).
-        return src if " " not in src else f"({src})"
     if kind == "slot":
         return slot_src(rw[1])
     if kind == "attr":
         return attr_src(rw[1])
     if kind == "cond":
-        cond = _render(rw[1], slot_src, attr_src, eoi_src, anch_src)
-        then = _render(rw[2], slot_src, attr_src, eoi_src, anch_src)
-        other = _render(rw[3], slot_src, attr_src, eoi_src, anch_src)
+        cond = _render(rw[1], slot_src, attr_src, eoi_src)
+        then = _render(rw[2], slot_src, attr_src, eoi_src)
+        other = _render(rw[3], slot_src, attr_src, eoi_src)
         return f"({then} if {cond} != 0 else {other})"
     assert kind == "bin"
     op = rw[1]
-    left = _render(rw[2], slot_src, attr_src, eoi_src, anch_src)
-    right = _render(rw[3], slot_src, attr_src, eoi_src, anch_src)
+    left = _render(rw[2], slot_src, attr_src, eoi_src)
+    right = _render(rw[3], slot_src, attr_src, eoi_src)
     if op in ("+", "-", "*", "&", "|"):
         return f"({left} {op} {right})"
     if op in ("<<", ">>"):
@@ -1259,7 +1042,6 @@ def emit_plan_code(
     build: bool,
     leaf_const: Callable[[bytes], str],
     data_var: str = "data",
-    rel_base: Optional[str] = None,
 ) -> PlanCode:
     """Render a plan instantiation as straight-line Python.
 
@@ -1268,13 +1050,9 @@ def emit_plan_code(
     Every env offset is a frame-relative constant: a caller that rebases
     the frame (bulk array elements) builds the top env itself from
     ``attr_locals`` and the plan's static span.  ``leaf_const`` interns
-    literal leaves (the compiler's shared constants).  The caller is responsible for the ``window >=
-    plan.needed`` bounds check and for the ``unpack``/``unpack_from``
-    call producing ``slot_var``.
-
-    Anchored suffix plans pass ``rel_base`` — the Python local holding the
-    runtime anchor (the gap's frame-relative ``end``): env positions render
-    as ``rel_base + k`` and ``abs_base`` must already include the anchor.
+    literal leaves (the compiler's shared constants).  The caller is
+    responsible for the ``window >= plan.needed`` bounds check and for the
+    ``unpack``/``unpack_from`` call producing ``slot_var``.
     """
     code = PlanCode()
 
@@ -1284,23 +1062,9 @@ def emit_plan_code(
     def attr_src(step: _AttrStep) -> str:
         return _attr_local(step, plan)
 
-    def anch_src(offset: int) -> str:
-        assert rel_base is not None
-        return _add_src(rel_base, offset)
-
-    def top_rel(offset: int) -> str:
-        if rel_base is not None:
-            return _add_src(rel_base, offset)
-        return repr(offset)
-
     def int_env(field: _Field, rel, frame_eoi: str) -> str:
         if field.eoi is not None:
             eoi = repr(field.eoi)
-        elif rel_base is not None:
-            # Anchored frame: EOI - (anchor + offset), left-associated.
-            eoi = f"{frame_eoi} - {rel_base}"
-            if field.offset:
-                eoi = f"{eoi} - {field.offset}"
         else:
             eoi = f"{frame_eoi} - {field.offset}" if field.offset else frame_eoi
         return (
@@ -1381,10 +1145,10 @@ def emit_plan_code(
                     code.lines.append(f"if {slot_src(item)} != {item.value!r}:")
                     code.lines.append("    return FAIL")
             elif isinstance(item, _AttrStep):
-                rendered = _render(item.rw, slot_src, attr_src, eoi_src, anch_src)
+                rendered = _render(item.rw, slot_src, attr_src, eoi_src)
                 code.lines.append(f"{_attr_local(item, plan)} = {rendered}")
             elif isinstance(item, _GuardStep):
-                rendered = _render(item.rw, slot_src, attr_src, eoi_src, anch_src)
+                rendered = _render(item.rw, slot_src, attr_src, eoi_src)
                 code.lines.append(f"if {rendered} == 0:")
                 code.lines.append("    return FAIL")
             elif isinstance(item, _NestedStep):
@@ -1402,28 +1166,28 @@ def emit_plan_code(
     # -- pass 2: tree children / record envs / array element lists ---------
     if build:
         for item in plan.items:
-            rendered = item_node(item, top_rel)
+            rendered = item_node(item, repr)
             if rendered is not None:
                 code.child_exprs.append(rendered)
     for item in plan.items:
         if isinstance(item, _Field) and item.kind in ("int", "raw", "bytes"):
             env = (
-                int_env(item, top_rel, eoi_src)
+                int_env(item, repr, eoi_src)
                 if item.kind == "int"
-                else raw_env(item, top_rel)
+                else raw_env(item, repr)
             )
             code._env_srcs[item.name] = env
         elif isinstance(item, _NestedStep):
             code._env_srcs[item.name] = (
-                f"{{{', '.join(nested_env_items(item, top_rel))}}}"
+                f"{{{', '.join(nested_env_items(item, repr))}}}"
             )
         elif isinstance(item, _ArrayStep):
             elements = []
             for offset, nested in zip(item.offsets, item.plans):
                 step = _NestedStep(offset, item.width, item.name, nested)
                 if build:
-                    elements.append(nested_node(step, top_rel))
+                    elements.append(nested_node(step, repr))
                 else:
-                    elements.append(f"{{{', '.join(nested_env_items(step, top_rel))}}}")
+                    elements.append(f"{{{', '.join(nested_env_items(step, repr))}}}")
             code._array_srcs[item.name] = f"[{', '.join(elements)}]"
     return code

@@ -1,26 +1,28 @@
-"""Tests for the plan IR layer (``repro.core.ir``).
+"""Tests for ``explain_plan`` (``repro.core.ir``) and ``repro compile --explain``.
 
 **Golden IR dumps** — ``explain_plan`` output for every bundled format is
-pinned under ``tests/golden_ir/``.  A refactor that changes what the front
-end lowers a format to (rule order, dispatch tables, fuel placement, op
-sequences) fails here even when every engine still agrees at runtime.
-Regenerate after an intentional change with::
+pinned under ``tests/golden_ir/``.  A refactor that changes what the
+analysis decides for a format (rule order, dispatch tables, fuel placement,
+term sequences) fails here even when every engine still agrees at runtime.
+The CLI path is pinned against the same files.  Regenerate after an
+intentional change with::
 
     PYTHONPATH=src python -m pytest tests/test_ir.py --update-golden
 
-**Plan structure** — a lowered plan always carries the grammar and the
-analysis it came from, and every rule's memo/fuel/decoder/dispatch facts
-are the analysis's.  ``explain_plan`` and the backends read those facts
-straight from ``plan.analysis``.
+**Dump facts** — every dumped ``rule …:`` line states exactly the memo
+mode, fuel placement, fixed-shape decoder and dispatch table that
+``analyze()`` decided for that rule.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.compiler import Optimizations
 from repro.core.interpreter import prepare_grammar
-from repro.core.ir import analyze, explain_plan, lower
+from repro.core.ir import analyze, explain_plan
 from repro.formats import registry
 
 GOLDEN_IR_DIR = Path(__file__).parent / "golden_ir"
@@ -30,9 +32,13 @@ def golden_ir_path(fmt: str) -> Path:
     return GOLDEN_IR_DIR / f"{fmt}.txt"
 
 
-def format_plan(fmt: str, optimizations=None):
+def format_analysis(fmt: str, optimizations=None):
     spec = registry[fmt]
-    return lower(prepare_grammar(spec.grammar_text), optimizations=optimizations)
+    return analyze(prepare_grammar(spec.grammar_text), optimizations=optimizations)
+
+
+def format_dump(fmt: str, optimizations=None) -> str:
+    return explain_plan(format_analysis(fmt, optimizations))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +49,7 @@ def format_plan(fmt: str, optimizations=None):
 class TestGoldenIR:
     @pytest.mark.parametrize("fmt", sorted(registry))
     def test_explain_matches_golden_artifact(self, fmt, update_golden):
-        dump = explain_plan(format_plan(fmt)).rstrip("\n")
+        dump = format_dump(fmt).rstrip("\n")
         path = golden_ir_path(fmt)
         if update_golden:
             GOLDEN_IR_DIR.mkdir(exist_ok=True)
@@ -55,61 +61,106 @@ class TestGoldenIR:
         )
         pinned = path.read_text(encoding="utf-8").rstrip("\n")
         assert dump == pinned, (
-            f"{fmt}: lowered plan IR diverged from the pinned dump; if the "
+            f"{fmt}: explain dump diverged from the pinned dump; if the "
             f"change is intentional, re-run with --update-golden"
         )
 
     def test_explain_is_deterministic(self):
-        assert explain_plan(format_plan("dns")) == explain_plan(format_plan("dns"))
+        assert format_dump("dns") == format_dump("dns")
 
     def test_explain_reflects_disabled_passes(self):
-        full = explain_plan(format_plan("dns"))
-        bare = explain_plan(format_plan("dns", optimizations=Optimizations.none()))
+        full = format_dump("dns")
+        bare = format_dump("dns", optimizations=Optimizations.none())
         assert full != bare
         assert "first_byte_dispatch=True" in full
         assert "first_byte_dispatch=False" in bare
 
 
-# ---------------------------------------------------------------------------
-# Plan structure
-# ---------------------------------------------------------------------------
+class TestCliExplain:
+    @pytest.mark.parametrize("fmt", sorted(registry))
+    def test_cli_explain_matches_golden_artifact(self, fmt, capsys):
+        assert main(["compile", "--format", fmt, "--explain"]) == 0
+        pinned = golden_ir_path(fmt).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == pinned
+
+    def test_cli_explain_no_optimize(self, capsys):
+        assert main(["compile", "--format", "dns", "--explain", "--no-optimize"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        options = [line for line in lines if line.startswith("options:")]
+        assert len(options) == 1
+        assert "first_byte_dispatch=False" in options[0].split()
 
 
-def _walk_rules(rules):
-    for rule in rules:
-        yield rule
-        for alt in rule.alts:
-            yield from _walk_rules(alt.locals)
+# ---------------------------------------------------------------------------
+# Dump facts
+# ---------------------------------------------------------------------------
+
+_RULE_LINE = re.compile(r"^ *rule (\S+): (.*)$")
+
+
+def _expected_rule_lines(analysis):
+    """``(path, facts, dispatch)`` per rule, in dump order, from ``analyze()``."""
+
+    def walk(rule, path, toplevel):
+        if toplevel:
+            facts = [
+                f"memo={analysis.memo_modes[rule.name]}",
+                "fuel=charged" if rule.name in analysis.recursive else "fuel=free",
+            ]
+            shape = analysis.full_shapes.get(rule.name)
+            if shape is not None:
+                facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
+            dispatch = rule.name in analysis.dispatch_plans
+        else:
+            facts = ["memo=local", "fuel=charged"]
+            dispatch = id(rule) in analysis.local_plans
+        yield path, " ".join(facts), dispatch
+        for index, alternative in enumerate(rule.alternatives):
+            for local in alternative.local_rules:
+                yield from walk(local, f"{path}/a{index}/{local.name}", False)
+
+    for name, rule in analysis.grammar.rules.items():
+        yield from walk(rule, name, True)
+
+
+def _dumped_rule_lines(dump: str):
+    lines = dump.splitlines()
+    for index, line in enumerate(lines):
+        match = _RULE_LINE.match(line)
+        if match:
+            following = lines[index + 1] if index + 1 < len(lines) else ""
+            dispatch = following.strip().startswith("dispatch:")
+            yield match.group(1), match.group(2), dispatch
 
 
 class TestPlanStructure:
     @pytest.mark.parametrize("fmt", sorted(registry))
     def test_plan_carries_its_grammar_and_analysis(self, fmt):
         grammar = prepare_grammar(registry[fmt].grammar_text)
-        plan = lower(grammar)
-        assert plan.grammar is grammar
-        assert plan.analysis.grammar is grammar
-        assert plan.start == grammar.start
-        assert list(plan.rules) == list(grammar.rules)
-        # A caller-supplied analysis is reused, not recomputed.
-        analysis = analyze(grammar, optimizations=Optimizations.none())
-        assert lower(grammar, analysis=analysis).analysis is analysis
+        analysis = analyze(grammar)
+        assert analysis.grammar is grammar
+        dump = explain_plan(analysis)
+        assert dump.splitlines()[0] == f"start: {grammar.start}"
+        toplevel = [
+            name for name, _, _ in _dumped_rule_lines(dump) if "/" not in name
+        ]
+        assert toplevel == list(grammar.rules)
+        # The dump renders the caller's analysis, not a fresh default one.
+        bare = analyze(grammar, optimizations=Optimizations.none())
+        assert bare.grammar is grammar
+        options = explain_plan(bare).splitlines()[1].split()
+        assert "first_byte_dispatch=False" in options
+        assert "bulk_fixed_shape=False" in options
 
     @pytest.mark.parametrize("fmt", sorted(registry))
     def test_rule_facts_follow_the_analysis(self, fmt):
-        plan = format_plan(fmt)
-        analysis = plan.analysis
-        for name, rule in plan.rules.items():
-            assert rule.memo == analysis.memo_modes[name]
-            assert rule.fuel == (name in analysis.recursive)
-            assert rule.decoder == (name in analysis.full_shapes)
-            assert (rule.dispatch is not None) == (name in analysis.dispatch_plans)
-        for rule in _walk_rules(plan.rules.values()):
-            if rule.dispatch is not None:
-                assert len(rule.dispatch.table) == 256
-                assert rule.dispatch.alternatives == len(rule.alts)
+        analysis = format_analysis(fmt)
+        dump = explain_plan(analysis)
+        assert dump.splitlines()[0] == f"start: {analysis.grammar.start}"
+        assert list(_dumped_rule_lines(dump)) == list(_expected_rule_lines(analysis))
 
     @pytest.mark.parametrize("fmt", sorted(registry))
     def test_lowering_is_deterministic(self, fmt):
-        # Two independent front-end runs lower to the same dump.
-        assert explain_plan(format_plan(fmt)) == explain_plan(format_plan(fmt))
+        # Two independent front-end runs (analysis, then rendering) produce
+        # the same dump.
+        assert format_dump(fmt) == format_dump(fmt)

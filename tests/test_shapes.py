@@ -19,7 +19,6 @@ from repro.core.errors import ParseFailure
 from repro.core.interpreter import prepare_grammar
 from repro.core.shapes import (
     alternative_shape,
-    alternative_suffix,
     explain_shapes,
     linear_stride,
     rule_shape,
@@ -130,130 +129,6 @@ class TestLayoutInference:
         assert report["ELF"].startswith("not fixed")
 
 
-def suffix_for(grammar_text, rule, alt=0, flat_only=False):
-    return alternative_suffix(
-        prepare_grammar(grammar_text), rule, alt, flat_only=flat_only
-    )
-
-
-#: Fixed tail behind a variable-width gap, with a guard, a window-relative
-#: EOI read, and a post-suffix term whose interval chains off a tail record.
-SUFFIX_GRAMMAR = """
-S -> Hdr[0, 4] Var
-     U32BE {tag = U32BE.val} guard(tag < 4000000000)
-     U16BE {b = U16BE.val}
-     U16BE {rest = U16BE.EOI}
-     Payload[U16BE.end, U16BE.end + U16BE.val] ;
-Hdr -> U16BE {a = U16BE.val} U16BE {b = U16BE.val} ;
-Var -> U8 {n = U8.val} Bytes[n] ;
-Payload -> Raw ;
-"""
-
-
-class TestAnchoredSuffix:
-    """Multi-segment plans: fixed prefix + variable gap + anchored tail."""
-
-    def test_dns_rr_layout(self):
-        suffix = suffix_for(registry["dns"].grammar_text, "RR")
-        assert suffix is not None
-        assert (suffix.gap_index, suffix.gap_name) == (0, "Name")
-        plan = suffix.plan
-        # The 10-byte type/class/ttl/rdlength tail, one big-endian unpack.
-        assert plan.fmt == ">HHIH"
-        assert (plan.needed, plan.nslots) == (10, 4)
-        assert [step.name for step in plan.attr_steps] == [
-            "rtype", "rclass", "ttl", "rdlength",
-        ]
-        # Stops where the tail turns interval-dependent (RData's width).
-        assert plan.covered == 8 and not plan.full
-
-    def test_small_tails_are_not_worthwhile(self):
-        # Question's 2-slot tail does not amortize the struct call.
-        assert suffix_for(registry["dns"].grammar_text, "Question") is None
-
-    def test_custom_suffix_plan_with_prefix(self):
-        suffix = suffix_for(SUFFIX_GRAMMAR, "S")
-        assert suffix is not None
-        assert (suffix.gap_index, suffix.gap_name) == (1, "Var")
-        assert suffix.plan.fmt == ">IHH"
-        assert suffix.plan.has_guards
-
-    def test_frame_absolute_tail_interval_rejected(self):
-        # [4, 8] is frame-absolute: it cannot share the anchored base.
-        grammar = """
-        S -> Var U32LE[4, 8] {a = U32LE.val} U16LE {b = U16LE.val}
-             U16LE {c = U16LE.val} ;
-        Var -> U8 {n = U8.val} Bytes[n] ;
-        """
-        assert suffix_for(grammar, "S") is None
-
-    def test_nonlinear_anchor_use_rejected(self):
-        grammar = """
-        S -> Var U32LE[Var.end * 2, Var.end * 2 + 4] {a = U32LE.val}
-             U32LE {b = U32LE.val} U32LE {c = U32LE.val} ;
-        Var -> U8 {n = U8.val} Bytes[n] ;
-        """
-        assert suffix_for(grammar, "S") is None
-
-    def test_specials_in_tail_stop_the_walk(self):
-        grammar = """
-        S -> Var U32LE {a = end} U32LE {b = U32LE.val} U32LE {c = U32LE.val} ;
-        Var -> U8 {n = U8.val} Bytes[n] ;
-        """
-        suffix = suffix_for(grammar, "S")
-        # The running `end` special mixes pre-gap state; only the first
-        # field (before the attr) can be covered — not worthwhile.
-        assert suffix is None
-
-    def test_arrays_in_tail_are_not_absorbed(self):
-        grammar = """
-        S -> Var for i = 0 to 3 do R[Var.end + 2 * i, Var.end + 2 * (i + 1)] ;
-        Var -> U8 {n = U8.val} Bytes[n] ;
-        R -> U16BE {v = U16BE.val} ;
-        """
-        assert suffix_for(grammar, "S") is None
-
-    def test_suffix_reported_by_explain_shapes(self):
-        grammar = prepare_grammar(registry["dns"].grammar_text)
-        report = dict(explain_shapes(grammar))
-        assert "anchored tail after Name" in report["RR"]
-        assert "'>HHIH'" in report["RR"]
-
-    def test_compiled_source_carries_the_fused_tail(self):
-        compiled = compile_grammar(registry["dns"].grammar_text)
-        assert ">HHIH" in compiled.source
-        assert "RR" in compiled.shaped_rules
-        off = compile_grammar(
-            registry["dns"].grammar_text,
-            optimizations=Optimizations(bulk_fixed_shape=False),
-        )
-        assert ">HHIH" not in off.source
-
-    def test_cross_engine_agreement_on_custom_grammar(self):
-        matrix = matrix_for(SUFFIX_GRAMMAR)
-        base = (
-            pystruct.pack(">HH", 7, 9)
-            + b"\x03abc"
-            + pystruct.pack(">IHH", 123456, 2, 4)
-            + b"\x01\x02\x03\x04"
-        )
-        matrix.assert_agree(base)
-        # Truncation at every byte boundary (the anchored bounds check and
-        # the per-term path must fail identically), plus a failing guard.
-        for i in range(len(base) + 1):
-            matrix.assert_agree(base[:i])
-        hostile = bytearray(base)
-        hostile[8:12] = pystruct.pack(">I", 4000000001)
-        matrix.assert_agree(bytes(hostile))
-
-    def test_dns_truncations_agree(self):
-        data = format_sample("dns")
-        matrix = matrix_for(registry["dns"].grammar_text)
-        matrix.assert_agree(data)
-        for i in range(0, len(data) + 1, 3):
-            matrix.assert_agree(data[:i])
-
-
 class TestLinearStride:
     def parse_interval(self, text):
         from repro.core.grammar_parser import parse_expression
@@ -362,6 +237,89 @@ def build_bulk_stream_input(count=25, tail=b"xyz"):
         pystruct.pack(">IHH", i * 3, i * 5, i * 7) for i in range(count)
     )
     return pystruct.pack(">HH", count, 1) + records + tail
+
+
+#: A fixed-width prefix, a variable-width gap, then a fixed tail the
+#: per-term path runs: a guard, a window-relative EOI read, and a term whose
+#: interval chains off a tail record.
+GAP_GRAMMAR = """
+S -> Hdr[0, 4] Var
+     U32BE {tag = U32BE.val} guard(tag < 4000000000)
+     U16BE {b = U16BE.val}
+     U16BE {rest = U16BE.EOI}
+     Payload[U16BE.end, U16BE.end + U16BE.val] ;
+Hdr -> U16BE {a = U16BE.val} U16BE {b = U16BE.val} ;
+Var -> U8 {n = U8.val} Bytes[n] ;
+Payload -> Raw ;
+"""
+
+
+#: Fixed tails after a variable-width gap whose terms cannot share one
+#: anchored base: a frame-absolute interval, a non-linear use of the gap's
+#: end, the running ``end`` special, and a fixed-count array.
+TAIL_GRAMMARS = {
+    "frame_absolute_interval": """
+    S -> Var U32LE[4, 8] {a = U32LE.val} U16LE {b = U16LE.val}
+         U16LE {c = U16LE.val} ;
+    Var -> U8 {n = U8.val} Bytes[n] ;
+    """,
+    "nonlinear_anchor_use": """
+    S -> Var U32LE[Var.end * 2, Var.end * 2 + 4] {a = U32LE.val}
+         U32LE {b = U32LE.val} U32LE {c = U32LE.val} ;
+    Var -> U8 {n = U8.val} Bytes[n] ;
+    """,
+    "special_in_tail": """
+    S -> Var U32LE {a = end} U32LE {b = U32LE.val} U32LE {c = U32LE.val} ;
+    Var -> U8 {n = U8.val} Bytes[n] ;
+    """,
+    "array_in_tail": """
+    S -> Var for i = 0 to 3 do R[Var.end + 2 * i, Var.end + 2 * (i + 1)] ;
+    Var -> U8 {n = U8.val} Bytes[n] ;
+    R -> U16BE {v = U16BE.val} ;
+    """,
+}
+
+
+class TestAnchoredSuffix:
+    """Fixed-width tails anchored behind a variable-width gap.
+
+    Every engine runs these tails term by term; each must fail exactly
+    where the interpreter does, at every truncation.
+    """
+
+    def test_cross_engine_agreement_on_custom_grammar(self):
+        matrix = matrix_for(GAP_GRAMMAR)
+        base = (
+            pystruct.pack(">HH", 7, 9)
+            + b"\x03abc"
+            + pystruct.pack(">IHH", 123456, 2, 4)
+            + b"\x01\x02\x03\x04"
+        )
+        matrix.assert_agree(base)
+        # Truncation at every byte boundary (every engine must fail where
+        # the interpreter does), plus a failing guard.
+        for i in range(len(base) + 1):
+            matrix.assert_agree(base[:i])
+        hostile = bytearray(base)
+        hostile[8:12] = pystruct.pack(">I", 4000000001)
+        matrix.assert_agree(bytes(hostile))
+
+    def test_dns_truncations_agree(self):
+        data = format_sample("dns")
+        matrix = matrix_for(registry["dns"].grammar_text)
+        matrix.assert_agree(data)
+        for i in range(0, len(data) + 1, 3):
+            matrix.assert_agree(data[:i])
+
+    @pytest.mark.parametrize("shape", sorted(TAIL_GRAMMARS))
+    def test_tail_shapes_agree_across_engines(self, shape):
+        matrix = matrix_for(TAIL_GRAMMARS[shape])
+        base = b"\x03abc" + bytes(range(1, 21))
+        assert matrix.interpreted.try_parse(base) is not None
+        for i in range(len(base) + 1):
+            matrix.assert_agree(base[:i])
+        # A longer gap pushes the tail past the end of the input.
+        matrix.assert_agree(b"\x13" + base[1:])
 
 
 class TestBulkDifferential:

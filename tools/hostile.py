@@ -48,6 +48,7 @@ import json
 import os
 import struct
 import sys
+import time
 from typing import Dict, Iterator, List, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -303,19 +304,29 @@ def verify(formats) -> int:
         matrix = _matrix(fmt)
         entries = corpus(fmt)
         agreed = parsed = 0
+        slowest, slowest_s = "-", 0.0
+        began = time.perf_counter()
         for name, data in entries:
+            entry_began = time.perf_counter()
             try:
                 outcome = matrix.assert_error_agree(data)
             except AssertionError as exc:
                 failures += 1
                 print(f"DISAGREE {fmt}/{name}: {exc}", file=sys.stderr)
                 continue
+            finally:
+                elapsed = time.perf_counter() - entry_began
+                if elapsed > slowest_s:
+                    slowest, slowest_s = name, elapsed
             agreed += 1
             if outcome == ("tree",):
                 parsed += 1
         print(
             f"{fmt:<5} {agreed}/{len(entries)} agree "
-            f"({parsed} parse, {agreed - parsed} fail identically)"
+            f"({parsed} parse, {agreed - parsed} fail identically) "
+            f"in {time.perf_counter() - began:.1f}s, "
+            f"slowest {fmt}/{slowest} {slowest_s:.2f}s",
+            flush=True,
         )
     return 1 if failures else 0
 
