@@ -677,7 +677,8 @@ def cmd_serve(args) -> int:
                     line["error"] = type(result.error).__name__
                     line["message"] = str(result.error)
                 else:
-                    if result.tree is not None and args.tree:
+                    # Only read .tree when printed: the first read decodes.
+                    if args.tree and result.tree is not None:
                         line["tree"] = result.tree
                     if result.document is not None:
                         line["document"] = result.document

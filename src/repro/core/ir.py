@@ -35,7 +35,7 @@ Expressions print in IPG surface syntax (:meth:`Expr.to_source`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import (
@@ -272,16 +272,6 @@ class GrammarAnalysis:
     local_plans: Dict[int, object]
     #: Rule name -> full worthwhile AltShape plan (one struct decode).
     full_shapes: Dict[str, object]
-    #: Lazily computed §8 streamability verdict (None until requested).
-    _streamable: Optional[bool] = field(default=None, repr=False)
-
-    @property
-    def streamable(self) -> bool:
-        if self._streamable is None:
-            from .streamability import analyze_streamability
-
-            self._streamable = bool(analyze_streamability(self.grammar).streamable)
-        return self._streamable
 
 
 def analyze(

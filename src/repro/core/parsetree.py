@@ -230,6 +230,92 @@ def tree_to_jsonable(tree: ParseTree) -> Dict[str, Any]:
     }
 
 
+def tree_to_tape(tree: ParseTree) -> bytes:
+    """Flatten a parse tree into a *tape*: a pickled postorder list.
+
+    The parse service ships tree replies this way (one walk in the
+    worker, no intermediate dicts).  Each record follows its children:
+
+    * a :class:`Node` is ``name, env, child_count``;
+    * an :class:`ArrayNode` is ``None, name, element_count``;
+    * a :class:`Leaf` is its ``bytes`` value.
+
+    Env values go through pickle unchanged, so a blackbox attribute that
+    is a ``str``, ``tuple`` or ``None`` arrives as itself.  The walk is
+    an explicit stack, not recursion: it emits the records of the mirror
+    preorder (children right to left) and reverses them, which is the
+    postorder.  :func:`tape_to_jsonable` decodes the tape.
+    """
+    tape: List[Any] = []
+    emit = tape.append
+    stack = [tree]
+    pop, push_all = stack.pop, stack.extend
+    while stack:
+        tree = pop()
+        kind = type(tree)
+        if kind is not Node and kind is not Leaf and kind is not ArrayNode:
+            kind = _tree_class(tree)  # a subclass, e.g. LazyNode
+        if kind is Node:
+            children = tree.children
+            emit(len(children))
+            emit(tree.env)
+            emit(tree.name)
+            push_all(children)
+        elif kind is Leaf:
+            emit(tree.value)
+        else:
+            elements = tree.elements
+            emit(len(elements))
+            emit(tree.name)
+            emit(None)
+            push_all(elements)
+    tape.reverse()
+    import pickle  # here, so in-process parsing never loads pickle
+
+    return pickle.dumps(tape, pickle.HIGHEST_PROTOCOL)
+
+
+def _tree_class(tree: object) -> type:
+    for cls in (Node, Leaf, ArrayNode):
+        if isinstance(tree, cls):
+            return cls
+    raise TypeError(f"not a parse tree: {type(tree).__name__}")
+
+
+def tape_to_jsonable(blob: bytes) -> Dict[str, Any]:
+    """Decode a :func:`tree_to_tape` tape; equals ``tree_to_jsonable(tree)``.
+
+    One pass over the records with a stack of finished subtrees: a record
+    pops its ``count`` children off the stack and pushes itself.
+    """
+    import pickle
+
+    stack: List[Dict[str, Any]] = []
+    push = stack.append
+    records = iter(pickle.loads(blob))
+    for record in records:
+        if type(record) is bytes:
+            push({"leaf": record.hex()})
+            continue
+        if record is None:
+            name = next(records)
+            count = next(records)
+            split = len(stack) - count
+            elements = stack[split:]
+            del stack[split:]
+            push({"array": name, "elements": elements})
+            continue
+        env = next(records)
+        count = next(records)
+        split = len(stack) - count
+        children = stack[split:]
+        del stack[split:]
+        push({"node": record, "env": env, "children": children})
+    if len(stack) != 1:
+        raise ValueError(f"malformed tree tape: {len(stack)} roots")
+    return stack[0]
+
+
 def tree_from_jsonable(obj: Dict[str, Any]) -> ParseTree:
     """Inverse of :func:`tree_to_jsonable` (round-trips under ``==``)."""
     if "leaf" in obj:

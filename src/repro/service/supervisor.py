@@ -50,6 +50,7 @@ from ..core.errors import (
     ServiceOverloaded,
     WorkerCrashed,
 )
+from ..core.parsetree import tape_to_jsonable
 from .config import ServiceConfig
 from .quarantine import QuarantineCorpus
 from .wire import config_error_from_wire, failure_from_wire, spool_write
@@ -58,7 +59,6 @@ from .worker import resolve_blackbox_provider, worker_main
 __all__ = ["ParseService", "ServiceResult", "parse_many"]
 
 
-@dataclass
 class ServiceResult:
     """One reply from the service — exactly one per submitted request.
 
@@ -72,18 +72,57 @@ class ServiceResult:
     :class:`~repro.core.errors.ParseFailure` subclass for input
     verdicts, a :class:`~repro.core.errors.ServiceError` subclass for
     machinery verdicts.
+
+    A tree reply arrives as the worker's *tape*
+    (:func:`~repro.core.parsetree.tree_to_tape`: a pickled postorder
+    list of records), and the supervisor stores those bytes without
+    looking inside.  :attr:`tree` decodes the tape on its first read,
+    in the reading thread, and caches the jsonable tree; concurrent
+    first reads decode once and all get that tree.  A caller that never
+    reads :attr:`tree` never pays for the decode, and a caller that
+    does pays it outside the supervisor thread (unless it reads from a
+    future's done callback, which runs there).  ``ServiceResult(...,
+    tree=obj)`` still builds a result around a ready tree.
     """
 
-    request_id: int
-    kind: str
-    tree: Optional[dict] = None
-    document: Optional[dict] = None
-    root: Optional[str] = None
-    env: Optional[dict] = None
-    error: Optional[Exception] = None
-    elapsed_ms: Optional[float] = None
-    worker_pid: Optional[int] = None
-    retried: bool = False
+    def __init__(
+        self,
+        request_id: int,
+        kind: str,
+        tree: Optional[dict] = None,
+        document: Optional[dict] = None,
+        root: Optional[str] = None,
+        env: Optional[dict] = None,
+        error: Optional[Exception] = None,
+        elapsed_ms: Optional[float] = None,
+        worker_pid: Optional[int] = None,
+        retried: bool = False,
+        *,
+        tape: Optional[bytes] = None,
+    ):
+        self.request_id = request_id
+        self.kind = kind
+        self.document = document
+        self.root = root
+        self.env = env
+        self.error = error
+        self.elapsed_ms = elapsed_ms
+        self.worker_pid = worker_pid
+        self.retried = retried
+        self._tree = tree
+        self._tape = tape
+        self._decode_lock = threading.Lock() if tape is not None else None
+
+    @property
+    def tree(self) -> Optional[dict]:
+        # The tape is dropped only after the tree is stored, so a reader
+        # that finds no tape finds the tree.
+        if self._tape is not None:
+            with self._decode_lock:
+                if self._tape is not None:
+                    self._tree = tape_to_jsonable(self._tape)
+                    self._tape = None
+        return self._tree
 
     @property
     def ok(self) -> bool:
@@ -93,6 +132,15 @@ class ServiceResult:
         if self.error is not None:
             raise self.error
         return self
+
+    def __repr__(self) -> str:
+        tape = self._tape  # never decoded for a repr
+        tree = f"<tape of {len(tape)} B>" if tape is not None else repr(self._tree)
+        return (
+            f"ServiceResult(request_id={self.request_id!r}, kind={self.kind!r}, "
+            f"tree={tree}, error={self.error!r}, elapsed_ms={self.elapsed_ms!r}, "
+            f"worker_pid={self.worker_pid!r}, retried={self.retried!r})"
+        )
 
 
 @dataclass
@@ -510,16 +558,16 @@ class ParseService:
             kind or "error",
             elapsed_ms=reply.get("elapsed_ms"),
             worker_pid=reply.get("pid"),
+            # Stored undecoded: the caller's first ``.tree`` decodes it.
+            tape=reply.get("tape") if kind == "tree" else None,
         )
-        if kind == "tree":
-            result.tree = reply.get("tree")
+        if kind in ("tree", "ok"):
+            pass
         elif kind == "spans":
             result.root = reply.get("root")
             result.env = reply.get("env")
         elif kind == "recovered":
             result.document = reply.get("document")
-        elif kind == "ok":
-            pass
         elif kind == "chaos-done":
             result.kind = "chaos"
         elif kind == "parse-error":

@@ -16,6 +16,21 @@ unlinks it when the request resolves — including the crash path, so a
 SIGKILLed worker can never leak a segment.  Closing the service removes
 the whole spool directory.
 
+A tree reply carries its parse tree as a *tape*
+(:func:`~repro.core.parsetree.tree_to_tape`): the tree's records in
+postorder, in one flat list pickled to bytes, where a node is ``name,
+env, child_count``, an array is ``None, name, element_count`` and a
+leaf is its bytes.  The worker pays one walk and one pickle of that
+list; the supervisor copies the bytes out of the pipe and forwards
+them undecoded, so its single thread never rebuilds a tree.
+``ServiceResult.tree`` decodes the tape on first read
+(:func:`~repro.core.parsetree.tape_to_jsonable`) in the reading thread:
+the decode costs about 1.4x what unpickling nested dicts cost the
+supervisor, but it lands on the caller, and only for trees it reads.
+A done callback runs on the supervisor thread, so reading ``.tree``
+there puts the decode back on it.  Recovered documents and span replies
+still cross as jsonable dicts.
+
 Parse failures cross the boundary as class-name + fields and are
 reconstructed into the *same* structured taxonomy exception
 (:func:`failure_from_wire`), so a service caller dispatches on
@@ -140,8 +155,8 @@ class SpooledInput:
         try:
             self._mmap.close()
         except BufferError:
-            # A view escaped (shouldn't happen: replies are jsonable
-            # copies); break collectable cycles and retry once.
+            # A view escaped (shouldn't happen: replies hold copies);
+            # break collectable cycles and retry once.
             import gc
 
             gc.collect()

@@ -11,9 +11,13 @@ maps read-only and parses zero-copy (see :mod:`repro.service.wire`).
 
 The worker converts every outcome into a reply:
 
-* a parse tree / span env / validate verdict / recovered document,
-  serialized to jsonable structures (never live ``memoryview``s — the
-  spool mapping is closed before the reply is sent);
+* a parse tree as a *tape* (:func:`~repro.core.parsetree.tree_to_tape`:
+  one walk into a flat postorder list of records, pickled to bytes; the
+  supervisor forwards the bytes and the caller's first
+  ``ServiceResult.tree`` decodes them), or a span env / validate
+  verdict / recovered document as jsonable structures — copies, never
+  live ``memoryview``s, since the spool mapping is closed before the
+  reply is sent;
 * a structured parse failure (class + offset + rule stack), re-raised
   as the same taxonomy exception on the supervisor side;
 * a grammar/configuration error;
@@ -46,7 +50,7 @@ garbage collector's policy itself; nothing caller-visible changes:
 * Automatic collection is off from the moment a message is received
   until its reply has been sent and ``msg``/``reply`` are dropped; then
   the state found is restored (an inherited disabled state stays
-  disabled).  While a message is handled — parse, ``tree_to_jsonable``,
+  disabled).  While a message is handled — parse, ``tree_to_tape``,
   pickling the reply, and the first request's grammar staging — every
   allocated object is still alive, so a collection would only rescan
   and promote live nodes and reclaim nothing.  When the request ends,
@@ -75,7 +79,7 @@ from typing import Dict, Optional
 from ..core.errors import IPGError, ParseFailure
 from ..core.interpreter import Parser
 from ..core.limits import DEFAULT_LIMITS
-from ..core.parsetree import tree_to_jsonable
+from ..core.parsetree import tree_to_tape
 from .wire import SpooledInput, failure_to_wire
 
 #: Wall budget compiled into cached parsers when the base limits carry
@@ -200,7 +204,7 @@ def _handle_parse(state: _WorkerState, msg: dict) -> dict:
             emit = msg.get("emit", "tree")
             result = parser.parse(data, emit=emit)
             if emit == "tree":
-                reply = {"kind": "tree", "tree": tree_to_jsonable(result)}
+                reply = {"kind": "tree", "tape": tree_to_tape(result)}
             elif emit == "spans":
                 reply = {"kind": "spans", "root": result.name, "env": dict(result.env)}
             else:
@@ -223,8 +227,9 @@ def _handle_parse(state: _WorkerState, msg: dict) -> dict:
             "traceback": traceback.format_exc(),
         }
     finally:
-        # The reply holds jsonable copies only; drop the mapping before
-        # sending so the spool file never outlives the request here.
+        # The reply holds copies only (tape leaves are bytes); drop the
+        # mapping before sending so the spool file never outlives the
+        # request here.
         if spooled is not None:
             spooled.close()
     return reply

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import textwrap
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from engine_matrix import format_sample
 from repro import samples
 from repro.core.errors import (
     DeadlineExceeded,
@@ -35,8 +39,10 @@ from repro.service import (
     ParseService,
     QuarantineCorpus,
     ServiceConfig,
+    ServiceResult,
     parse_many,
 )
+from repro.service import supervisor as supervisor_module
 
 pytestmark = pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -160,6 +166,125 @@ def test_unknown_backend_is_rejected_at_construction(backend):
     with pytest.raises(ValueError, match="unknown backend"):
         ParseService(backend=backend)
     assert ServiceConfig(backend="interpreted").backend == "interpreted"
+
+
+# ---------------------------------------------------------------------------
+# Tree replies: a tape the supervisor forwards and ``.tree`` decodes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts ``tape_to_jsonable`` calls made through ``ServiceResult.tree``."""
+    calls = []
+    original = supervisor_module.tape_to_jsonable
+
+    def counting(blob):
+        calls.append(len(blob))
+        return original(blob)
+
+    monkeypatch.setattr(supervisor_module, "tape_to_jsonable", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spooled", [False, True], ids=["inline", "spooled"])
+def test_every_format_tree_matches_in_process(spooled, monkeypatch):
+    spools = []
+    original_spool_write = supervisor_module.spool_write
+
+    def counting_spool_write(*args):
+        spools.append(args[1])
+        return original_spool_write(*args)
+
+    monkeypatch.setattr(supervisor_module, "spool_write", counting_spool_write)
+    inline_bytes_max = 1 if spooled else 1 << 20
+    fmts = sorted(registry)
+    with ParseService(workers=2, inline_bytes_max=inline_bytes_max) as svc:
+        futures = [
+            svc.submit(format_sample(fmt), format=fmt, deadline_ms=DEADLINE)
+            for fmt in fmts
+        ]
+        results = [future.result() for future in futures]
+    assert len(spools) == (len(fmts) if spooled else 0)
+    for fmt, result in zip(fmts, results):
+        expected = tree_to_jsonable(registry[fmt].build_parser().parse(format_sample(fmt)))
+        assert result.ok and result.kind == "tree", fmt
+        assert result.tree == expected, fmt
+
+
+def test_supervisor_forwards_the_tape_undecoded(service, dns_data, decode_calls):
+    expected = tree_to_jsonable(registry["dns"].build_parser().parse(dns_data))
+    result = service.submit(dns_data, format="dns", deadline_ms=DEADLINE).result()
+    assert result.kind == "tree"
+    assert decode_calls == []  # resolved, and nothing decoded yet
+    tree = result.tree
+    assert len(decode_calls) == 1
+    assert tree == expected
+    assert result.tree is tree and len(decode_calls) == 1  # cached
+
+
+def test_concurrent_first_reads_get_one_tree(service, decode_calls, monkeypatch):
+    data = samples.build_zip(member_count=40, member_size=64)
+    expected = tree_to_jsonable(registry["zip"].build_parser().parse(data))
+    result = service.submit(data, format="zip", deadline_ms=DEADLINE).result()
+    counting = supervisor_module.tape_to_jsonable
+
+    def slow_decode(blob):  # widen the window in which readers overlap
+        time.sleep(0.05)
+        return counting(blob)
+
+    monkeypatch.setattr(supervisor_module, "tape_to_jsonable", slow_decode)
+    readers = 8
+    start = threading.Barrier(readers)
+    trees = [None] * readers
+
+    def read(index):
+        start.wait()
+        trees[index] = result.tree
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert all(tree == expected for tree in trees)
+    assert len(decode_calls) == 1
+
+
+def test_result_built_around_a_ready_tree():
+    tree = {"node": "S", "env": {}, "children": []}
+    result = ServiceResult(1, "tree", tree=tree)
+    assert result.tree is tree
+    assert ServiceResult(2, "ok").tree is None
+
+
+def test_serve_cli_tree_lines_match_in_process(tmp_path):
+    inputs = {
+        str(tmp_path / "response.bin"): samples.build_dns_response(
+            answer_count=2, additional_count=1
+        ),
+        str(tmp_path / "query.bin"): samples.build_dns_query(),
+    }
+    for path, data in inputs.items():
+        Path(path).write_bytes(data)
+    repo_root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--format", "dns", "--tree",
+         "--workers", "1"],
+        input="\n".join(inputs) + "\n",
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = [json.loads(line) for line in completed.stdout.splitlines()]
+    assert sorted(line["path"] for line in lines) == sorted(inputs)
+    parser = registry["dns"].build_parser()
+    for line in lines:
+        assert line["kind"] == "tree"
+        assert line["tree"] == tree_to_jsonable(parser.parse(inputs[line["path"]]))
 
 
 # ---------------------------------------------------------------------------
