@@ -79,7 +79,6 @@ elide_tree=False)``
 from __future__ import annotations
 
 import re
-import struct
 import sys
 from dataclasses import dataclass, replace
 from time import monotonic as _monotonic
@@ -99,15 +98,9 @@ from ..ast import (
     TermTerminal,
 )
 from ..buffers import as_buffer
-from ..builtins import BUILTIN_FAIL, BUILTINS, is_builtin, normalize_blackbox_result
+from ..builtins import BUILTINS, is_builtin
 from ..cycles import recursive_vertices
-from ..errors import (
-    BlackboxError,
-    CompilationError,
-    EvaluationError,
-    IPGError,
-    LimitExceeded,
-)
+from ..errors import CompilationError, IPGError, LimitExceeded
 from ..expr import Name, Num
 from ..exprcomp import (
     SPECIALS,
@@ -120,144 +113,29 @@ from ..exprcomp import (
 )
 from ..interpreter import _VARIANT_PASSES, FAIL, prepare_grammar
 from ..limits import DEFAULT_LIMITS, ParseLimits
-from ..parsetree import ArrayNode, Leaf, Node
-from ..runtime import _div, _mod, _shift_l, _shift_r
+from .. import runtime
+from ..parsetree import Leaf
+from ..runtime import (
+    _FIXED_INTS,
+    _aidx_env,
+    _call_blackbox,
+    _make_builtin_runner,
+    _make_builtin_runner_elided,
+)
 from ..ir import (
     GrammarAnalysis,
     Optimizations,
     analyze as analyze_grammar,
 )
 
-#: Sentinel distinguishing "memo miss" from a memoized FAIL.
-_MISS = object()
+# ---------------------------------------------------------------------------
+# Per-compilation bindings (the shared helpers live in repro.core.runtime)
+# ---------------------------------------------------------------------------
 
-#: Fixed-width integer builtins inlined by the compiler:
-#: name -> (byte width, byteorder, signed), derived from the builtins
-#: registry so the two can never drift apart.
-_FIXED_INTS = {
-    name: (spec.size, spec.byteorder, spec.signed)
-    for name, spec in BUILTINS.items()
-    if spec.size is not None and spec.byteorder is not None
+#: The helpers every staged grammar's namespace starts from.
+_RUNTIME_NAMESPACE: Dict[str, object] = {
+    name: getattr(runtime, name) for name in runtime.__all__
 }
-
-
-# Optimizations and the whole-grammar analyses moved to repro.core.ir —
-# the analyze stage shared by every emission backend.
-
-
-# ---------------------------------------------------------------------------
-# Runtime support (injected into the generated module's globals)
-# ---------------------------------------------------------------------------
-
-_node_new = Node.__new__
-_leaf_new = Leaf.__new__
-_array_new = ArrayNode.__new__
-
-
-def _mk_node(name, env, children):
-    """Allocate a Node without the constructor's defensive copies."""
-    node = _node_new(Node)
-    node.name = name
-    node.env = env
-    node.children = children
-    return node
-
-
-def _mk_leaf(value):
-    # Generated code passes raw input slices; on a memoryview-backed parse
-    # this is where a payload becomes real bytes (the only copy made).
-    leaf = _leaf_new(Leaf)
-    leaf.value = value if type(value) is bytes else bytes(value)
-    return leaf
-
-
-def _mk_array(name, elements):
-    array = _array_new(ArrayNode)
-    array.name = name
-    array.elements = elements
-    return array
-
-
-#: Poison value marking a loop-variable local (or a closure cell) whose
-#: binding is not live (before its loop started or after it finished, or
-#: before the defining term ran).  The interpreter pops the env binding, so
-#: reads must fall through to an enclosing scope's binding — or fail —
-#: instead of seeing stale data.
-_UB = object()
-
-
-def _aidx(elements, position, name, attr):
-    """Bounds-checked ``A(e).attr`` on a compiled element list."""
-    if 0 <= position < len(elements):
-        # A missing attribute raises KeyError, which the enclosing compiled
-        # alternative turns into failure — like EvaluationError in the
-        # interpreter.
-        return elements[position].env[attr]
-    raise EvaluationError(
-        f"array reference {name}({position}) out of range "
-        f"(array has {len(elements)} elements)"
-    )
-
-
-def _aidx_env(envs, position, name, attr):
-    """``_aidx`` for tree-elided parses, whose element lists hold bare envs."""
-    if 0 <= position < len(envs):
-        return envs[position][attr]
-    raise EvaluationError(
-        f"array reference {name}({position}) out of range "
-        f"(array has {len(envs)} elements)"
-    )
-
-
-#: Children of every node of a tree-elided parse: one shared immutable
-#: empty tuple, so node allocation stays down to the env-carrying shell
-#: the attribute semantics require and no caller can corrupt shared state
-#: by mutating a returned root's ``children``.
-_SHARED_EMPTY: tuple = ()
-
-
-def _limit_steps():
-    """Raise the step-budget error (called from generated dispatchers)."""
-    raise LimitExceeded(
-        "parse step budget exhausted (ParseLimits.max_steps); pass "
-        "ParseLimits.unlimited() for trusted input",
-        limit="max_steps",
-    )
-
-
-def _limit_wall():
-    """Raise the wall-clock budget error (called from _limit_refill)."""
-    raise LimitExceeded(
-        "parse wall-clock budget exhausted (ParseLimits.max_wall_ms)",
-        limit="wall",
-    )
-
-
-def _limit_refill(cell):
-    """Slow path of the step budget: refill the hot counter or raise.
-
-    The fuel cell is two-tiered — ``cell[0]`` is the hot countdown the
-    generated dispatchers decrement, ``cell[1]`` the rest of the budget.
-    Keeping the hot counter within CPython's cached small-int range
-    (≤ 256) makes the per-rule decrement allocation-free; a counter
-    seeded straight from ``max_steps`` (tens of millions) allocates a
-    fresh int object on every decrement, which costs double-digit
-    percentages on rule-call-dense grammars and ticks the GC heuristic.
-
-    ``cell[2]`` is the optional wall-clock deadline (monotonic seconds,
-    ``None`` when ``max_wall_ms`` is unset): checking it here, on the
-    once-per-256-charges slow path, gives wall-budget enforcement that
-    costs nothing on the per-rule hot path.
-    """
-    remaining = cell[1]
-    if remaining <= 0:
-        _limit_steps()
-    deadline = cell[2]
-    if deadline is not None and _monotonic() > deadline:
-        _limit_wall()
-    take = 256 if remaining > 256 else remaining
-    cell[0] = take - 1  # the entry that tripped the refill consumes one
-    cell[1] = remaining - take
 
 
 def _make_wall_deadline(max_wall_ms):
@@ -280,110 +158,13 @@ def _limit_globals(limits: ParseLimits) -> Dict[str, object]:
     }
 
 
-def _undef(name):
-    raise EvaluationError(f"undefined attribute or loop variable {name!r}")
-
-
-def _nonode(name):
-    raise EvaluationError(f"reference to {name} but it has not been parsed yet")
-
-
-def _noarr(name):
-    raise EvaluationError(
-        f"reference to array {name} but no such array has been parsed"
-    )
-
-
-def _badexists(source):
-    raise EvaluationError(
-        f"existential does not reference any array indexed by its bound "
-        f"variable: {source}"
-    )
-
-
-def _exists(length, condition, then, otherwise):
-    """Runtime support for ``exists j . e1 ? e2 : e3`` (section 3.4)."""
-    for position in range(length):
-        if condition(position) != 0:
-            return then(position)
-    return otherwise()
-
-
-def _wrap_outcome(name, attrs, end, payload, length):
-    """Build the (unrebased) node a builtin/blackbox outcome denotes."""
-    env = {"EOI": length, "start": 0 if end else length, "end": end}
-    env.update(attrs)
-    children = [Leaf(payload)] if payload is not None else []
-    return _mk_node(name, env, children)
-
-
-def _make_builtin_runner(name):
-    """Specialize a builtin's parse-and-wrap (bound at compile time)."""
-    parse = BUILTINS[name].parse
-
-    def run(data, lo, hi):
-        outcome = parse(data, lo, hi)
-        if outcome is BUILTIN_FAIL:
-            return FAIL
-        attrs, end, payload = outcome
-        return _wrap_outcome(name, attrs, end, payload, hi - lo)
-
-    return run
-
-
-def _make_builtin_runner_elided(name):
-    """Builtin runner for tree-elided parses: same env, no payload Leaf.
-
-    ``Bytes`` runs ``Raw``'s parser outright — the two compute identical
-    attributes (``len``/``val`` = interval length, ``end`` = interval
-    length) and differ only in the payload copy elision exists to skip.
-    """
-    parse = BUILTINS["Raw" if name == "Bytes" else name].parse
-
-    def run(data, lo, hi):
-        outcome = parse(data, lo, hi)
-        if outcome is BUILTIN_FAIL:
-            return FAIL
-        attrs, end, _payload = outcome
-        length = hi - lo
-        env = {"EOI": length, "start": 0 if end else length, "end": end}
-        env.update(attrs)
-        return _mk_node(name, env, _SHARED_EMPTY)
-
-    return run
-
-
-def _run_builtin(name, data, lo, hi):
-    """Run a builtin by name (slow path for builtin start symbols)."""
-    return _make_builtin_runner(name)(data, lo, hi)
-
-
 def _make_blackbox_runner(blackboxes, elide_tree=False):
     """Blackbox dispatch closed over the parser's *live* registry dict."""
 
-    def run(name, data, lo, hi):
-        implementation = blackboxes.get(name)
-        if implementation is None:
-            raise BlackboxError(
-                f"grammar declares blackbox {name!r} but no implementation was "
-                f"registered with the Parser"
-            )
-        # Blackboxes receive real bytes (the registered-callable contract);
-        # bytes() is a no-op when the input buffer already is bytes.
-        window = bytes(data[lo:hi])
-        try:
-            raw = implementation(window)
-        except Exception as exc:  # the blackbox itself failed
-            raise BlackboxError(f"blackbox parser {name!r} raised: {exc}") from exc
-        outcome = normalize_blackbox_result(raw, hi - lo)
-        if outcome is BUILTIN_FAIL:
-            return FAIL
-        attrs, payload, end = outcome
-        if elide_tree:
-            payload = None  # the blackbox still runs; only its Leaf is dropped
-        return _wrap_outcome(name, attrs, end, payload, hi - lo)
+    def _bb(name, data, lo, hi):
+        return _call_blackbox(blackboxes, name, data, lo, hi, elide_tree)
 
-    return run
+    return _bb
 
 
 def _indent(lines: List[str], levels: int = 1) -> List[str]:
@@ -394,11 +175,6 @@ def _indent(lines: List[str], levels: int = 1) -> List[str]:
 # ---------------------------------------------------------------------------
 # Whole-grammar analyses feeding the optimization passes
 # ---------------------------------------------------------------------------
-
-
-# Call-site collection and the recursion/anchoring/inlining fixpoints
-# moved to repro.core.ir (collect_sites, recursive_rule_names,
-# eoi_anchored_rule_names, inline_candidates).
 
 
 # ---------------------------------------------------------------------------
@@ -2129,10 +1905,10 @@ class CompiledGrammar:
     ) -> str:
         """Render this grammar as a standalone importable parser module.
 
-        The emitted module vendors a small runtime prelude and needs no
-        ``repro`` import at parse time (when ``repro`` *is* importable it
-        reuses its parse-tree classes, so emitted trees compare ``==`` to
-        the other engines').  Tree-elided compilations emit with the
+        The emitted module vendors the runtime this engine runs on
+        (:mod:`repro.core.runtime`) and needs no ``repro`` import at parse
+        time (when ``repro`` *is* importable it reuses its parse-tree
+        classes, so emitted trees compare ``==`` to the other engines').  Tree-elided compilations emit with the
         elision baked in (``_ELIDE_TREE = True``), and unless ``streaming``
         is disabled the module also embeds a fully-memoized stream variant
         plus the vendored incremental driver (``stream()`` /
@@ -2295,32 +2071,11 @@ def compile_grammar(
         analysis=analysis,
     )
     source = compiler.compile()
-    namespace: Dict[str, object] = {
-        "FAIL": FAIL,
-        "EvaluationError": EvaluationError,
-        **_limit_globals(resolved_limits),
-        "_limit_steps": _limit_steps,
-        "_limit_refill": _limit_refill,
-        "_MISS": _MISS,
-        "_mk_node": _mk_node,
-        "_mk_leaf": _mk_leaf,
-        "_mk_array": _mk_array,
-        "_div": _div,
-        "_mod": _mod,
-        "_shift_l": _shift_l,
-        "_shift_r": _shift_r,
-        "_aidx": _aidx_env if elide_tree else _aidx,
-        "_E": _SHARED_EMPTY,
-        "_UB": _UB,
-        "_undef": _undef,
-        "_nonode": _nonode,
-        "_noarr": _noarr,
-        "_badexists": _badexists,
-        "_exists": _exists,
-        "_ifb": int.from_bytes,
-        "_struct": struct,
-        "_bb": _make_blackbox_runner(registry, elide_tree=elide_tree),
-    }
+    namespace = dict(_RUNTIME_NAMESPACE)
+    namespace.update(_limit_globals(resolved_limits))
+    namespace["_bb"] = _make_blackbox_runner(registry, elide_tree=elide_tree)
+    if elide_tree:
+        namespace["_aidx"] = _aidx_env
     namespace.update(compiler.constants)
     try:
         code = compile(source, "<ipg-compiled-grammar>", "exec")

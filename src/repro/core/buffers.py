@@ -20,9 +20,9 @@ blackbox windows, and error-context rendering.  An ``mmap``-backed view
 therefore parses a multi-gigabyte file at constant RSS: the engines only
 ever touch the pages the grammar actually reads.
 
-This module is mirrored verbatim into the AOT preludes
-(:data:`repro.core.codegen._PRELUDE_BASE`) so emitted standalone modules
-honour the identical contract.
+:func:`as_buffer` is vendored into every emitted parser module by
+:mod:`repro.core.codegen`, so emitted modules honour the identical
+contract.
 """
 
 from __future__ import annotations

@@ -36,8 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
-#: Marker object returned by builtin parsers on failure.
-BUILTIN_FAIL = object()
+# The public names of the runtime's builtin-failure sentinel and of its
+# blackbox-result normalization.
+from .runtime import _BFAIL as BUILTIN_FAIL  # noqa: F401
+from .runtime import _BUILTINS, _FIXED_INTS
+from .runtime import _normalize_blackbox_result as normalize_blackbox_result  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class BuiltinSpec:
     consumed, and ``payload`` is an optional copy of the consumed bytes to
     keep in the parse tree (``None`` for the zero-copy builtins such as
     ``Raw``, whose whole point is to *skip* data without touching it).
+    The parsers themselves live in :mod:`repro.core.runtime`.
     """
 
     name: str
@@ -65,83 +69,16 @@ class BuiltinSpec:
     signed: bool = False
 
 
-def _fixed_int(size: int, byteorder: str, signed: bool = False):
-    def parse(data: bytes, lo: int, hi: int):
-        if hi - lo < size:
-            return BUILTIN_FAIL
-        window = data[lo : lo + size]
-        value = int.from_bytes(window, byteorder, signed=signed)
-        return {"val": value}, size, window
-
-    return parse
-
-
-def _raw(data: bytes, lo: int, hi: int):
-    # Zero-copy: accept the whole interval without materializing its bytes.
-    length = hi - lo
-    return {"len": length, "val": length}, length, None
-
-
-def _bytes(data: bytes, lo: int, hi: int):
-    # Like Raw, but the bytes are kept in the tree (file names, payloads...).
-    window = data[lo:hi]
-    return {"len": len(window), "val": len(window)}, len(window), window
-
-
-def _ascii_int(data: bytes, lo: int, hi: int):
-    # bytes() is a no-op for bytes input; memoryview windows need real
-    # bytes for strip()/isdigit() (and the payload Leaf would copy anyway).
-    window = bytes(data[lo:hi])
-    text = window.strip()
-    if not text or not text.isdigit():
-        return BUILTIN_FAIL
-    return {"val": int(text)}, len(window), window
-
-
-def _bin_int(data: bytes, lo: int, hi: int):
-    window = data[lo:hi]
-    if not window or any(byte not in (0x30, 0x31) for byte in window):
-        return BUILTIN_FAIL
-    value = 0
-    for byte in window:
-        value = value * 2 + (byte - 0x30)
-    return {"val": value}, len(window), window
-
-
-def _build_registry() -> Dict[str, BuiltinSpec]:
-    registry: Dict[str, BuiltinSpec] = {}
-
-    def register(name: str, size: Optional[int], attrs: Tuple[str, ...], parse) -> None:
-        registry[name] = BuiltinSpec(name, size, attrs, parse)
-
-    def register_int(name: str, size: int, byteorder: str, signed: bool = False) -> None:
-        registry[name] = BuiltinSpec(
-            name,
-            size,
-            ("val",),
-            _fixed_int(size, byteorder, signed=signed),
-            byteorder=byteorder,
-            signed=signed,
-        )
-
-    register_int("U8", 1, "little")
-    register_int("Byte", 1, "little")
-    register_int("U16LE", 2, "little")
-    register_int("U16BE", 2, "big")
-    register_int("U32LE", 4, "little")
-    register_int("U32BE", 4, "big")
-    register_int("U64LE", 8, "little")
-    register_int("U64BE", 8, "big")
-    register_int("I32LE", 4, "little", signed=True)
-    register("Raw", None, ("len", "val"), _raw)
-    register("Bytes", None, ("len", "val"), _bytes)
-    register("AsciiInt", None, ("val",), _ascii_int)
-    register("BinInt", None, ("val",), _bin_int)
-    return registry
+def _spec(name: str, parse) -> BuiltinSpec:
+    size, byteorder, signed = _FIXED_INTS.get(name, (None, None, False))
+    attrs = ("len", "val") if name in ("Raw", "Bytes") else ("val",)
+    return BuiltinSpec(name, size, attrs, parse, byteorder=byteorder, signed=signed)
 
 
 #: The global registry of builtin nonterminals.
-BUILTINS: Dict[str, BuiltinSpec] = _build_registry()
+BUILTINS: Dict[str, BuiltinSpec] = {
+    name: _spec(name, parse) for name, parse in _BUILTINS.items()
+}
 
 
 def is_builtin(name: str) -> bool:
@@ -180,27 +117,8 @@ class BlackboxResult:
     end: Optional[int] = None
 
 
-#: A blackbox callable may return a BlackboxResult, a plain attribute dict,
-#: raw payload bytes, or None (meaning failure).
+#: A blackbox callable may return a BlackboxResult (or any object with its
+#: ``attrs``/``payload``/``end`` attributes), a plain attribute dict, raw
+#: payload bytes, or None (meaning failure).
 BlackboxReturn = Union[BlackboxResult, Dict[str, int], bytes, None]
 BlackboxCallable = Callable[[bytes], BlackboxReturn]
-
-
-def normalize_blackbox_result(result: BlackboxReturn, interval_length: int):
-    """Convert the flexible blackbox return types into a uniform triple.
-
-    Returns ``(attrs, payload, end)`` or ``BUILTIN_FAIL`` when the blackbox
-    reported failure by returning ``None``.
-    """
-    if result is None:
-        return BUILTIN_FAIL
-    if isinstance(result, BlackboxResult):
-        end = result.end if result.end is not None else interval_length
-        return dict(result.attrs), result.payload, end
-    if isinstance(result, dict):
-        return dict(result), None, interval_length
-    if isinstance(result, (bytes, bytearray)):
-        return {}, bytes(result), interval_length
-    raise TypeError(
-        f"blackbox parser returned unsupported type {type(result).__name__}"
-    )

@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Set, Tuple
 
 from .env import EvalContext
 from .errors import EvaluationError
+from .runtime import _int_div
 
 # ---------------------------------------------------------------------------
 # AST
@@ -213,12 +214,6 @@ class BinOp(Expr):
 
     def to_source(self) -> str:
         return f"({self.left.to_source()} {self.op} {self.right.to_source()})"
-
-
-def _int_div(a: int, b: int) -> int:
-    """Truncating integer division (C-like), matching the generated parsers."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
 
 
 @dataclass(frozen=True, repr=False, eq=False)

@@ -46,13 +46,7 @@ from .ast import (
 from .attrcheck import check_grammar
 from .autocomplete import complete_grammar
 from .buffers import as_buffer
-from .builtins import (
-    BUILTIN_FAIL,
-    BUILTINS,
-    BlackboxCallable,
-    is_builtin,
-    normalize_blackbox_result,
-)
+from .builtins import BUILTIN_FAIL, BUILTINS, BlackboxCallable, is_builtin
 from .env import EvalContext, initial_env, upd_start_end_in_place
 from .errors import (
     BlackboxError,
@@ -65,10 +59,8 @@ from .errors import (
 from .grammar_parser import parse_grammar
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree
+from .runtime import FAIL, _call_blackbox, _wrap_outcome
 
-#: Sentinel returned by the internal machinery when parsing fails; public
-#: entry points convert it into :class:`ParseFailure`.
-FAIL = object()
 
 #: Compiler passes each kind of compiled engine pins on top of the
 #: parser's ``first_byte_dispatch``/``bulk_fixed_shape`` toggles.
@@ -1068,41 +1060,16 @@ class _Run:
 
     # -- builtins / blackboxes -------------------------------------------------
     def _parse_builtin(self, name: str, lo: int, hi: int):
-        spec = BUILTINS[name]
-        outcome = spec.parse(self.data, lo, hi)
+        outcome = BUILTINS[name].parse(self.data, lo, hi)
         if outcome is BUILTIN_FAIL:
             return FAIL
         attrs, end, payload = outcome
-        env = {"EOI": hi - lo, "start": 0 if end else hi - lo, "end": end}
-        env.update(attrs)
-        children = [Leaf(payload)] if payload is not None and self.build else []
-        return Node(name, env, children)
+        return _wrap_outcome(name, attrs, end, payload if self.build else None, hi - lo)
 
     def _parse_blackbox(self, name: str, lo: int, hi: int):
-        implementation = self.parser.blackboxes.get(name)
-        if implementation is None:
-            raise BlackboxError(
-                f"grammar declares blackbox {name!r} but no implementation was "
-                f"registered with the Parser"
-            )
-        # The blackbox contract hands implementations real bytes; on a
-        # memoryview-backed run this is the one place the window is
-        # materialized (bytes(b) on an exact bytes slice is a no-op).
-        window = bytes(self.data[lo:hi])
-        try:
-            raw = implementation(window)
-        except Exception as exc:  # the blackbox itself failed
-            raise BlackboxError(f"blackbox parser {name!r} raised: {exc}") from exc
-        outcome = normalize_blackbox_result(raw, hi - lo)
-        if outcome is BUILTIN_FAIL:
-            return FAIL
-        attrs, payload, end = outcome
-        env = {"EOI": hi - lo, "start": 0 if end else hi - lo, "end": end}
-        env.update(attrs)
-        children: List[ParseTree] = []
-        if payload is not None and self.build:
-            children.append(Leaf(payload))
-        return Node(name, env, children)
+        return _call_blackbox(
+            self.parser.blackboxes, name, self.data, lo, hi, not self.build
+        )
 
 
 def _rebase(node: Node, offset: int) -> Node:

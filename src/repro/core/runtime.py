@@ -1,39 +1,417 @@
-"""Shared arithmetic runtime for the compiled parsers.
+"""The runtime every staged parser executes against, written once.
 
-The expression language's partial operators (truncating division, modulo,
-shifts) must behave identically in the tree-walking interpreter
-(:meth:`repro.core.expr.BinOp.evaluate`) and the staged compiler backend
-(:mod:`repro.core.compiler`).  This module is the single definition the
-latter binds at code-generation time; the rounding rule itself lives in
-:func:`repro.core.expr._int_div`, which the interpreter also uses.
+Generated rule functions call a fixed set of helpers: node allocation,
+bounds-checked array references, the partial arithmetic operators, the
+step/wall budget slow paths, the builtin nonterminal parsers and runners,
+and blackbox invocation.  This module is the only definition of each:
+
+* the closure backend (:func:`repro.core.compiler.compile_grammar`) binds
+  the names of :data:`__all__` straight from this module object into each
+  staged grammar's namespace;
+* the reference interpreter uses the same builtin parsers, outcome
+  wrapping and blackbox call;
+* the ahead-of-time emitter (:mod:`repro.core.codegen`) copies the source
+  below the ``VENDORED`` marker into every emitted parser module, so an
+  emitted module runs the very same code with only the standard library.
+
+The vendored part uses nothing but the standard library and the names
+imported above the marker (the error classes and the parse-tree classes),
+which every emitted module defines itself.
 """
 
 from __future__ import annotations
 
-from .errors import EvaluationError
-from .expr import _int_div
+from .errors import BlackboxError, EvaluationError, LimitExceeded
+from .parsetree import ArrayNode, Leaf, Node
+
+#: Every name generated code, the emitted public API and its tree classes
+#: may reference from the runtime: the exec namespace of a staged grammar
+#: starts from exactly these, and an emitted package's format modules
+#: import these from their shared ``_prelude`` module.
+__all__ = [
+    "ArrayNode",
+    "EvaluationError",
+    "FAIL",
+    "LimitExceeded",
+    "Leaf",
+    "Node",
+    "_BUILTINS",
+    "_E",
+    "_MISS",
+    "_UB",
+    "_aidx",
+    "_aidx_env",
+    "_badexists",
+    "_call_blackbox",
+    "_div",
+    "_exists",
+    "_ifb",
+    "_limit_refill",
+    "_make_builtin_runner",
+    "_make_builtin_runner_elided",
+    "_mk_array",
+    "_mk_leaf",
+    "_mk_node",
+    "_mod",
+    "_monotonic",
+    "_noarr",
+    "_nonode",
+    "_refuel",
+    "_shift_l",
+    "_shift_r",
+    "_struct",
+    "_undef",
+]
+
+# -- VENDORED: everything below is copied into emitted parser modules --------
+
+import struct as _struct
+from time import monotonic as _monotonic
+
+#: Parse failure (biased choice backtracks on it); public entry points
+#: turn it into ``None`` or a :class:`ParseFailure`.
+FAIL = object()
+#: A builtin parser or blackbox reported failure.
+_BFAIL = object()
+#: Memo miss, distinct from a memoized FAIL.
+_MISS = object()
+#: A loop-variable local (or closure cell) whose binding is not live:
+#: before its loop started, after it finished, or before the defining term
+#: ran.  The interpreter pops the env binding, so reads must fall through
+#: to an enclosing scope's binding, or fail, instead of seeing stale data.
+_UB = object()
+#: Children of every node of a tree-elided parse: one shared immutable
+#: empty tuple, so no caller can corrupt shared state by mutating a
+#: returned root's ``children``.
+_E = ()
+_ifb = int.from_bytes
+
+_node_new = Node.__new__
+_leaf_new = Leaf.__new__
+_array_new = ArrayNode.__new__
 
 
-def _div(a: int, b: int) -> int:
-    """Truncating integer division matching the reference interpreter."""
+def _mk_node(name, env, children):
+    """Allocate a Node without the constructor's defensive copies."""
+    node = _node_new(Node)
+    node.name = name
+    node.env = env
+    node.children = children
+    return node
+
+
+def _mk_leaf(value):
+    # Rule bodies pass raw input slices; on a memoryview-backed parse this
+    # is where a payload becomes real bytes (the only copy made).
+    leaf = _leaf_new(Leaf)
+    leaf.value = value if type(value) is bytes else bytes(value)
+    return leaf
+
+
+def _mk_array(name, elements):
+    array = _array_new(ArrayNode)
+    array.name = name
+    array.elements = elements
+    return array
+
+
+# -- expression runtime ------------------------------------------------------
+
+
+def _int_div(a, b):
+    """Truncating (C-like) integer division: the IPG ``/`` operator."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _div(a, b):
     if b == 0:
         raise EvaluationError("division by zero")
     return _int_div(a, b)
 
 
-def _mod(a: int, b: int) -> int:
+def _mod(a, b):
     if b == 0:
         raise EvaluationError("modulo by zero")
     return a - _int_div(a, b) * b
 
 
-def _shift_l(a: int, b: int) -> int:
+def _shift_l(a, b):
     if b < 0:
         raise EvaluationError("negative shift amount")
     return a << b
 
 
-def _shift_r(a: int, b: int) -> int:
+def _shift_r(a, b):
     if b < 0:
         raise EvaluationError("negative shift amount")
     return a >> b
+
+
+def _aidx(elements, position, name, attr):
+    """Bounds-checked ``A(e).attr`` on an element list."""
+    if 0 <= position < len(elements):
+        # A missing attribute raises KeyError, which the enclosing
+        # alternative turns into failure, like EvaluationError.
+        return elements[position].env[attr]
+    raise EvaluationError(
+        f"array reference {name}({position}) out of range "
+        f"(array has {len(elements)} elements)"
+    )
+
+
+def _aidx_env(envs, position, name, attr):
+    """``_aidx`` for tree-elided parses, whose element lists hold bare envs."""
+    if 0 <= position < len(envs):
+        return envs[position][attr]
+    raise EvaluationError(
+        f"array reference {name}({position}) out of range "
+        f"(array has {len(envs)} elements)"
+    )
+
+
+def _undef(name):
+    raise EvaluationError(f"undefined attribute or loop variable {name!r}")
+
+
+def _nonode(name):
+    raise EvaluationError(f"reference to {name} but it has not been parsed yet")
+
+
+def _noarr(name):
+    raise EvaluationError(
+        f"reference to array {name} but no such array has been parsed"
+    )
+
+
+def _badexists(source):
+    raise EvaluationError(
+        f"existential does not reference any array indexed by its bound "
+        f"variable: {source}"
+    )
+
+
+def _exists(length, condition, then, otherwise):
+    """Runtime support for ``exists j . e1 ? e2 : e3`` (section 3.4)."""
+    for position in range(length):
+        if condition(position) != 0:
+            return then(position)
+    return otherwise()
+
+
+# -- resource budgets --------------------------------------------------------
+
+
+def _limit_steps():
+    raise LimitExceeded(
+        "parse step budget exhausted (max_steps); lift it for trusted input "
+        "with ParseLimits.unlimited(), or set_limits(None) on an emitted module",
+        limit="max_steps",
+    )
+
+
+def _limit_wall():
+    raise LimitExceeded(
+        "parse wall-clock budget exhausted (max_wall_ms)",
+        limit="wall",
+    )
+
+
+def _limit_refill(cell):
+    """Slow path of the step budget: refill the hot counter or raise.
+
+    The fuel cell is two-tiered: ``cell[0]`` is the hot countdown the
+    generated dispatchers decrement, ``cell[1]`` the rest of the budget.
+    Keeping the hot counter within CPython's cached small-int range
+    (<= 256) makes the per-rule decrement allocation-free; a counter
+    seeded straight from ``max_steps`` (tens of millions) allocates a
+    fresh int object on every decrement, which costs double-digit
+    percentages on rule-call-dense grammars and ticks the GC heuristic.
+
+    ``cell[2]`` is the optional wall-clock deadline (monotonic seconds,
+    ``None`` when no wall budget is set): checking it here, on the
+    once-per-256-charges slow path, gives wall-budget enforcement that
+    costs nothing on the per-rule hot path.
+    """
+    remaining = cell[1]
+    if remaining <= 0:
+        _limit_steps()
+    deadline = cell[2]
+    if deadline is not None and _monotonic() > deadline:
+        _limit_wall()
+    take = 256 if remaining > 256 else remaining
+    cell[0] = take - 1  # the entry that tripped the refill consumes one
+    cell[1] = remaining - take
+
+
+def _refuel(cell, max_steps, deadline):
+    """Re-arm a fuel cell with a whole budget (a new streaming attempt).
+
+    The budget is split like :func:`_limit_refill` does it, so the hot
+    counter stays in the small-int range and decrements never allocate.
+    """
+    take = 256 if max_steps > 256 else max_steps
+    cell[0] = take
+    cell[1] = max_steps - take
+    cell[2] = deadline
+
+
+# -- builtin nonterminals ----------------------------------------------------
+#
+# A builtin parser receives the shared input buffer plus its absolute
+# interval ``[lo, hi)`` and returns ``_BFAIL`` or ``(attrs, end, payload)``:
+# integer attributes, the relative offset one past the last byte consumed,
+# and the bytes to keep as a Leaf (``None`` for zero-copy builtins).
+
+
+def _fixed_int(size, byteorder, signed=False):
+    def parse(data, lo, hi):
+        if hi - lo < size:
+            return _BFAIL
+        window = data[lo : lo + size]
+        return {"val": _ifb(window, byteorder, signed=signed)}, size, window
+
+    return parse
+
+
+def _p_raw(data, lo, hi):
+    # Zero-copy: accept the whole interval without materializing its bytes.
+    length = hi - lo
+    return {"len": length, "val": length}, length, None
+
+
+def _p_bytes(data, lo, hi):
+    # Like Raw, but the bytes are kept in the tree (file names, payloads...).
+    window = data[lo:hi]
+    return {"len": len(window), "val": len(window)}, len(window), window
+
+
+def _p_ascii_int(data, lo, hi):
+    # bytes() is a no-op for bytes input; memoryview windows need real
+    # bytes for strip()/isdigit() (and the payload Leaf would copy anyway).
+    window = bytes(data[lo:hi])
+    text = window.strip()
+    if not text or not text.isdigit():
+        return _BFAIL
+    return {"val": int(text)}, len(window), window
+
+
+def _p_bin_int(data, lo, hi):
+    window = data[lo:hi]
+    if not window or any(byte not in (0x30, 0x31) for byte in window):
+        return _BFAIL
+    value = 0
+    for byte in window:
+        value = value * 2 + (byte - 0x30)
+    return {"val": value}, len(window), window
+
+
+#: Fixed-width integer builtins: name -> (byte width, byteorder, signed).
+_FIXED_INTS = {
+    "U8": (1, "little", False),
+    "Byte": (1, "little", False),
+    "U16LE": (2, "little", False),
+    "U16BE": (2, "big", False),
+    "U32LE": (4, "little", False),
+    "U32BE": (4, "big", False),
+    "U64LE": (8, "little", False),
+    "U64BE": (8, "big", False),
+    "I32LE": (4, "little", True),
+}
+
+#: Builtin nonterminal name -> parser.
+_BUILTINS = {name: _fixed_int(*spec) for name, spec in _FIXED_INTS.items()}
+_BUILTINS.update(Raw=_p_raw, Bytes=_p_bytes, AsciiInt=_p_ascii_int, BinInt=_p_bin_int)
+
+
+def _wrap_outcome(name, attrs, end, payload, length):
+    """Build the (unrebased) node a builtin/blackbox outcome denotes."""
+    env = {"EOI": length, "start": 0 if end else length, "end": end}
+    env.update(attrs)
+    children = [_mk_leaf(payload)] if payload is not None else []
+    return _mk_node(name, env, children)
+
+
+def _make_builtin_runner(name):
+    """Specialize a builtin's parse-and-wrap (bound once per builtin)."""
+    parse = _BUILTINS[name]
+
+    def run(data, lo, hi):
+        outcome = parse(data, lo, hi)
+        if outcome is _BFAIL:
+            return FAIL
+        attrs, end, payload = outcome
+        return _wrap_outcome(name, attrs, end, payload, hi - lo)
+
+    return run
+
+
+def _make_builtin_runner_elided(name):
+    """Builtin runner for tree-elided parses: same env, no payload Leaf.
+
+    ``Bytes`` runs ``Raw``'s parser outright: the two compute identical
+    attributes and differ only in the payload copy elision exists to skip.
+    """
+    parse = _BUILTINS["Raw" if name == "Bytes" else name]
+
+    def run(data, lo, hi):
+        outcome = parse(data, lo, hi)
+        if outcome is _BFAIL:
+            return FAIL
+        attrs, end, _payload = outcome
+        length = hi - lo
+        env = {"EOI": length, "start": 0 if end else length, "end": end}
+        env.update(attrs)
+        return _mk_node(name, env, _E)
+
+    return run
+
+
+# -- blackbox parsers --------------------------------------------------------
+
+
+def _normalize_blackbox_result(result, interval_length):
+    """Convert a blackbox's return value into ``(attrs, payload, end)``.
+
+    A blackbox may return ``None`` (failure: ``_BFAIL`` is returned), an
+    attribute dict, payload bytes, or any object with ``attrs`` and
+    ``payload`` attributes and an optional ``end`` (``BlackboxResult`` or
+    a duck-typed equivalent).  Anything else raises :class:`BlackboxError`.
+    """
+    if result is None:
+        return _BFAIL
+    if isinstance(result, dict):
+        return dict(result), None, interval_length
+    if isinstance(result, (bytes, bytearray)):
+        return {}, bytes(result), interval_length
+    if hasattr(result, "attrs") and hasattr(result, "payload"):
+        end = getattr(result, "end", None)
+        if end is None:
+            end = interval_length
+        return dict(result.attrs), result.payload, end
+    raise BlackboxError(
+        f"blackbox parser returned unsupported type {type(result).__name__}"
+    )
+
+
+def _call_blackbox(blackboxes, name, data, lo, hi, elide_tree):
+    """Run blackbox ``name`` from the registry dict ``blackboxes`` on ``[lo, hi)``."""
+    implementation = blackboxes.get(name)
+    if implementation is None:
+        raise BlackboxError(
+            f"grammar declares blackbox {name!r} but no implementation was "
+            f"registered; register an implementation of {name!r} before parsing"
+        )
+    # Blackboxes receive real bytes; bytes() only copies on memoryview runs.
+    window = bytes(data[lo:hi])
+    try:
+        raw = implementation(window)
+    except Exception as exc:  # the blackbox itself failed
+        raise BlackboxError(f"blackbox parser {name!r} raised: {exc}") from exc
+    outcome = _normalize_blackbox_result(raw, hi - lo)
+    if outcome is _BFAIL:
+        return FAIL
+    attrs, payload, end = outcome
+    if elide_tree:
+        payload = None  # the blackbox still runs; only its Leaf is dropped
+    return _wrap_outcome(name, attrs, end, payload, hi - lo)

@@ -50,6 +50,7 @@ from typing import List, Optional, Union
 
 from .errors import IPGError, LimitExceeded, NeedMoreInput, ParseFailure
 from .parsetree import ArrayNode, Node, ParseTree
+from .runtime import FAIL, _refuel
 
 __all__ = [
     "EOIProxy",
@@ -501,58 +502,36 @@ def _resolve_stream_tree(tree: ParseTree) -> ParseTree:
 
 
 # ---------------------------------------------------------------------------
-# StreamingParse — the feed()/finish() driver
+# The feed()/finish() driver
 # ---------------------------------------------------------------------------
 
 
-class StreamingParse:
-    """One in-flight streaming parse (created by :meth:`repro.Parser.stream`).
+class _StreamSession:
+    """The feed/attempt/compaction/finish logic of one streaming parse.
 
-    Feed chunks with :meth:`feed`; obtain the final tree with
-    :meth:`finish`.  The session owns a :class:`StreamBuffer` and one
-    persistent engine state — the compiled backend's per-rule memo tables,
-    or one interpreter :class:`~repro.core.interpreter._Run` — so that each
-    re-entry after a suspension replays completed work as memo hits instead
-    of re-parsing.
+    Written once for :class:`StreamingParse` and for the ``StreamingParse``
+    of every emitted parser module (which vendors this class, see
+    :mod:`repro.core.codegen`).  A subclass sets up ``self._state`` and
+    supplies the engine-specific steps:
 
-    ``compact=True`` (default) discards buffered bytes below the lowest
-    offset the previous attempt read, keeping peak memory proportional to
-    the largest suspended term.  This is sound for grammars whose reads
-    only move forward.  The §8 analysis rejects the common violating
-    shapes (value-derived offsets, backwards arithmetic, start-anchors,
-    decreasing constants) but is *necessary rather than sufficient*: a
-    grammar that slips past it — or is ``force``-streamed — and revisits
-    bytes below the watermark is detected by the buffer and stopped with a
-    descriptive error asking for ``compact=False``.  A wrong tree is never
-    produced either way.
-
-    Retention caveat: only *rule* results are memoized, so a builtin or
-    terminal placed directly in the start rule's alternative is re-read on
-    every re-entry and pins the buffer from its offset onwards.  Formats
-    that want bounded streaming memory should wrap leading header fields
-    in a sub-rule (as the bundled DNS and IPv4 grammars do) — correctness
-    is unaffected either way.
+    ``_call_engine()``
+        Run one attempt of the start symbol over ``self.buffer`` and return
+        its result (FAIL on rejection); may raise ``NeedMoreInput``.
+    ``_reset_budget()``
+        Re-arm the step/wall budget of the persistent engine state.
+    ``_raise_failure(data)``
+        Raise the classified failure of a rejected, never-compacted stream
+        whose complete input is ``data``.
     """
 
-    def __init__(
-        self,
-        parser,
-        start: str,
-        compact: bool = True,
-        emit: Optional[str] = "tree",
-    ):
-        from .interpreter import _Run  # deferred: interpreter imports us lazily
-
-        self._parser = parser
+    def __init__(self, start, compact, max_bytes, recursion_limit, emit="tree"):
         self._start = start
         self._compact = compact
         #: Execution mode: "tree" (full parse tree), "spans" (root node
-        #: with env only) or None (validate only) — see Parser.parse.
+        #: with env only) or None (validate only).
         self._emit = emit
-        limits = getattr(parser, "limits", None)
-        self.buffer = StreamBuffer(
-            max_bytes=limits.max_buffer_bytes if limits is not None else None
-        )
+        self._recursion_limit = recursion_limit
+        self.buffer = StreamBuffer(max_bytes=max_bytes)
         self._result = None
         self._failed = False
         self._done = False
@@ -564,42 +543,8 @@ class StreamingParse:
         self._last_attempt_received = 0
         #: Number of parse re-entries performed (observability/benchmarks).
         self.attempts = 0
-        # The compiled engine streams through a dedicated fully-memoized
-        # variant (see the "stream" passes in repro.core.interpreter): the
-        # batch compilation elides memo tables for non-recursive rules,
-        # which would force every re-entry to re-read bytes compaction
-        # already discarded.  Non-"tree" emit modes elide tree
-        # construction in every engine.
-        self._compiled = parser._engine(tree=emit == "tree", stream=True)
-        if self._compiled is not None:
-            self._state = self._compiled.new_state()
-            self._run = None
-        else:
-            self._state = None
-            self._run = _Run(parser, self.buffer, build_tree=emit == "tree")
-
-    # -- engine dispatch ---------------------------------------------------
-    def _call_engine(self):
-        buffer = self.buffer
-        if self._run is not None:
-            return self._run.parse_nonterminal(self._start, 0, buffer.end, None, None)
-        from .builtins import is_builtin
-
-        compiled = self._compiled
-        fn = compiled._entry.get(self._start)
-        if fn is not None:
-            return fn(self._state, buffer, 0, buffer.end)
-        if is_builtin(self._start):
-            return compiled.run_builtin(self._start, buffer, 0, buffer.end)
-        if self._start in compiled.grammar.blackboxes:
-            return compiled._bb(self._start, buffer, 0, buffer.end)
-        raise IPGError(
-            f"no rule, builtin or blackbox for nonterminal {self._start!r}"
-        )
 
     def _attempt(self) -> bool:
-        from .interpreter import FAIL
-
         self.attempts += 1
         buffer = self.buffer
         self._last_attempt_received = buffer.received
@@ -607,27 +552,14 @@ class StreamingParse:
         # The step budget is per *attempt*: re-entries replay decided
         # sub-parses as memo hits, so a cumulative budget would punish
         # fine-grained chunking instead of hostile input.  Each attempt is
-        # individually bounded, which is what rules out hangs.
-        if self._run is not None:
-            self._run.reset_budgets()
-        elif self._compiled.fuel_slot is not None:
-            # Rebuild the two-tier fuel cell (hot small-int counter +
-            # remainder) rather than dumping the whole budget into the
-            # hot half, which would make every decrement allocate.  The
-            # wall deadline in cell[2] restarts too: the budget bounds
-            # parsing work per attempt, not time spent waiting for the
-            # producer to feed the next chunk.
-            limits = self._compiled.limits
-            max_steps = limits.fuel()
-            take = 256 if max_steps > 256 else max_steps
-            cell = self._state[self._compiled.fuel_slot]
-            cell[0] = take
-            cell[1] = max_steps - take
-            cell[2] = None if limits.max_wall_ms is None else limits.deadline()
+        # individually bounded, which is what rules out hangs.  The wall
+        # deadline restarts too: the budget bounds parsing work per
+        # attempt, not time spent waiting for the producer's next chunk.
+        self._reset_budget()
         previous_limit = sys.getrecursionlimit()
-        raise_limit = self._parser.recursion_limit > previous_limit
+        raise_limit = self._recursion_limit > previous_limit
         if raise_limit:
-            sys.setrecursionlimit(self._parser.recursion_limit)
+            sys.setrecursionlimit(self._recursion_limit)
         try:
             result = self._call_engine()
         except NeedMoreInput as suspension:
@@ -725,11 +657,7 @@ class StreamingParse:
             # partial buffer would see a different EOI, so a compacted
             # stream degrades to an unclassified failure instead.
             if self.buffer._base == 0:
-                from .diagnose import diagnose_parser
-
-                raise diagnose_parser(
-                    self._parser, bytes(self.buffer._data), self._start
-                )
+                self._raise_failure(bytes(self.buffer._data))
             raise ParseFailure(
                 f"input of length {self.buffer.total} does not match "
                 f"nonterminal {self._start!r} (bytes below offset "
@@ -742,3 +670,99 @@ class StreamingParse:
         else:
             self._finished_tree = _resolve_stream_tree(self._result)
         return self._finished_tree
+
+
+class StreamingParse(_StreamSession):
+    """One in-flight streaming parse (created by :meth:`repro.Parser.stream`).
+
+    Feed chunks with :meth:`feed`; obtain the final tree with
+    :meth:`finish`.  The session owns a :class:`StreamBuffer` and one
+    persistent engine state — the compiled backend's per-rule memo tables,
+    or one interpreter :class:`~repro.core.interpreter._Run` — so that each
+    re-entry after a suspension replays completed work as memo hits instead
+    of re-parsing.
+
+    ``compact=True`` (default) discards buffered bytes below the lowest
+    offset the previous attempt read, keeping peak memory proportional to
+    the largest suspended term.  This is sound for grammars whose reads
+    only move forward.  The §8 analysis rejects the common violating
+    shapes (value-derived offsets, backwards arithmetic, start-anchors,
+    decreasing constants) but is *necessary rather than sufficient*: a
+    grammar that slips past it — or is ``force``-streamed — and revisits
+    bytes below the watermark is detected by the buffer and stopped with a
+    descriptive error asking for ``compact=False``.  A wrong tree is never
+    produced either way.
+
+    Retention caveat: only *rule* results are memoized, so a builtin or
+    terminal placed directly in the start rule's alternative is re-read on
+    every re-entry and pins the buffer from its offset onwards.  Formats
+    that want bounded streaming memory should wrap leading header fields
+    in a sub-rule (as the bundled DNS and IPv4 grammars do) — correctness
+    is unaffected either way.
+    """
+
+    def __init__(
+        self,
+        parser,
+        start: str,
+        compact: bool = True,
+        emit: Optional[str] = "tree",
+    ):
+        from .interpreter import _Run  # deferred: interpreter imports us lazily
+
+        limits = getattr(parser, "limits", None)
+        super().__init__(
+            start,
+            compact,
+            limits.max_buffer_bytes if limits is not None else None,
+            parser.recursion_limit,
+            emit,
+        )
+        self._parser = parser
+        # The compiled engine streams through a dedicated fully-memoized
+        # variant (see the "stream" passes in repro.core.interpreter): the
+        # batch compilation elides memo tables for non-recursive rules,
+        # which would force every re-entry to re-read bytes compaction
+        # already discarded.  Non-"tree" emit modes elide tree
+        # construction in every engine.
+        self._compiled = parser._engine(tree=emit == "tree", stream=True)
+        if self._compiled is not None:
+            self._state = self._compiled.new_state()
+            self._run = None
+        else:
+            self._state = None
+            self._run = _Run(parser, self.buffer, build_tree=emit == "tree")
+
+    def _call_engine(self):
+        buffer = self.buffer
+        if self._run is not None:
+            return self._run.parse_nonterminal(self._start, 0, buffer.end, None, None)
+        from .builtins import is_builtin
+
+        compiled = self._compiled
+        fn = compiled._entry.get(self._start)
+        if fn is not None:
+            return fn(self._state, buffer, 0, buffer.end)
+        if is_builtin(self._start):
+            return compiled.run_builtin(self._start, buffer, 0, buffer.end)
+        if self._start in compiled.grammar.blackboxes:
+            return compiled._bb(self._start, buffer, 0, buffer.end)
+        raise IPGError(
+            f"no rule, builtin or blackbox for nonterminal {self._start!r}"
+        )
+
+    def _reset_budget(self):
+        if self._run is not None:
+            self._run.reset_budgets()
+        elif self._compiled.fuel_slot is not None:
+            limits = self._compiled.limits
+            _refuel(
+                self._state[self._compiled.fuel_slot],
+                limits.fuel(),
+                None if limits.max_wall_ms is None else limits.deadline(),
+            )
+
+    def _raise_failure(self, data):
+        from .diagnose import diagnose_parser
+
+        raise diagnose_parser(self._parser, data, self._start)

@@ -10,6 +10,7 @@ from repro.core.builtins import (
     is_builtin,
     normalize_blackbox_result,
 )
+from repro.core.errors import BlackboxError
 
 
 def run(name, data, lo=0, hi=None):
@@ -130,5 +131,5 @@ class TestBlackboxNormalization:
         assert end == 7
 
     def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(BlackboxError, match="unsupported type float"):
             normalize_blackbox_result(3.14, 10)

@@ -25,32 +25,29 @@ on the hostile names.
 import pytest
 
 from engine_matrix import EngineMatrix, matrix_for
-from repro.core.codegen import render_package
+from repro.core import runtime
+from repro.core.codegen import _PACKAGE_IMPORTS, render_package
 from repro.core.compiler import compile_grammar
 
-#: Names that shadow prelude helpers, runtime sentinels, generated-code
-#: locals, or the compiled calling convention's parameter names.
-HOSTILE_NAMES = (
+#: Names that shadow generated-code locals, the compiled calling
+#: convention's parameter names, and per-module AOT names; every name of
+#: the runtime's export list (and so of an emitted package's prelude
+#: imports) joins them below.
+_GENERATED_NAMES = (
     "st",
     "data",
     "lo",
     "hi",
-    "FAIL",
-    "_UB",
-    "_MISS",
-    "_aidx",
     "_bb",
-    "_E",
     "_c",
     "_m",
     "_v",
     "_cells",
-    "_undef",
     "_ENTRY",
     "_fp_S",
-    "_limit_refill",
-    "Leaf",
-    "Node",
+)
+HOSTILE_NAMES = tuple(
+    sorted(set(_GENERATED_NAMES) | set(runtime.__all__) | set(_PACKAGE_IMPORTS))
 )
 
 

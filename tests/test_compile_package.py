@@ -99,6 +99,33 @@ class TestImportedPackage:
         ).parse(data)
         assert zip_module.parse(data) == expected
 
+    def test_tree_elided_modules_import_and_parse(self, tmp_path):
+        # Elided compilations rebind _aidx/_make_builtin_runner to their
+        # elided runtime twins, which the format module must import.
+        grammar = registry["dns"].grammar_text
+        files = render_package({"dns": compile_grammar(grammar, elide_tree=True)})
+        pkg_dir = tmp_path / "ipg_elided"
+        pkg_dir.mkdir()
+        for filename, source in files.items():
+            (pkg_dir / filename).write_text(source, encoding="utf-8")
+        sys.path.insert(0, str(tmp_path))
+        try:
+            module = importlib.import_module("ipg_elided.dns")
+            data = format_sample("dns")
+            root = module.parse(data)
+            expected = Parser(grammar).parse(data, emit="spans")
+            assert (root.name, root.env, root.children) == (
+                expected.name,
+                expected.env,
+                (),
+            )
+            assert module.parse_nonterminal(b"abc", "Bytes", 0, 3).children == ()
+        finally:
+            sys.path.remove(str(tmp_path))
+            for name in list(sys.modules):
+                if name == "ipg_elided" or name.startswith("ipg_elided."):
+                    del sys.modules[name]
+
     def test_init_lists_formats(self, package):
         assert set(package.FORMATS) == {"dns", "gif", "zip"}
 

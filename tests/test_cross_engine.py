@@ -10,7 +10,8 @@ the real format case studies and the paper's toy grammars.
 import pytest
 
 from engine_matrix import format_sample, matrix_for
-from repro import Parser
+from repro import BlackboxResult, Parser
+from repro.core.compiler import compile_grammar
 from repro.core.parsetree import tree_equal_modulo_specials
 from repro.formats import registry, toy
 
@@ -83,3 +84,75 @@ class TestNegativeShiftParity:
         outcome = matrix_for(grammar).assert_agree(data)
         assert outcome[0] == "tree"
         assert outcome[1]["b"] == 42
+
+
+class _DuckResult:
+    """A BlackboxResult look-alike (``attrs``/``payload``/``end``)."""
+
+    def __init__(self, attrs, payload):
+        self.attrs = attrs
+        self.payload = payload
+        self.end = None
+
+
+#: Every return kind a blackbox may use, plus one it may not.
+BLACKBOX_RETURNS = {
+    "BlackboxResult": lambda w: BlackboxResult(attrs={"n": len(w)}, payload=w[:2], end=2),
+    "dict": lambda w: {"n": len(w)},
+    "bytes": lambda w: w[::-1],
+    "bytearray": lambda w: bytearray(w[::-1]),
+    "None": lambda w: None,
+    "duck-typed": lambda w: _DuckResult({"n": len(w)}, w[:2]),
+    "unsupported": lambda w: 3.5,
+}
+
+
+class TestBlackboxResultKinds:
+    """One blackbox-result normalization on every engine."""
+
+    GRAMMAR = "blackbox Ext ;\nS -> U8[0, 1] Ext[1, EOI] {e = Ext.end} ;"
+    DATA = b"\x07abcd"
+
+    @staticmethod
+    def _outcome(try_parse, data):
+        try:
+            tree = try_parse(data)
+        except Exception as exc:  # compared by class name across engines
+            return ("error", type(exc).__name__)
+        return ("none",) if tree is None else ("tree", tree)
+
+    @pytest.mark.parametrize("kind", sorted(BLACKBOX_RETURNS))
+    def test_engines_agree_on_blackbox_return_kind(self, kind):
+        blackboxes = {"Ext": BLACKBOX_RETURNS[kind]}
+        engines = {
+            backend: Parser(self.GRAMMAR, blackboxes=blackboxes, backend=backend)
+            for backend in ("interpreted", "compiled")
+        }
+        assert engines["compiled"].backend == "compiled"
+        aot = compile_grammar(self.GRAMMAR, blackboxes=blackboxes).load_module(
+            f"_aot_blackbox_{kind.replace('-', '_')}"
+        )
+        outcomes = {
+            name: self._outcome(engine.try_parse, self.DATA)
+            for name, engine in engines.items()
+        }
+        outcomes["aot"] = self._outcome(aot.try_parse, self.DATA)
+        reference = outcomes["interpreted"]
+        for name, outcome in outcomes.items():
+            assert outcome == reference, f"{name}: {outcome!r} != {reference!r}"
+        if kind == "unsupported":
+            assert reference == ("error", "BlackboxError")
+        elif kind == "None":
+            assert reference == ("none",)
+        else:
+            # (attribute n, end rebased into S, Leaf payloads) of the node.
+            expected = {
+                "BlackboxResult": (4, 3, [b"ab"]),
+                "dict": (4, 5, []),
+                "bytes": (None, 5, [b"dcba"]),
+                "bytearray": (None, 5, [b"dcba"]),
+                "duck-typed": (4, 5, [b"ab"]),
+            }[kind]
+            node = reference[1].children[1]
+            payloads = [child.value for child in node.children]
+            assert (node.env.get("n"), node.env["end"], payloads) == expected

@@ -8,14 +8,17 @@ Run from a checkout with ``repro`` importable::
 For every bundled format grammar this script
 
 1. emits the ahead-of-time parser module (``CompiledGrammar.to_source()``,
-   the same artifact as ``repro compile``) into ``--out``,
+   the same artifact as ``repro compile``) into ``--out``, plus one parser
+   package of all formats (``render_package``, the same artifact as
+   ``repro compile --package``) into ``--out/ipg_parsers``,
 2. writes the format's canonical deterministic sample input next to it,
 3. launches an **isolated subprocess** (``python -I``) whose ``sys.path``
    contains only the stdlib and the output directory — it asserts that
-   ``repro`` is *not* importable, imports each emitted module, registers
-   the one stdlib-implementable blackbox (ZIP's raw-deflate ``Inflate``),
-   parses the sample, checks a truncated input is cleanly rejected, and —
-   for the streamable formats — runs one chunked ``parse_stream`` and
+   ``repro`` is *not* importable, imports each emitted module and each
+   package format module, registers the one stdlib-implementable blackbox
+   (ZIP's raw-deflate ``Inflate``, returning a duck-typed result), parses
+   the sample, checks a truncated input is cleanly rejected, and — for the
+   streamable standalone modules — runs one chunked ``parse_stream`` and
    checks it equals the batch tree.
 
 CI runs this after the test suite and uploads ``--out`` as an artifact, so
@@ -26,6 +29,7 @@ Exit code 0 = all formats emitted, imported and parsed standalone.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +37,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import samples  # noqa: E402
+from repro.core.codegen import render_package  # noqa: E402
 from repro.core.compiler import compile_grammar  # noqa: E402
 from repro.formats import registry  # noqa: E402
 
@@ -47,6 +52,9 @@ SAMPLES = {
     "dns": lambda: samples.build_dns_response(answer_count=2, additional_count=1),
     "ipv4": lambda: samples.build_ipv4_udp_packet(payload_size=48, options_words=1),
 }
+
+#: Package directory (and import name) of the emitted parser package.
+PACKAGE = "ipg_parsers"
 
 #: The isolated runner; executed with ``python -I`` so no environment or
 #: user site-packages leak in.  Only the stdlib (plus the emitted modules'
@@ -88,34 +96,82 @@ manifest = json.load(open(f"{out_dir}/manifest.json"))
 failures = 0
 for fmt, entry in sorted(manifest.items()):
     data = open(f"{out_dir}/{entry['sample']}", "rb").read()
-    module = importlib.import_module(entry["module"])
-    for blackbox in entry["blackboxes"]:
-        if blackbox != "Inflate":
-            print(f"FATAL: no stdlib implementation for blackbox {blackbox!r}")
-            sys.exit(2)
-        module.register_blackbox("Inflate", inflate)
-    tree = module.try_parse(data)
-    if tree is None:
-        print(f"FAIL {fmt}: sample did not parse")
-        failures += 1
-        continue
-    nodes = sum(1 for _ in tree.walk())
-    truncated = module.try_parse(data[: max(1, len(data) // 2)])
-    if truncated is not None:
-        print(f"FAIL {fmt}: truncated sample unexpectedly parsed")
-        failures += 1
-        continue
-    streamed = ""
-    if module.STREAMABLE:
-        chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
-        if module.parse_stream(chunks) != tree:
-            print(f"FAIL {fmt}: streamed parse differs from batch")
+    for module_name in entry["modules"]:
+        label = f"{fmt} ({module_name})"
+        module = importlib.import_module(module_name)
+        for blackbox in entry["blackboxes"]:
+            if blackbox != "Inflate":
+                print(f"FATAL: no stdlib implementation for blackbox {blackbox!r}")
+                sys.exit(2)
+            module.register_blackbox("Inflate", inflate)
+        tree = module.try_parse(data)
+        if tree is None:
+            print(f"FAIL {label}: sample did not parse")
             failures += 1
             continue
-        streamed = f" streamed({len(chunks)} chunks)"
-    print(f"ok   {fmt}: root={tree.name} nodes={nodes} bytes={len(data)}{streamed}")
+        nodes = sum(1 for _ in tree.walk())
+        truncated = module.try_parse(data[: max(1, len(data) // 2)])
+        if truncated is not None:
+            print(f"FAIL {label}: truncated sample unexpectedly parsed")
+            failures += 1
+            continue
+        streamed = ""
+        if getattr(module, "STREAMABLE", False):
+            chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
+            if module.parse_stream(chunks) != tree:
+                print(f"FAIL {label}: streamed parse differs from batch")
+                failures += 1
+                continue
+            streamed = f" streamed({len(chunks)} chunks)"
+        print(f"ok   {label}: root={tree.name} nodes={nodes} bytes={len(data)}{streamed}")
 sys.exit(1 if failures else 0)
 '''
+
+
+def emit(out_dir, formats=None) -> dict:
+    """Write standalone modules, the package, the samples and the manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {}
+    compiled_by_name = {}
+    for fmt in sorted(registry if formats is None else formats):
+        spec = registry[fmt]
+        compiled = compile_grammar(spec.grammar_text, blackboxes=dict(spec.blackboxes))
+        compiled_by_name[fmt] = compiled
+        module_name = f"{fmt.replace('-', '_')}_parser"
+        module_path = os.path.join(out_dir, f"{module_name}.py")
+        with open(module_path, "w", encoding="utf-8") as handle:
+            handle.write(compiled.to_source())
+        sample_name = f"{fmt}.sample.bin"
+        with open(os.path.join(out_dir, sample_name), "wb") as handle:
+            handle.write(SAMPLES[fmt]())
+        manifest[fmt] = {
+            "modules": [module_name, f"{PACKAGE}.{fmt.replace('-', '_')}"],
+            "sample": sample_name,
+            "blackboxes": sorted(spec.blackboxes),
+        }
+        print(f"emitted {module_path}")
+    package_dir = os.path.join(out_dir, PACKAGE)
+    os.makedirs(package_dir, exist_ok=True)
+    for filename, source in render_package(compiled_by_name).items():
+        with open(os.path.join(package_dir, filename), "w", encoding="utf-8") as handle:
+            handle.write(source)
+    print(f"emitted package {package_dir}")
+
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+    return manifest
+
+
+def run_isolated(out_dir, **kwargs) -> subprocess.CompletedProcess:
+    """Run the isolated runner over ``out_dir``; ``kwargs`` go to subprocess.run."""
+    runner_path = os.path.join(out_dir, "_isolated_runner.py")
+    with open(runner_path, "w", encoding="utf-8") as handle:
+        handle.write(RUNNER)
+    # -I: isolated mode — ignores PYTHONPATH and user site-packages, so the
+    # subprocess sees only the stdlib and the emitted modules.
+    return subprocess.run(
+        [sys.executable, "-I", runner_path, os.path.abspath(out_dir)], **kwargs
+    )
 
 
 def main(argv=None) -> int:
@@ -124,39 +180,8 @@ def main(argv=None) -> int:
         "--out", default="aot-parsers", help="directory for emitted modules + samples"
     )
     args = parser.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
-
-    manifest = {}
-    for fmt in sorted(registry):
-        spec = registry[fmt]
-        compiled = compile_grammar(spec.grammar_text, blackboxes=dict(spec.blackboxes))
-        module_name = f"{fmt.replace('-', '_')}_parser"
-        module_path = os.path.join(args.out, f"{module_name}.py")
-        with open(module_path, "w", encoding="utf-8") as handle:
-            handle.write(compiled.to_source())
-        sample_name = f"{fmt}.sample.bin"
-        with open(os.path.join(args.out, sample_name), "wb") as handle:
-            handle.write(SAMPLES[fmt]())
-        manifest[fmt] = {
-            "module": module_name,
-            "sample": sample_name,
-            "blackboxes": sorted(spec.blackboxes),
-        }
-        print(f"emitted {module_path}")
-
-    import json
-
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-
-    runner_path = os.path.join(args.out, "_isolated_runner.py")
-    with open(runner_path, "w", encoding="utf-8") as handle:
-        handle.write(RUNNER)
-    # -I: isolated mode — ignores PYTHONPATH and user site-packages, so the
-    # subprocess sees only the stdlib and the emitted modules.
-    completed = subprocess.run(
-        [sys.executable, "-I", runner_path, args.out], cwd=os.getcwd()
-    )
+    manifest = emit(args.out)
+    completed = run_isolated(args.out)
     if completed.returncode == 0:
         print(f"all {len(manifest)} formats parse standalone (stdlib only)")
     return completed.returncode

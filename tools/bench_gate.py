@@ -193,7 +193,7 @@ def limits_smoke(tolerance: float) -> int:
         "pe": lambda: samples.build_pe(section_count=8, section_size=2048),
         "zip": lambda: samples.build_zip(),
     }
-    from repro.core.compiler import _limit_refill
+    from repro.core.runtime import _limit_refill
     from repro.core.limits import DEFAULT_LIMITS
 
     def cost_per_charge() -> float:
