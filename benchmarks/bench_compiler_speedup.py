@@ -83,16 +83,23 @@ WORKLOADS: Dict[str, Callable[[bool], bytes]] = {
 }
 
 
-def best_of(parse: Callable[[bytes], object], data: bytes, rounds: int) -> int:
-    """Minimum wall-clock nanoseconds for one parse over ``rounds`` runs."""
-    parse(data)  # warm up (memo dict allocation, bytecode specialization)
-    best = None
+def best_of(sides, rounds: int):
+    """Minimum wall-clock nanoseconds for one parse, per ``(parse, data)`` side.
+
+    The sides of a ratio are timed interleaved — round ``r`` runs every side
+    once, in turn — rather than back to back, so a host speed switch during
+    the measurement slows every side alike instead of skewing the ratio.
+    """
+    for parse, data in sides:
+        parse(data)  # warm up (memo dict allocation, bytecode specialization)
+    best = [None] * len(sides)
     for _ in range(rounds):
-        begin = time.perf_counter_ns()
-        parse(data)
-        elapsed = time.perf_counter_ns() - begin
-        if best is None or elapsed < best:
-            best = elapsed
+        for index, (parse, data) in enumerate(sides):
+            begin = time.perf_counter_ns()
+            parse(data)
+            elapsed = time.perf_counter_ns() - begin
+            if best[index] is None or elapsed < best[index]:
+                best[index] = elapsed
     return best
 
 
@@ -126,10 +133,15 @@ def run(quick: bool, output: str) -> int:
             print(f"ERROR: {fmt}: tree-elision mode disagrees with tree mode")
             failures += 1
             continue
-        compiled_ns = best_of(compiled.parse, data, rounds)
-        validate_ns = best_of(lambda d: compiled.parse(d, emit=None), data, rounds)
-        aot_ns = best_of(aot.parse, data, rounds)
-        interpreted_ns = best_of(interpreted.parse, data, rounds)
+        interpreted_ns, compiled_ns, aot_ns, validate_ns = best_of(
+            [
+                (interpreted.parse, data),
+                (compiled.parse, data),
+                (aot.parse, data),
+                (lambda d: compiled.parse(d, emit=None), data),
+            ],
+            rounds,
+        )
         size = len(data)
         aot_module_bytes = len(
             compile_grammar(
@@ -164,8 +176,10 @@ def run(quick: bool, output: str) -> int:
                 print(f"ERROR: {fmt}: streaming disagrees on the parse tree")
                 failures += 1
                 continue
-            streaming_ns = best_of(parse_streamed, stream_data, rounds)
-            stream_base_ns = best_of(interpreted.parse, stream_data, rounds)
+            stream_base_ns, streaming_ns = best_of(
+                [(interpreted.parse, stream_data), (parse_streamed, stream_data)],
+                rounds,
+            )
             results[fmt]["streaming_ns_per_byte"] = round(
                 streaming_ns / len(stream_data), 2
             )

@@ -29,13 +29,15 @@ keyword, plus an ahead-of-time emission mode:
   with constant folding, terminal matches become inlined slice comparisons,
   fixed-width integer builtins become inlined ``int.from_bytes`` calls, and
   the attribute environment lives in function locals instead of dicts.
-  Five optimization passes (:class:`Optimizations`) — module-level
-  ``where`` rules with explicit closure cells, bare-``lo`` memo keys for
-  ``EOI``-anchored rules, memo elision for non-recursive rules,
-  single-use rule inlining (plain, array-element and switch-target call
-  sites), and first-byte dispatch tables (:mod:`repro.core.firstsets`) —
-  take it to ~4.8x over the interpreter on the paper's Figure 13
-  workloads (``benchmarks/bench_compiler_speedup.py``).  Tree-elision
+  ``where`` rules compile to module-level functions with explicit closure
+  cells, ``EOI``-anchored rules get bare-``lo`` memo keys and batch
+  compilations skip memo tables for non-recursive rules.  Three
+  optimization passes (:class:`Optimizations`) — single-use rule inlining
+  (plain, array-element and switch-target call sites), first-byte
+  dispatch tables (:mod:`repro.core.firstsets`) and fixed-shape struct
+  decoding (:mod:`repro.core.shapes`) — take it to ~4.8x over the
+  interpreter on the paper's Figure 13 workloads
+  (``benchmarks/bench_compiler_speedup.py``).  Tree-elision
   execution modes (``parse(data, emit="spans"|None)``) skip parse-tree
   construction entirely for validate-only and field-span consumers.
 * ``backend="interpreted"`` runs the reference tree-walking interpreter, a

@@ -901,9 +901,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     compile_command.add_argument(
         "--no-optimize",
         action="store_true",
-        help="disable the compiler optimization passes (module-level where "
-        "rules, dense memo keys, memo elision, single-use inlining, "
-        "first-byte dispatch tables, fixed-shape vectorization)",
+        help="disable the compiler optimization passes (single-use "
+        "inlining, first-byte dispatch tables, fixed-shape vectorization); "
+        "memo specialization is not a pass and stays on",
     )
     compile_command.set_defaults(handler=cmd_compile)
 

@@ -20,14 +20,14 @@ Parser` construction time, into plain Python functions:
   in a state list threaded through the calls, so concurrent and reentrant
   parses are isolated like the interpreter's per-run memo.
 
-On top of that baseline, five optimization passes (individually toggleable
-through :class:`Optimizations`) specialize further:
+``where`` local rules compile to module-level functions taking an explicit
+closure-cell list (:mod:`repro.core.exprcomp`): the declaring alternative
+mirrors its locals into the cell list as they are bound, so hot loops (ELF
+sections, ZIP entries) never pay function construction per invocation.
 
-* **module-level where rules** — ``where`` local rules compile to
-  module-level functions taking an explicit closure-cell list instead of
-  per-invocation nested ``def`` s; the declaring alternative mirrors its
-  locals into the cell list as they are bound, so hot loops (ELF sections,
-  ZIP entries) stop paying function construction on every invocation;
+Packrat memo tables are specialized from the whole-grammar analysis
+(:func:`repro.core.ir.analyze`), with no toggle:
+
 * **dense memo tables** — rules whose every call site pins the right
   interval endpoint to the (unrebound) ``EOI`` special are always invoked
   with the same ``hi`` within one parse, so their memo key collapses from
@@ -35,20 +35,28 @@ through :class:`Optimizations`) specialize further:
   array was measured as well; its O(input-length) per-parse allocation
   loses whenever call sites are sparser than one per byte, so the
   ``lo``-keyed table remains a dict);
-* **memo elision** — rules that cannot recur (no cycle through the
-  nonterminal dependency graph, computed with
+* **memo elision** — in batch compilations, rules that cannot recur (no
+  cycle through the nonterminal dependency graph, computed with
   :func:`repro.core.cycles.recursive_vertices`) skip memoization entirely:
-  a correct parse re-derives their result, it never corrupts it;
+  a correct parse re-derives their result, it never corrupts it.  The
+  stream variant (``stream=True``) memoizes every top-level rule instead.
+
+Three optimization passes, individually toggleable through
+:class:`Optimizations`, specialize further:
+
 * **single-use inlining** — a rule with one alternative referenced from
   exactly one call site (a plain nonterminal term like ``FileName ->
   Bytes``, an array element like ELF's ``Sym``, or a switch-case target)
   is expanded into that call site, eliminating the call, the memo probe
-  and the environment rebase copy;
+  and the environment rebase copy (never in the stream variant);
 * **first-byte dispatch** — where the FIRST-set analysis
   (:mod:`repro.core.firstsets`) proves the window's first byte
   discriminates between alternatives, the dispatcher jumps through a
   256-entry tuple table (or a 256-byte admissibility mask for
-  single-alternative rules) instead of trying alternatives in order.
+  single-alternative rules) instead of trying alternatives in order;
+* **bulk fixed shapes** — statically fixed layouts
+  (:mod:`repro.core.shapes`) decode with one precompiled ``struct`` call
+  per fixed prefix or fixed-stride array.
 
 A separate **tree-elision** compilation (``compile_grammar(...,
 elide_tree=True)``) backs ``Parser.parse(data, emit="spans"|None)``: the
@@ -67,7 +75,7 @@ into a silent fallback to the interpreter.
 Public API:
 
 ``compile_grammar(grammar, memoize=True, blackboxes=None, optimizations=None,
-elide_tree=False)``
+elide_tree=False, stream=False)``
     Stage a prepared grammar and return a :class:`CompiledGrammar`.
 
 ``CompiledGrammar.to_source()``
@@ -80,7 +88,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -99,9 +107,8 @@ from ..ast import (
 )
 from ..buffers import as_buffer
 from ..builtins import BUILTINS, is_builtin
-from ..cycles import recursive_vertices
 from ..errors import CompilationError, IPGError, LimitExceeded
-from ..expr import Name, Num
+from ..expr import Num
 from ..exprcomp import (
     SPECIALS,
     LoopVar,
@@ -111,7 +118,7 @@ from ..exprcomp import (
     compile_expr,
     fold,
 )
-from ..interpreter import _VARIANT_PASSES, FAIL, prepare_grammar
+from ..interpreter import FAIL, prepare_grammar
 from ..limits import DEFAULT_LIMITS, ParseLimits
 from .. import runtime
 from ..parsetree import Leaf
@@ -122,11 +129,7 @@ from ..runtime import (
     _make_builtin_runner,
     _make_builtin_runner_elided,
 )
-from ..ir import (
-    GrammarAnalysis,
-    Optimizations,
-    analyze as analyze_grammar,
-)
+from ..ir import Optimizations, analyze as analyze_grammar
 
 # ---------------------------------------------------------------------------
 # Per-compilation bindings (the shared helpers live in repro.core.runtime)
@@ -170,11 +173,6 @@ def _make_blackbox_runner(blackboxes, elide_tree=False):
 def _indent(lines: List[str], levels: int = 1) -> List[str]:
     pad = "    " * levels
     return [pad + line if line else line for line in lines]
-
-
-# ---------------------------------------------------------------------------
-# Whole-grammar analyses feeding the optimization passes
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +228,13 @@ class _GrammarCompiler:
         memoize: bool = True,
         optimizations: Optional[Optimizations] = None,
         elide_tree: bool = False,
-        stream_dispatch_cache: bool = False,
+        stream: bool = False,
         max_steps: Optional[int] = None,
         wall_clock: bool = False,
-        analysis: Optional[GrammarAnalysis] = None,
     ):
         self.grammar = grammar
         self.memoize = memoize
         self.opts = optimizations if optimizations is not None else Optimizations()
-        #: Shared analyze-stage facts (repro.core.ir); computed lazily in
-        #: compile() when the caller did not run the pipeline explicitly.
-        self.analysis = analysis
         #: Step budget (ParseLimits.max_steps): when set, every rule
         #: dispatcher decrements a shared per-parse counter cell (state
         #: slot 0, kind ``"c"``) and raises LimitExceeded on exhaustion —
@@ -254,14 +248,17 @@ class _GrammarCompiler:
         self.wall_clock = wall_clock
         self.fuel_slot: Optional[int] = None
         self._fuel_rules: Set[str] = set()
-        #: Streaming-variant compilations remember each dispatch decision
-        #: in a per-parse ``lo``-keyed table instead of re-reading
-        #: ``data[lo]`` on every re-entry: the byte at a given offset never
-        #: changes, and the re-read of an in-flight spine rule would pin
-        #: the compaction watermark at its window start (whole-stream
-        #: buffering).  Batch parses read directly — cheaper than a dict
-        #: probe when every rule runs exactly once per window.
-        self.stream_cache = stream_dispatch_cache
+        #: The variant the streaming driver re-enters.  Besides complete
+        #: memoization (see :func:`repro.core.ir.analyze`), it remembers
+        #: each dispatch decision in a per-parse ``lo``-keyed table instead
+        #: of re-reading ``data[lo]`` on every re-entry: the byte at a
+        #: given offset never changes, and the re-read of an in-flight
+        #: spine rule would pin the compaction watermark at its window
+        #: start (whole-stream buffering).  Batch parses read directly —
+        #: cheaper than a dict probe when every rule runs exactly once per
+        #: window.  Fused decodes stay flat-only and slice-based, so a read
+        #: past the received bytes suspends.
+        self.stream = stream
         #: Tree elision: generated alternatives keep the full attribute
         #: semantics (envs, records, arrays-of-envs) but never build
         #: children lists, Leafs or ArrayNodes — the execution mode behind
@@ -369,7 +366,7 @@ class _GrammarCompiler:
 
     def _mirror(self, scope: Scope, local: str, body: List[str]) -> None:
         """Mirror a (re)bound local into the scope's closure-cell list."""
-        if scope.uses_cells:
+        if scope.has_locals:
             body.append(f"{scope.cell_local}[{scope.cell(local)}] = {local}")
 
     def _make_sink(self, alternative: Alternative, fid: str) -> _ChildSink:
@@ -420,11 +417,12 @@ class _GrammarCompiler:
         # straight-line bodies whose work is a constant factor of those
         # charges, so skipping the check there keeps the budget sound while
         # keeping rule-call-dense grammars fast.
-        analysis = self.analysis
-        if analysis is None:
-            analysis = self.analysis = analyze_grammar(
-                self.grammar, memoize=self.memoize, optimizations=self.opts
-            )
+        analysis = analyze_grammar(
+            self.grammar,
+            memoize=self.memoize,
+            optimizations=self.opts,
+            stream=self.stream,
+        )
         self._fuel_rules = analysis.recursive
         self._inline = set(analysis.inline)
         self.dispatch_plans = dict(analysis.dispatch_plans)
@@ -492,10 +490,9 @@ class _GrammarCompiler:
         alt_fns = [
             self.namer.fresh(f"_alt_{token}_") for _ in rule.alternatives
         ]
-        # Module-level where rules thread the declaring scope's cell list
-        # through an explicit trailing argument.
-        with_cells = not toplevel and self.opts.module_level_where
-        args = "st, data, lo, hi, _cells" if with_cells else "st, data, lo, hi"
+        # Where rules thread the declaring scope's cell list through an
+        # explicit trailing argument.
+        args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
         lines: List[str] = []
         for alt_index, (alternative, alt_fn) in enumerate(
             zip(rule.alternatives, alt_fns)
@@ -506,7 +503,6 @@ class _GrammarCompiler:
                 alt_fn,
                 parent_scope,
                 bindings,
-                with_cells,
                 alt_index=alt_index,
                 toplevel=toplevel,
             )
@@ -522,7 +518,7 @@ class _GrammarCompiler:
         if plan is not None:
             lines += self._emit_dispatch_table(plan, alt_fns, table_token)
             lines.append("")
-            if self.stream_cache:
+            if self.stream:
                 cache_slot = len(self.memo_slots)
                 self.memo_slots.append("b")
         body: List[str] = []
@@ -727,7 +723,6 @@ class _GrammarCompiler:
         fn_name: str,
         parent_scope: Optional[Scope],
         bindings: Dict[str, Tuple[str, Scope]],
-        with_cells: bool,
         alt_index: int = 0,
         toplevel: bool = False,
     ) -> List[str]:
@@ -744,7 +739,7 @@ class _GrammarCompiler:
             )
         finally:
             self._lo, self._hi = saved_frame
-        args = "st, data, lo, hi, _cells" if with_cells else "st, data, lo, hi"
+        args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
         return [f"def {fn_name}({args}):"] + _indent(inner)
 
     def _alt_plan(self, rule_name: str, alt_index: int, alternative: Alternative):
@@ -758,7 +753,7 @@ class _GrammarCompiler:
         # that re-run on every stream re-entry and pin the compaction
         # watermark at the window start.
         plan = alternative_shape(
-            self.grammar, rule_name, alt_index, flat_only=self.stream_cache
+            self.grammar, rule_name, alt_index, flat_only=self.stream
         )
         if plan.covered and plan.worthwhile:
             return plan
@@ -786,7 +781,6 @@ class _GrammarCompiler:
             local_bindings[local.name] = (local_fn, scope)
             pending_locals.append((local, local_fn))
         scope.has_locals = bool(pending_locals)
-        scope.uses_cells = scope.has_locals and self.opts.module_level_where
         if pending_locals:
             # Local rule bodies resolve enclosing arrays statically, which is
             # only equivalent to the interpreter's dynamic chain walk when
@@ -878,15 +872,13 @@ class _GrammarCompiler:
             f"{scope.end} = 0",
         ]
         inner += sink.init_lines()
-        if scope.uses_cells:
+        if scope.has_locals:
             parent_cells = "_cells" if parent_scope is not None else "None"
             slots = ", ".join(["_UB"] * len(scope.cell_slots))
             init = f"[{parent_cells}, {slots}]" if slots else f"[{parent_cells}]"
             inner.append(f"{scope.cell_local} = {init}")
             self._deferred += local_defs
         inner += preamble
-        if not scope.uses_cells:
-            inner += local_defs
         inner.append("try:")
         inner += _indent(body if body else ["pass"])
         # KeyError covers missing node attributes, NameError covers
@@ -931,7 +923,7 @@ class _GrammarCompiler:
         tup = self.namer.fresh("_t")
         if plan.nslots:
             sconst = self._struct_const(plan.fmt)
-            if self.stream_cache:
+            if self.stream:
                 body.append(
                     f"{tup} = {sconst}.unpack("
                     f"data[{self._lo}:{self._abs(repr(plan.size))}])"
@@ -1048,7 +1040,7 @@ class _GrammarCompiler:
                 scope.names[term.var] = prior
         base_rel = self.namer.fresh("_t")
         outer.append(f"{base_rel} = {left_src}")
-        stream_loop = self.stream_cache and (
+        stream_loop = self.stream and (
             sink.mode != "none" or referenced or plan.checks_anything
         )
         if stream_loop:
@@ -1081,7 +1073,7 @@ class _GrammarCompiler:
                 leaf_const=self._leaf_const,
             )
             need_rel = keep
-            if self.stream_cache:
+            if self.stream:
                 slot = len(self.memo_slots)
                 self.memo_slots.append("a")
                 state = self.namer.fresh("_t")
@@ -1134,7 +1126,7 @@ class _GrammarCompiler:
                     )
                 else:
                     loop.append(f"{elements}.append({env})")
-            if self.stream_cache:
+            if self.stream:
                 loop.append(f"{state}[0] = {index} + 1")
             elif plan.nslots:
                 loop.append(f"{ro} += {stride}")
@@ -1413,10 +1405,7 @@ class _GrammarCompiler:
             return self._emit_inline_rule(name, left, right, scope, body)
         if name in bindings:
             fn, declaring = bindings[name]
-            if self.opts.module_level_where:
-                call = f"{fn}(st, data, {lo_arg}, {hi_arg}, {cells_path(scope, declaring)})"
-            else:
-                call = f"{fn}(st, data, {lo_arg}, {hi_arg})"
+            call = f"{fn}(st, data, {lo_arg}, {hi_arg}, {cells_path(scope, declaring)})"
         elif self.grammar.has_rule(name):
             call = f"{self.rule_fns[name]}(st, data, {lo_arg}, {hi_arg})"
         elif is_builtin(name):
@@ -1647,10 +1636,9 @@ class _GrammarCompiler:
             loop.append(f"{cell}[0] -= 1")
             loop.append(f"if {cell}[0] < 0:")
             loop.append(f"    _limit_refill({cell})")
-        if scope.uses_cells:
-            # Where-rules called from inside the loop read the live index
-            # through the cell.
-            self._mirror(scope, loop_var, loop)
+        # Where-rules called from inside the loop read the live index
+        # through the cell.
+        self._mirror(scope, loop_var, loop)
         left, right = self._emit_interval(term.element.interval, scope, loop)
         node, env = self._emit_nt_parse(
             element, left, right, scope, bindings, loop, allow_inline=True
@@ -1927,11 +1915,9 @@ class CompiledGrammar:
                     self.grammar,
                     memoize=self.memoize,
                     blackboxes=self.blackboxes,
-                    optimizations=replace(
-                        self.optimizations, **_VARIANT_PASSES["stream"]
-                    ),
+                    optimizations=self.optimizations,
                     elide_tree=self.elide_tree,
-                    stream_dispatch_cache=True,
+                    stream=True,
                     limits=self.limits,
                 )
             except CompilationError:
@@ -1974,11 +1960,10 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
 
     Requirements on ``compiled`` (the caller builds it this way; see
     ``Parser._engine``): ``memoize=False`` (every occurrence must
-    execute) and ``Optimizations(module_level_where=True,
-    inline_single_use=False, first_byte_dispatch=False,
-    bulk_fixed_shape=False)`` — so every rule and alternative exists as a
-    module-level function reached through a *late-bound global name* this
-    function can rebind, and no decode fast path skips sub-rule calls.
+    execute) and ``Optimizations.none()`` — so every rule and alternative
+    exists as a module-level function reached through a *late-bound global
+    name* this function can rebind, and no decode fast path skips sub-rule
+    calls.
 
     The wrappers append to ``compiled.span_trail[0]`` (a single-element
     holder), which the caller swaps for a fresh list per parse.
@@ -2034,9 +2019,8 @@ def compile_grammar(
     blackboxes: Optional[Dict[str, object]] = None,
     optimizations: Optional[Optimizations] = None,
     elide_tree: bool = False,
-    stream_dispatch_cache: bool = False,
+    stream: bool = False,
     limits: Optional[ParseLimits] = None,
-    analysis: Optional["GrammarAnalysis"] = None,
 ) -> CompiledGrammar:
     """Stage ``grammar`` into specialized Python closures.
 
@@ -2052,10 +2036,12 @@ def compile_grammar(
     env-carrying shells sharing one empty children tuple.  It backs
     ``Parser.parse(data, emit="spans"|None)`` and ``accepts``.
 
-    ``stream_dispatch_cache=True`` (set by the streaming variant) makes
-    first-byte dispatch decisions memoized per parse, so re-entries after
-    a suspension never re-read already-dispatched bytes — required for
-    the compaction guarantee of compacted streams.
+    ``stream=True`` compiles the variant the streaming driver re-enters:
+    every top-level rule is memoized and nothing is inlined, whatever
+    ``optimizations`` says, so a re-entry after a suspension replays each
+    decided sub-parse as a memo hit; first-byte dispatch decisions are
+    memoized per parse, so re-entries never re-read already-dispatched
+    bytes — required for the compaction guarantee of compacted streams.
     """
     prepared = prepare_grammar(grammar)
     registry = blackboxes if blackboxes is not None else {}
@@ -2065,10 +2051,9 @@ def compile_grammar(
         memoize=memoize,
         optimizations=optimizations,
         elide_tree=elide_tree,
-        stream_dispatch_cache=stream_dispatch_cache,
+        stream=stream,
         max_steps=resolved_limits.max_steps,
         wall_clock=resolved_limits.max_wall_ms is not None,
-        analysis=analysis,
     )
     source = compiler.compile()
     namespace = dict(_RUNTIME_NAMESPACE)

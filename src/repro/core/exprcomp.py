@@ -21,23 +21,18 @@ into a Python expression string in which
 
 Scoping is resolved statically through :class:`Scope`, which mirrors the
 ``EvalContext.outer`` chain of the interpreter.  Compiled ``where`` local
-rules come in two shapes:
-
-* *nested closures* (the PR-1 scheme): each local rule is a nested ``def``
-  inside its declaring alternative, so a reference the interpreter would
-  resolve in an enclosing context compiles to a closed-over local;
-* *module-level functions with explicit closure cells* (the default): each
-  declaring alternative allocates one cell list per invocation, mirrors its
-  locals into it as they are (re)bound, and passes it to the module-level
-  local-rule functions as an explicit ``_cells`` argument.  Slot ``0`` of
-  every cell list links to the enclosing scope's list, so a reference
-  across ``k`` scope levels compiles to ``_cells[0]…[0][slot]`` — a static
-  chain walk with no per-invocation function construction.
+rules are module-level functions with explicit closure cells: each
+declaring alternative allocates one cell list per invocation, mirrors its
+locals into it as they are (re)bound, and passes it to the module-level
+local-rule functions as an explicit ``_cells`` argument.  Slot ``0`` of
+every cell list links to the enclosing scope's list, so a reference across
+``k`` scope levels compiles to ``_cells[0]…[0][slot]`` — a static chain
+walk with no per-invocation function construction.
 
 Resolution is therefore *reader-aware*: the scope an expression occurs in
 (``reader``) determines whether an entry of an enclosing scope is rendered
-as a plain local (same function, or nested-closure mode) or as a cell
-access (module-level mode).
+as a plain local (same function) or as a cell access (a where-rule reading
+its declaring alternative's locals).
 """
 
 from __future__ import annotations
@@ -107,11 +102,6 @@ class Scope:
         through to the parent scope at runtime.
     arrays:
         Array element name -> Python local holding the element list.
-    uses_cells:
-        True when this scope's locals are mirrored into an explicit cell
-        list (module-level ``where`` compilation of a locals-declaring
-        alternative).  Descendant scopes then read them via
-        :func:`access` instead of relying on Python closures.
     """
 
     def __init__(self, fid: str, parent: Optional["Scope"] = None):
@@ -120,12 +110,13 @@ class Scope:
         self.names: Dict[str, NameEntry] = {}
         self.node_envs: Dict[str, Tuple[str, bool]] = {}
         self.arrays: Dict[str, str] = {}
-        #: True when the alternative declares where-rules.  Descendant scopes
-        #: may then read this scope's record locals *before* the recording
-        #: term ran, so the locals are pre-initialised to ``None`` and
-        #: cross-scope reads compile to conditional fall-through.
+        #: True when the alternative declares where-rules.  Its locals are
+        #: then mirrored into an explicit cell list that descendant scopes
+        #: read via :func:`access`.  Those reads may happen *before* the
+        #: recording term ran, so the record locals are pre-initialised to
+        #: ``None`` and cross-scope reads compile to conditional
+        #: fall-through.
         self.has_locals = False
-        self.uses_cells = False
         #: local variable name -> cell slot (slot 0 links to the parent's
         #: cell list; value slots start at 1).
         self.cell_slots: Dict[str, int] = {}
@@ -188,11 +179,10 @@ def cells_path(reader: Scope, owner: Scope) -> str:
 def access(reader: Scope, owner: Scope, local: str) -> str:
     """Render a read of ``owner``'s compiled local from ``reader``'s function.
 
-    Same function (or nested-closure mode, where Python's own closures do
-    the work): the plain local.  Module-level mode across functions: a cell
-    access.
+    Same function: the plain local.  Across functions (a where-rule reading
+    a declaring alternative's local): a cell access.
     """
-    if owner is reader or not owner.uses_cells:
+    if owner is reader or not owner.has_locals:
         return local
     return f"{cells_path(reader, owner)}[{owner.cell(local)}]"
 

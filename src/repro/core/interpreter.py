@@ -27,7 +27,6 @@ The public entry point is :class:`Parser`.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Union
 
@@ -60,43 +59,6 @@ from .grammar_parser import parse_grammar
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree
 from .runtime import FAIL, _call_blackbox, _wrap_outcome
-
-
-#: Compiler passes each kind of compiled engine pins on top of the
-#: parser's ``first_byte_dispatch``/``bulk_fixed_shape`` toggles.
-#:
-#: * ``batch`` — ``parse``/``try_parse`` in every emit mode: all passes.
-#: * ``stream`` — the variant the streaming driver re-enters.  Streaming
-#:   soundness leans on *complete* memoization: after a suspension the
-#:   engine re-enters from the start symbol and every already-decided
-#:   sub-parse must replay as a memo hit, never by re-reading bytes the
-#:   compaction policy may have discarded.  So memo elision for
-#:   non-recursive rules and single-use inlining are off (dense tables
-#:   and module-level where-rules keep working: ``lo`` stays a plain
-#:   offset and memo persistence is per-slot either way).  Dispatch
-#:   decisions are memoized per parse (``stream_dispatch_cache``) so a
-#:   re-entry never re-reads an in-flight spine rule's first byte, which
-#:   would pin the compaction watermark at its window start.
-#: * ``spans`` — ``record_spans``: unmemoized, every rule and alternative
-#:   reached through a late-bound module global (no inlining, no dispatch
-#:   tables, no decode fast paths), so
-#:   :func:`~repro.core.backends.closures.instrument_span_recording` can
-#:   wrap each one.
-_VARIANT_PASSES = {
-    "batch": {},
-    "stream": {
-        "module_level_where": True,
-        "dense_memo": True,
-        "skip_nonrecursive_memo": False,
-        "inline_single_use": False,
-    },
-    "spans": {
-        "module_level_where": True,
-        "inline_single_use": False,
-        "first_byte_dispatch": False,
-        "bulk_fixed_shape": False,
-    },
-}
 
 
 class _LocalRules:
@@ -235,11 +197,20 @@ class Parser:
         variant, whose trail holder is ``engine.span_trail``.  Returns
         ``None`` on the interpreter backend.
 
-        Each variant is staged on first use with the passes of
-        :data:`_VARIANT_PASSES`.  Every lookup also binds the engine to
-        the current :attr:`limits`: an engine staged under other limits
-        is rebound in place, and re-staged only when the new limits need
-        the fuel cell its code was staged without.
+        Each variant is staged on first use.  Batch variants run the
+        parser's ``first_byte_dispatch``/``bulk_fixed_shape`` toggles plus
+        single-use inlining; the stream variant is the same compilation with
+        ``stream=True`` (complete memoization, no inlining, cached dispatch
+        decisions).  The ``record_spans`` variant is unmemoized and runs no
+        pass at all, so every rule and alternative is reached through a
+        late-bound module global that
+        :func:`~repro.core.backends.closures.instrument_span_recording` can
+        wrap.
+
+        Every lookup also binds the engine to the current :attr:`limits`:
+        an engine staged under other limits is rebound in place, and
+        re-staged only when the new limits need the fuel cell its code was
+        staged without.
         """
         key = (tree, stream, spans)
         engine = self._engines.get(key)
@@ -251,20 +222,20 @@ class Parser:
             # Deferred imports: avoids an import cycle.
             from .compiler import Optimizations, compile_grammar
 
-            kind = "spans" if spans is not None else "stream" if stream else "batch"
+            if spans is not None:
+                optimizations = Optimizations.none()
+            else:
+                optimizations = Optimizations(
+                    first_byte_dispatch=self.first_byte_dispatch,
+                    bulk_fixed_shape=self.bulk_fixed_shape,
+                )
             engine = compile_grammar(
                 self.grammar,
                 memoize=self.memoize and spans is None,
                 blackboxes=self.blackboxes,
-                optimizations=replace(
-                    Optimizations(
-                        first_byte_dispatch=self.first_byte_dispatch,
-                        bulk_fixed_shape=self.bulk_fixed_shape,
-                    ),
-                    **_VARIANT_PASSES[kind],
-                ),
+                optimizations=optimizations,
                 elide_tree=not tree,
-                stream_dispatch_cache=stream,
+                stream=stream,
                 limits=self.limits,
             )
             if spans is not None:

@@ -58,17 +58,10 @@ class Optimizations:
 
     Every combination produces identical parse trees (enforced by
     ``tests/test_compiler_passes.py``); the flags only trade compile-time
-    analysis and generated-code shape for parse speed.
+    analysis and generated-code shape for parse speed.  Memo specialization
+    is not a toggle: :func:`analyze` derives it from the compilation kind.
     """
 
-    #: Compile ``where`` local rules to module-level functions with explicit
-    #: closure-cell lists instead of per-invocation nested ``def`` s.
-    module_level_where: bool = True
-    #: Collapse the memo key of rules whose ``hi`` is always ``EOI`` from a
-    #: ``(lo, hi)`` tuple to the bare ``lo`` offset.
-    dense_memo: bool = True
-    #: Skip memo tables for rules that cannot recur.
-    skip_nonrecursive_memo: bool = True
     #: Expand single-use single-alternative rules into their call site.
     inline_single_use: bool = True
     #: Replace ordered trial-and-backtrack with byte-indexed jump tables
@@ -82,8 +75,8 @@ class Optimizations:
 
     @classmethod
     def none(cls) -> "Optimizations":
-        """The PR-1 baseline: no optimization passes."""
-        return cls(False, False, False, False, False, False)
+        """The unoptimized baseline: every pass off."""
+        return cls(False, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +272,37 @@ def analyze(
     *,
     memoize: bool = True,
     optimizations: Optional[Optimizations] = None,
+    stream: bool = False,
 ) -> GrammarAnalysis:
     """Run every whole-grammar analysis pass once and record the facts.
 
     The memo-mode policy is exactly the staged compiler's: ``unmemoized``
-    when memoization is off, ``skipped`` for non-recursive rules under
-    ``skip_nonrecursive_memo``, ``dense`` for EOI-anchored rules under
-    ``dense_memo``, ``dict`` otherwise.
+    when memoization is off, ``skipped`` for non-recursive rules of a batch
+    compilation, ``dense`` (a ``lo``-keyed table) for EOI-anchored rules,
+    ``dict`` otherwise.
+
+    ``stream=True`` analyzes the variant the streaming driver re-enters.
+    Streaming soundness leans on *complete* memoization: after a
+    suspension the engine re-enters from the start symbol and every
+    already-decided sub-parse must replay as a memo hit, never by
+    re-reading bytes the compaction policy may have discarded.  So a
+    stream compilation memoizes every top-level rule and inlines nothing,
+    whatever ``optimizations`` says.
     """
     opts = optimizations if optimizations is not None else Optimizations()
     sites, all_rules = collect_sites(grammar)
     recursive = recursive_rule_names(grammar, sites)
-    anchored = (
-        eoi_anchored_rule_names(grammar, sites) if opts.dense_memo else set()
-    )
+    anchored = eoi_anchored_rule_names(grammar, sites)
     inline = (
         inline_candidates(grammar, sites, recursive)
-        if opts.inline_single_use
+        if opts.inline_single_use and not stream
         else set()
     )
     memo_modes: Dict[str, str] = {}
     for name in grammar.rules:
         if not memoize:
             memo_modes[name] = "unmemoized"
-        elif opts.skip_nonrecursive_memo and name not in recursive:
+        elif not stream and name not in recursive:
             memo_modes[name] = "skipped"
         elif name in anchored:
             memo_modes[name] = "dense"
@@ -489,8 +489,6 @@ def explain_plan(analysis: GrammarAnalysis) -> str:
         "memoize": analysis.memoize,
         "first_byte_dispatch": opts.first_byte_dispatch,
         "bulk_fixed_shape": opts.bulk_fixed_shape,
-        "dense_memo": opts.dense_memo,
-        "skip_nonrecursive_memo": opts.skip_nonrecursive_memo,
     }
     out: List[str] = [
         f"start: {grammar.start}",

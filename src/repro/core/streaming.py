@@ -720,7 +720,7 @@ class StreamingParse(_StreamSession):
         )
         self._parser = parser
         # The compiled engine streams through a dedicated fully-memoized
-        # variant (see the "stream" passes in repro.core.interpreter): the
+        # variant (``stream=True``, see repro.core.ir.analyze): the
         # batch compilation elides memo tables for non-recursive rules,
         # which would force every re-entry to re-read bytes compaction
         # already discarded.  Non-"tree" emit modes elide tree

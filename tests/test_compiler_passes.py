@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,27 +29,23 @@ from repro.formats import registry, toy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: All-on, all-off, and each pass individually disabled / enabled.
+#: Every combination of the three pass flags: all-on, all-off, and each
+#: pass individually disabled / enabled.
 TOGGLE_CONFIGS = {
     "all": Optimizations(),
     "none": Optimizations.none(),
-    "no-module-where": Optimizations(module_level_where=False),
-    "no-dense": Optimizations(dense_memo=False),
-    "no-skip": Optimizations(skip_nonrecursive_memo=False),
     "no-inline": Optimizations(inline_single_use=False),
     "no-dispatch": Optimizations(first_byte_dispatch=False),
     "no-bulk": Optimizations(bulk_fixed_shape=False),
-    "only-module-where": Optimizations(True, False, False, False, False, False),
-    "only-dense": Optimizations(False, True, False, False, False, False),
-    "only-skip": Optimizations(False, False, True, False, False, False),
-    "only-inline": Optimizations(False, False, False, True, False, False),
-    "only-dispatch": Optimizations(False, False, False, False, True, False),
-    "only-bulk": Optimizations(False, False, False, False, False, True),
+    "only-inline": Optimizations(True, False, False),
+    "only-dispatch": Optimizations(False, True, False),
+    "only-bulk": Optimizations(False, False, True),
 }
+assert len(set(TOGGLE_CONFIGS.values())) == 2 ** len(fields(Optimizations))
 
 #: Shapes chosen to light up individual passes: single-use chains for the
-#: inliner, recursion + EOI anchors for the memo passes, where-rules with
-#: loops for the closure-cell conversion.
+#: inliner, recursion + EOI anchors for the memo specialization, where-rules
+#: with loops for the closure-cell lists.
 PASS_SENSITIVE_GRAMMARS = {
     "inline-chain": """
         S -> Hdr[0, 4] Body[4, EOI] ;
@@ -229,7 +226,7 @@ class TestEmittedToggleEquivalence:
 
 
 class TestAOTRoundTrip:
-    @pytest.mark.parametrize("config", ["all", "none", "no-skip", "only-inline"])
+    @pytest.mark.parametrize("config", ["all", "none", "only-inline"])
     @pytest.mark.parametrize("fmt", sorted(registry))
     def test_emitted_module_execs_and_parses(self, config, fmt):
         spec = registry[fmt]
@@ -328,8 +325,12 @@ class TestOptimizationReporting:
         assert full.memo_modes["Items"] == "dense"
         # S is non-recursive: memo elided.
         assert full.memo_modes["S"] == "skipped"
+        # Memo specialization is not a pass: turning every pass off keeps it.
         baseline = compile_grammar(grammar, optimizations=Optimizations.none())
-        assert set(baseline.memo_modes.values()) == {"dict"}
+        assert baseline.memo_modes == full.memo_modes
+        # The stream variant memoizes S too (anchored at EOI: dense key).
+        streaming = compile_grammar(grammar, stream=True)
+        assert streaming.memo_modes == {"S": "dense", "Items": "dense"}
         unmemoized = compile_grammar(grammar, memoize=False)
         assert set(unmemoized.memo_modes.values()) == {"unmemoized"}
 

@@ -1,11 +1,14 @@
-"""Soundness tests for the memo-table specialization passes.
+"""Soundness tests for the memo-table specialization.
 
-Two passes rewrite the packrat memo the PR-1 compiler allocated per rule:
+The analysis specializes each rule's packrat memo: in batch compilations
 non-recursive rules skip memoization entirely, and rules whose ``hi`` is
-always the parse's ``EOI`` key their table by bare ``lo``.  Both are easy
-to get subtly wrong — a skipped table must not conflate call sites, a
-collapsed key must never be applied to a rule that can see two different
-``hi`` values — so this module pins the edges directly.
+always the parse's ``EOI`` key their table by bare ``lo``.  The stream
+variant (``compile_grammar(..., stream=True)``) memoizes every rule, which
+is also how these tests force a table onto a non-recursive rule.  Both
+specializations are easy to get subtly wrong — a skipped table must not
+conflate call sites, a collapsed key must never be applied to a rule that
+can see two different ``hi`` values — so this module pins the edges
+directly.
 """
 
 import pytest
@@ -13,6 +16,8 @@ import pytest
 from engine_matrix import matrix_for
 from repro import Parser
 from repro.core.compiler import Optimizations, compile_grammar
+from repro.core.errors import CompilationError
+from repro.formats import registry
 
 
 class TestMemoElisionSoundness:
@@ -59,9 +64,7 @@ class TestMemoElisionSoundness:
     def test_elision_vs_full_memo_trees_match(self):
         data = bytes([1, 0, 2, 0, 3, 0, 9, 9])
         skipped = compile_grammar(self.GRAMMAR)
-        memoized = compile_grammar(
-            self.GRAMMAR, optimizations=Optimizations(skip_nonrecursive_memo=False)
-        )
+        memoized = compile_grammar(self.GRAMMAR, stream=True)
         assert memoized.memo_modes["P"] in ("dict", "dense")
         start = skipped.grammar.start
         assert skipped.parse_nonterminal(data, start, 0, len(data)) == \
@@ -72,10 +75,7 @@ class TestDenseKeySoundness:
     def test_mixed_hi_rule_is_never_dense(self):
         # P is called over [0,4) and [2,6): hi differs between call sites,
         # so collapsing its memo key to lo would conflate windows.
-        compiled = compile_grammar(
-            TestMemoElisionSoundness.GRAMMAR,
-            optimizations=Optimizations(skip_nonrecursive_memo=False),
-        )
+        compiled = compile_grammar(TestMemoElisionSoundness.GRAMMAR, stream=True)
         assert compiled.memo_modes["P"] == "dict"
 
     def test_eoi_anchored_recursive_rule_is_dense(self):
@@ -96,9 +96,7 @@ class TestDenseKeySoundness:
         Inner -> Raw[0, EOI] ;
         Tail -> Raw[0, EOI] ;
         """
-        compiled = compile_grammar(
-            grammar, optimizations=Optimizations(skip_nonrecursive_memo=False)
-        )
+        compiled = compile_grammar(grammar, stream=True)
         assert compiled.memo_modes["Inner"] == "dict"
         # Tail's call site uses the rebound EOI too — conservative dict.
         assert compiled.memo_modes["Tail"] == "dict"
@@ -113,9 +111,7 @@ class TestDenseKeySoundness:
         Mid -> U8[0, 1] Leaf[1, EOI] ;
         Leaf -> Raw[0, EOI] ;
         """
-        compiled = compile_grammar(
-            anchored, optimizations=Optimizations(skip_nonrecursive_memo=False)
-        )
+        compiled = compile_grammar(anchored, stream=True)
         assert compiled.memo_modes["Mid"] == "dense"
         assert compiled.memo_modes["Leaf"] == "dense"
         broken = """
@@ -124,9 +120,7 @@ class TestDenseKeySoundness:
         Leaf -> Raw[0, EOI] ;
         Rest -> Raw[0, EOI] ;
         """
-        compiled = compile_grammar(
-            broken, optimizations=Optimizations(skip_nonrecursive_memo=False)
-        )
+        compiled = compile_grammar(broken, stream=True)
         assert compiled.memo_modes["Mid"] == "dict"
         assert compiled.memo_modes["Leaf"] == "dict"
         matrix_for(broken).assert_agree(bytes([1, 2, 3, 4, 5, 6]))
@@ -136,7 +130,7 @@ class TestStreamingKeepsFullMemo:
     def test_streaming_variant_never_skips(self):
         # Streaming re-entry replays completed work as memo hits; the
         # driver must get a compilation with elision off even though the
-        # batch engine skips (see the "stream" compiler passes).
+        # batch engine skips (the ``stream=True`` compilation).
         parser = Parser("S -> Hdr[0, 2] Raw[2, EOI] ;\n"
                         "Hdr -> U16LE[0, 2] {n = U16LE.val} ;")
         assert parser.backend == "compiled"
@@ -148,6 +142,21 @@ class TestStreamingKeepsFullMemo:
         data = bytes([7, 0]) + b"payload"
         chunks = [data[i : i + 3] for i in range(0, len(data), 3)]
         assert parser.parse_stream(chunks) == parser.parse(data)
+
+    @pytest.mark.parametrize("fmt", sorted(registry))
+    def test_stream_compilation_memoizes_everything_whatever_the_passes(self, fmt):
+        # Stream soundness is a fact of the compilation, not of the pass
+        # set: even with every pass on, nothing is skipped or inlined.
+        try:
+            compiled = compile_grammar(
+                registry[fmt].grammar_text,
+                stream=True,
+                optimizations=Optimizations(),
+            )
+        except CompilationError:
+            pytest.skip(f"{fmt} does not compile")
+        assert "skipped" not in compiled.memo_modes.values()
+        assert compiled.inlined_rules == frozenset()
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5])
     def test_streamed_trees_match_batch_under_passes(self, chunk_size):
