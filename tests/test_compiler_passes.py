@@ -5,8 +5,9 @@ compile every grammar to the *same* observable parser: identical trees,
 identical failures.  This module fuzzes that claim over the paper's toy
 grammars, the workload generators of ``test_property_based.py``, and a set
 of adversarial shapes aimed at each pass — on the in-process closures and
-on the ahead-of-time emitted module — and checks that emitted modules
-round-trip through both ``exec`` and a real ``importlib`` import.
+on the ahead-of-time emitted module, batch and streamed — and checks that
+emitted modules round-trip through both ``exec`` and a real ``importlib``
+import.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engine_matrix import format_sample, load_aot_module
 from repro import Parser, samples
@@ -42,6 +43,19 @@ TOGGLE_CONFIGS = {
     "only-bulk": Optimizations(False, False, True),
 }
 assert len(set(TOGGLE_CONFIGS.values())) == 2 ** len(fields(Optimizations))
+
+#: The pass sets a stream compilation (``stream=True``) can differ by.  It
+#: never inlines, so only first-byte dispatch (whose decisions the stream
+#: variant memoizes per parse) and bulk decoding vary — the two toggles
+#: ``Parser`` exposes.
+STREAM_CONFIGS = ("all", "no-dispatch", "no-bulk", "none")
+assert len({
+    (TOGGLE_CONFIGS[c].first_byte_dispatch, TOGGLE_CONFIGS[c].bulk_fixed_shape)
+    for c in STREAM_CONFIGS
+}) == 4
+
+#: Byte-at-a-time (a re-entry per byte) and a chunk that straddles fields.
+STREAM_CHUNK_SIZES = (1, 7)
 
 #: Shapes chosen to light up individual passes: single-use chains for the
 #: inliner, recursion + EOI anchors for the memo specialization, where-rules
@@ -162,6 +176,103 @@ class TestToggleEquivalence:
             _assert_config_equivalent(registry["dns"].grammar_text, config, packet)
 
 
+def _streamed_outcome(parse_stream, data, chunk_size, failure, error_base):
+    """The outcome of streaming ``data`` in ``chunk_size`` pieces.
+
+    A stream reports a non-match by raising ``failure`` where ``try_parse``
+    returns None, so that maps to the same ``("none",)`` outcome.
+    """
+    data = bytes(data)
+    chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
+    try:
+        tree = parse_stream(chunks)
+    except failure:
+        return ("none",)
+    except error_base as exc:
+        return ("error", type(exc).__name__)
+    return ("tree", tree)
+
+
+_STREAMING_CACHE = {}
+
+
+def _streaming_pair(grammar_text, config, blackboxes=None):
+    """(compiled Parser with ``config``'s toggles, reference interpreter)."""
+    key = (grammar_text, config)
+    if key not in _STREAMING_CACHE:
+        opts = TOGGLE_CONFIGS[config]
+        compiled = Parser(
+            grammar_text,
+            blackboxes=dict(blackboxes or {}),
+            first_byte_dispatch=opts.first_byte_dispatch,
+            bulk_fixed_shape=opts.bulk_fixed_shape,
+        )
+        assert compiled.backend == "compiled"
+        _STREAMING_CACHE[key] = (
+            compiled,
+            Parser(grammar_text, blackboxes=dict(blackboxes or {}),
+                   backend="interpreted"),
+        )
+    return _STREAMING_CACHE[key]
+
+
+def _assert_streamed_equivalent(grammar_text, config, data, chunk_size,
+                                blackboxes=None):
+    from repro.core.errors import IPGError, ParseFailure
+
+    compiled, interpreted = _streaming_pair(grammar_text, config, blackboxes)
+    # Non-streamable grammars stream only when forced; compaction is only
+    # guaranteed safe for the grammars the analysis accepts.
+    compact = compiled.streamability_report().streamable
+    expected = _outcome(interpreted.try_parse, bytes(data), IPGError)
+    streamed = _streamed_outcome(
+        lambda chunks: compiled.parse_stream(chunks, force=True, compact=compact),
+        data, chunk_size, ParseFailure, IPGError,
+    )
+    assert streamed == expected
+
+
+class TestStreamedToggleEquivalence:
+    """The toggle fuzz again, through the in-process streaming driver.
+
+    ``parse_stream`` re-enters the ``stream=True`` compilation after every
+    chunk; under each dispatch/bulk setting it must still parse exactly
+    like the reference interpreter.
+    """
+
+    @pytest.mark.parametrize("chunk_size", STREAM_CHUNK_SIZES)
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @pytest.mark.parametrize("name", sorted(PASS_SENSITIVE_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=24))
+    # Marks and pairs interleaved: consecutive dispatch decisions differ.
+    @example(data=b"\x80p\x01\x81\x82p\x02")
+    @settings(max_examples=30, deadline=None)
+    def test_pass_sensitive_grammars(self, config, name, chunk_size, data):
+        _assert_streamed_equivalent(
+            PASS_SENSITIVE_GRAMMARS[name], config, data, chunk_size
+        )
+
+    @pytest.mark.parametrize("chunk_size", STREAM_CHUNK_SIZES)
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=16))
+    @settings(max_examples=15, deadline=None)
+    def test_toy_grammars(self, config, name, chunk_size, data):
+        _assert_streamed_equivalent(toy.ALL_GRAMMARS[name], config, data, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", STREAM_CHUNK_SIZES)
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @pytest.mark.parametrize("fmt", ["zip", "dns", "elf"])
+    def test_format_grammars(self, config, fmt, chunk_size):
+        spec = registry[fmt]
+        sample = format_sample(fmt)
+        for data in (sample, sample[: len(sample) // 2]):
+            _assert_streamed_equivalent(
+                spec.grammar_text, config, data, chunk_size,
+                blackboxes=dict(spec.blackboxes),
+            )
+
+
 _EMITTED_CACHE = {}
 
 
@@ -198,13 +309,29 @@ def _assert_emitted_equivalent(grammar_text, config, data, blackboxes=None):
     assert _outcome(module.try_parse, data, module.IPGError) == expected
 
 
+def _assert_emitted_streamed_equivalent(grammar_text, config, data, chunk_size,
+                                        blackboxes=None):
+    from repro.core.errors import IPGError
+
+    module, interpreted = _emitted_pair(grammar_text, config, blackboxes)
+    expected = _outcome(interpreted.try_parse, bytes(data), IPGError)
+    streamed = _streamed_outcome(
+        lambda chunks: module.parse_stream(
+            chunks, force=True, compact=module.STREAMABLE
+        ),
+        data, chunk_size, module.ParseFailure, module.IPGError,
+    )
+    assert streamed == expected
+
+
 class TestEmittedToggleEquivalence:
     """The toggle fuzz again, through the emitted standalone module.
 
     ``to_source()`` renders every pass's artifacts (module-level where
     rules, dense memo tables, dispatch tables, fused decoders) as module
     text of its own; each combination must still parse exactly like the
-    reference interpreter once the module is executed.
+    reference interpreter once the module is executed — through the batch
+    entry points and through the embedded stream variant.
     """
 
     @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
@@ -222,6 +349,28 @@ class TestEmittedToggleEquivalence:
         for data in (sample, sample[: len(sample) // 2]):
             _assert_emitted_equivalent(
                 spec.grammar_text, config, data, blackboxes=dict(spec.blackboxes)
+            )
+
+    @pytest.mark.parametrize("chunk_size", STREAM_CHUNK_SIZES)
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=16))
+    @settings(max_examples=15, deadline=None)
+    def test_streamed_toy_grammars(self, config, name, chunk_size, data):
+        _assert_emitted_streamed_equivalent(
+            toy.ALL_GRAMMARS[name], config, data, chunk_size
+        )
+
+    @pytest.mark.parametrize("chunk_size", STREAM_CHUNK_SIZES)
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @pytest.mark.parametrize("fmt", ["zip", "dns", "elf"])
+    def test_streamed_format_grammars(self, config, fmt, chunk_size):
+        spec = registry[fmt]
+        sample = format_sample(fmt)
+        for data in (sample, sample[: len(sample) // 2]):
+            _assert_emitted_streamed_equivalent(
+                spec.grammar_text, config, data, chunk_size,
+                blackboxes=dict(spec.blackboxes),
             )
 
 
