@@ -20,7 +20,9 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke] [-o FILE]
 
-``--smoke`` shrinks workloads and repetition counts for CI.
+``--smoke`` shrinks workloads and repetition counts for CI.  The batch
+and stream sides of each ratio are timed interleaved, with
+``bench_compiler_speedup.best_of``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Callable, Dict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from bench_compiler_speedup import best_of  # noqa: E402
 from repro import samples  # noqa: E402
 from repro.evaluation.memory import measure_peak_memory  # noqa: E402
 from repro.formats import registry  # noqa: E402
@@ -72,18 +74,6 @@ def largest_suspended_term(fmt: str, data: bytes) -> int:
     raise KeyError(fmt)
 
 
-def best_of(action: Callable[[], object], rounds: int) -> int:
-    action()  # warm-up
-    best = None
-    for _ in range(rounds):
-        begin = time.perf_counter_ns()
-        action()
-        elapsed = time.perf_counter_ns() - begin
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
-
-
 def run(smoke: bool, output: str) -> int:
     rounds = 3 if smoke else 9
     chunk_size = 256 if smoke else 1024
@@ -119,9 +109,8 @@ def run(smoke: bool, output: str) -> int:
                 )
                 failures += 1
                 continue
-            batch_ns = best_of(lambda: parser.parse(data), rounds)
-            stream_ns = best_of(
-                lambda: parser.parse_stream(iter(chunks)), rounds
+            batch_ns, stream_ns = best_of(
+                [(parser.parse, data), (parser.parse_stream, chunks)], rounds
             )
             batch_memory = measure_peak_memory(lambda: parser.parse(data))
             stream_memory = measure_peak_memory(

@@ -87,7 +87,6 @@ elide_tree=False, stream=False)``
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -107,7 +106,7 @@ from ..ast import (
 )
 from ..buffers import as_buffer
 from ..builtins import BUILTINS, is_builtin
-from ..errors import CompilationError, IPGError, LimitExceeded
+from ..errors import CompilationError, IPGError
 from ..expr import Num
 from ..exprcomp import (
     SPECIALS,
@@ -124,8 +123,10 @@ from .. import runtime
 from ..parsetree import Leaf
 from ..runtime import (
     _FIXED_INTS,
+    _RECURSION_LIMIT,
     _aidx_env,
     _call_blackbox,
+    _guarded,
     _make_builtin_runner,
     _make_builtin_runner_elided,
 )
@@ -1765,7 +1766,7 @@ class CompiledGrammar:
         #: max_steps is enforced natively (the fuel cell at state slot
         #: :attr:`fuel_slot`, None when compiled out); depth/memo/node
         #: growth are transitively bounded by it, and RecursionError/
-        #: MemoryError are intercepted at the entry points.
+        #: MemoryError are mapped by the parse guard.
         self.limits = DEFAULT_LIMITS if limits is None else limits
         self.fuel_slot = compiler.fuel_slot
         #: The ``[spans]`` holder of a record_spans instrumentation (see
@@ -1833,25 +1834,27 @@ class CompiledGrammar:
         maker = _make_builtin_runner_elided if self.elide_tree else _make_builtin_runner
         return maker(name)(data, lo, hi)
 
-    def parse_nonterminal(self, data: bytes, name: str, lo: int, hi: int):
-        """``s[lo, hi] ⊢ name ⇓ R`` through the compiled closures."""
-        state = self._new_state()
+    def run_nonterminal(self, data, name: str, lo: int, hi: int):
+        """``s[lo, hi] ⊢ name ⇓ R`` through the compiled closures, unguarded.
+
+        The caller runs it under the parse guard
+        (:func:`~repro.core.runtime._guarded`), as
+        :meth:`parse_nonterminal` and ``Parser`` do.
+        """
         fn = self._entry.get(name)
         if fn is not None:
-            try:
-                return fn(state, data, lo, hi)
-            except (RecursionError, MemoryError) as exc:
-                raise LimitExceeded(
-                    f"{type(exc).__name__} while parsing {name!r}; the input "
-                    f"drives unbounded recursion or allocation",
-                    limit="recursion",
-                    nonterminal=name,
-                ) from exc
+            return fn(self._new_state(), data, lo, hi)
         if is_builtin(name):
             return self.run_builtin(name, data, lo, hi)
         if name in self.grammar.blackboxes:
             return self._bb(name, data, lo, hi)
         raise IPGError(f"no rule, builtin or blackbox for nonterminal {name!r}")
+
+    def parse_nonterminal(self, data, name: str, lo: int, hi: int):
+        """:meth:`run_nonterminal` under the parse guard's default headroom."""
+        return _guarded(
+            _RECURSION_LIMIT, name, self.run_nonterminal, data, name, lo, hi
+        )
 
     def parse(self, data: bytes, name: Optional[str] = None):
         """Parse ``data`` whole, raising a structured error on failure.
@@ -1866,18 +1869,7 @@ class CompiledGrammar:
 
         data = as_buffer(data)
         start = name or self.grammar.start
-        # Same recursion headroom as Parser.try_parse and the AOT
-        # epilogue: legitimately deep inputs (long linked structures) must
-        # not trip the default interpreter-stack limit on this entry point
-        # while parsing fine on the others.
-        previous_limit = sys.getrecursionlimit()
-        if 100_000 > previous_limit:
-            sys.setrecursionlimit(100_000)
-        try:
-            result = self.parse_nonterminal(data, start, 0, len(data))
-        finally:
-            if 100_000 > previous_limit:
-                sys.setrecursionlimit(previous_limit)
+        result = self.parse_nonterminal(data, start, 0, len(data))
         if result is FAIL:
             raise diagnose_failure(
                 self.grammar,

@@ -20,7 +20,7 @@ in-process engines execute — the helpers of :mod:`repro.core.runtime`,
 written here: the blackbox registry, the public entry points and the
 emitted ``StreamingParse``'s three engine hooks.
 
-Two deliberate design points:
+Three deliberate design points:
 
 * **Parse-tree compatibility.**  The prelude first tries to import
   ``repro``'s :class:`~repro.core.parsetree.Node` / ``Leaf`` /
@@ -30,6 +30,11 @@ Two deliberate design points:
   ``==`` across all of them (enforced by ``tests/engine_matrix.py``);
   without ``repro`` the vendored classes implement the same structural
   equality among themselves.
+* **One live-guard count.**  The recursion limit a deep parse raises is
+  process-wide, so the prelude binds ``repro``'s guard count
+  (:func:`~repro.core.runtime._guard_enter`) when ``repro`` is importable
+  and vendors it otherwise: an emitted module and a ``Parser`` parsing at
+  once never restore the limit under each other.
 * **Blackboxes are late-bound.**  A blackbox parser is an arbitrary Python
   callable and cannot be serialized; the emitted module exposes
   ``register_blackbox(name, fn)`` and defers the lookup to parse time,
@@ -66,6 +71,9 @@ _ERROR_CLASSES = (
 
 #: The line of :mod:`repro.core.runtime` below which its source is vendored.
 _RUNTIME_MARKER = "# -- VENDORED:"
+#: The line of :mod:`repro.core.runtime` that starts the live-guard count,
+#: which an emitted module vendors only for when ``repro`` is not importable.
+_GUARD_MARKER = "# -- GUARD:"
 
 
 def _getsource(*objects) -> str:
@@ -80,8 +88,9 @@ def _prelude_source() -> str:
     (:data:`_PACKAGE_IMPORTS`), extracted from the in-repo modules.
     """
     _, marker, body = inspect.getsource(runtime).partition(_RUNTIME_MARKER)
-    if not marker:
-        raise RuntimeError(f"repro.core.runtime lost its {_RUNTIME_MARKER!r} line")
+    body, guard_marker, guard = body.partition(_GUARD_MARKER)
+    if not (marker and guard_marker):
+        raise RuntimeError("repro.core.runtime lost its VENDORED or GUARD line")
     tree_classes = _getsource(
         parsetree.ParseTree,
         parsetree.Leaf,
@@ -91,9 +100,6 @@ def _prelude_source() -> str:
     )
     return "\n".join(
         [
-            "import sys",
-            "",
-            "",
             _getsource(*_ERROR_CLASSES),
             "",
             "",
@@ -109,6 +115,15 @@ def _prelude_source() -> str:
             "",
             "# -- runtime (repro.core.runtime) " + "-" * 45,
             body.split("\n", 1)[1].strip("\n"),
+            "",
+            "",
+            "try:  # One live-guard count per process: when repro is importable,",
+            "    # this module's parses count together with its engines'.",
+            "    from repro.core.runtime import (",
+            "        _RECURSION_LIMIT, _guard_enter, _guard_exit,",
+            "    )",
+            "except ImportError:",
+            textwrap.indent(guard.split("\n", 1)[1].strip("\n"), "    "),
             "",
             "",
             _getsource(buffers.as_buffer),
@@ -183,9 +198,6 @@ def parse_nonterminal(data, name, lo, hi):
     return _call(_ENTRY, _new_state(), data, name, lo, hi)
 
 
-_RECURSION_LIMIT = 100000
-
-
 def _diagnose_and_raise(data, name):
     """Classify and raise the failure for a non-matching ``data``.
 
@@ -236,21 +248,9 @@ def try_parse(data, start=None):
     """
     data = as_buffer(data)
     name = START if start is None else start
-    previous_limit = sys.getrecursionlimit()
-    if _RECURSION_LIMIT > previous_limit:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-    try:
-        result = parse_nonterminal(data, name, 0, len(data))
-    except (RecursionError, MemoryError) as exc:
-        raise LimitExceeded(
-            f"{type(exc).__name__} while parsing {name!r}; the input drives "
-            f"unbounded recursion or allocation",
-            limit="recursion",
-            nonterminal=name,
-        ) from exc
-    finally:
-        if _RECURSION_LIMIT > previous_limit:
-            sys.setrecursionlimit(previous_limit)
+    result = _guarded(
+        _RECURSION_LIMIT, name, parse_nonterminal, data, name, 0, len(data)
+    )
     return None if result is FAIL else result
 
 
@@ -532,8 +532,6 @@ def render_package(compiled_by_name, package_doc: Optional[str] = None):
         )
         parts = [
             _doc_literal(module_doc),
-            "",
-            "import sys",
             "",
             f"from ._prelude import (\n    {imports},\n)",
             "",

@@ -60,6 +60,7 @@ from .errors import (
 from .interpreter import FAIL, Parser, _Run, prepare_grammar
 from .limits import ParseLimits
 from .parsetree import Leaf
+from .runtime import _guarded
 
 __all__ = ["diagnose_parser", "diagnose_failure"]
 
@@ -320,33 +321,27 @@ class _DiagRun(_Run):
         return result
 
 
-def _run_diagnosis(parser: Parser, data: bytes, start: str) -> ParseFailure:
-    import sys
-
+def _run_diagnosis(
+    parser: Parser, data, start: str, lo: int = 0, hi: Optional[int] = None
+) -> ParseFailure:
+    """Classify the failed parse of ``start`` over ``[lo, hi)`` (default:
+    all of ``data``); returns the exception, never raises it."""
+    hi = len(data) if hi is None else hi
     run = _DiagRun(parser, data, build_tree=False)
-    previous_limit = sys.getrecursionlimit()
-    if parser.recursion_limit > previous_limit:
-        sys.setrecursionlimit(parser.recursion_limit)
+    run._win = (lo, hi)
     try:
-        result = run.parse_nonterminal(start, 0, len(data), None, None)
+        result = _guarded(
+            parser.recursion_limit, start, run.parse_nonterminal,
+            start, lo, hi, None, None,
+        )
     except LimitExceeded as exc:
         return exc
-    except (RecursionError, MemoryError) as exc:
-        return LimitExceeded(
-            f"{type(exc).__name__} while diagnosing the failed parse of "
-            f"{start!r}",
-            limit="recursion",
-            nonterminal=start,
-        )
-    finally:
-        if parser.recursion_limit > previous_limit:
-            sys.setrecursionlimit(previous_limit)
     if result is not FAIL:
         # Defensive: the fast engine failed but the reference run
         # succeeded.  Report the failure without a bogus classification.
         return ParseFailure(
-            f"input of length {len(data)} does not match nonterminal "
-            f"{start!r} (diagnosis disagreed; engines out of sync?)",
+            f"window [{lo}, {hi}) does not match nonterminal {start!r}, "
+            f"but the reference run accepts it (engines out of sync?)",
             nonterminal=start,
         )
     return run._as_exception(start)

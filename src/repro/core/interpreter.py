@@ -26,7 +26,6 @@ The public entry point is :class:`Parser`.
 
 from __future__ import annotations
 
-import sys
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Union
 
@@ -58,7 +57,13 @@ from .errors import (
 from .grammar_parser import parse_grammar
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree
-from .runtime import FAIL, _call_blackbox, _wrap_outcome
+from .runtime import (
+    _RECURSION_LIMIT,
+    FAIL,
+    _call_blackbox,
+    _guarded,
+    _wrap_outcome,
+)
 
 
 class _LocalRules:
@@ -106,7 +111,11 @@ class Parser:
         Enable packrat-style memoization of nonterminal results.
     recursion_limit:
         Python recursion limit to install while parsing; IPG rules such as
-        the GIF ``Blocks`` list are deliberately recursive.
+        the GIF ``Blocks`` list are deliberately recursive.  All parses of
+        the process share one guard (:func:`~repro.core.runtime._guarded`):
+        it raises the limit when it is lower, never lowers it, and gives
+        the caller's value back when the last parse in any thread, on any
+        engine or emitted module, finishes.
     backend:
         ``"compiled"`` (the default) stages the grammar into specialized
         Python closures via :mod:`repro.core.backends.closures`;
@@ -151,7 +160,7 @@ class Parser:
         grammar: Union[Grammar, str],
         blackboxes: Optional[Dict[str, BlackboxCallable]] = None,
         memoize: bool = True,
-        recursion_limit: int = 100_000,
+        recursion_limit: int = _RECURSION_LIMIT,
         backend: str = "compiled",
         first_byte_dispatch: bool = True,
         bulk_fixed_shape: bool = True,
@@ -245,51 +254,33 @@ class Parser:
             self._engines[key] = engine
         return engine
 
-    def _try_parse_recording(self, data, start_name, span_rules):
-        """The ``record_spans`` execution path: ``(result, spans)``.
+    def _run_window(self, name, data, lo, hi, tree=True, spans=None):
+        """``s[lo, hi] ⊢ name`` on this parser's engine, under the parse guard.
 
-        Every engine runs with memoization and the decode fast paths off,
-        records ``(rule, abs_start, abs_end)`` post-order at rule success,
-        and discards spans recorded inside abandoned alternatives — so the
-        trail is exactly the committed derivation and identical across
-        engines (differential-tested by the cross-engine matrix).
+        The one engine choice: the compiled variant when the grammar
+        compiled, else the reference :class:`_Run`; ``tree=False`` elides
+        the tree.  Returns a :class:`Node` or ``FAIL``, or ``(result,
+        trail)`` under ``spans`` (a frozenset of top-level rules): with
+        memoization and the decode fast paths off, ``trail`` holds the
+        ``(rule, abs_start, abs_end)`` of each committed occurrence in
+        post-order, the same on every engine.
         """
-        unknown = sorted(
-            name for name in span_rules if not self.grammar.has_rule(name)
-        )
-        if unknown:
-            raise IPGError(
-                f"record_spans names unknown top-level rule(s) {unknown}; "
-                f"builtins and blackboxes have no rule spans"
-            )
-        data = as_buffer(data)
-        self._validate_blackboxes(start_name)
-        previous_limit = sys.getrecursionlimit()
-        if self.recursion_limit > previous_limit:
-            sys.setrecursionlimit(self.recursion_limit)
-        try:
-            compiled = self._engine(spans=span_rules)
-            if compiled is not None:
-                compiled.span_trail[0] = spans = []
-                result = compiled.parse_nonterminal(data, start_name, 0, len(data))
-            else:
-                run = _Run(self, data, span_rules=span_rules)
-                result = run.parse_nonterminal(start_name, 0, len(data), None, None)
-                spans = run.spans
-        except (RecursionError, MemoryError) as exc:
-            raise LimitExceeded(
-                f"{type(exc).__name__} while parsing {start_name!r}; the input "
-                f"drives unbounded recursion or allocation — set "
-                f"ParseLimits.max_depth/max_steps to fail earlier",
-                limit="recursion",
-                nonterminal=start_name,
-            ) from exc
-        finally:
-            if self.recursion_limit > previous_limit:
-                sys.setrecursionlimit(previous_limit)
-        if result is FAIL:
-            return None, []
-        return result, spans
+        if spans is None:
+            compiled = self._engine(tree=tree)
+        else:
+            compiled = self._engine(spans=spans)
+        if compiled is not None:
+            if spans is not None:
+                compiled.span_trail[0] = trail = []
+            run = compiled.run_nonterminal
+            args = (data, name, lo, hi)
+        else:
+            engine = _Run(self, data, build_tree=tree, span_rules=spans)
+            trail = engine.spans
+            run = engine.parse_nonterminal
+            args = (name, lo, hi, None, None)
+        result = _guarded(self.recursion_limit, name, run, *args)
+        return result if spans is None else (result, trail)
 
     def register_blackbox(self, name: str, parser: BlackboxCallable) -> None:
         """Register (or replace) the implementation of a blackbox parser.
@@ -386,42 +377,29 @@ class Parser:
                 f"unknown emit mode {emit!r}; expected one of {self.EMIT_MODES}"
             )
         start_name = start or self.grammar.start
+        spans = None
         if record_spans is not None:
             if emit != "tree":
                 raise ValueError(
                     'record_spans requires emit="tree" (the recording '
                     "engines always run the tree-building path)"
                 )
-            return self._try_parse_recording(
-                data, start_name, frozenset(record_spans)
+            spans = frozenset(record_spans)
+            unknown = sorted(
+                name for name in spans if not self.grammar.has_rule(name)
             )
+            if unknown:
+                raise IPGError(
+                    f"record_spans names unknown top-level rule(s) {unknown}; "
+                    f"builtins and blackboxes have no rule spans"
+                )
         data = as_buffer(data)
         self._validate_blackboxes(start_name)
-        previous_limit = sys.getrecursionlimit()
-        if self.recursion_limit > previous_limit:
-            sys.setrecursionlimit(self.recursion_limit)
-        try:
-            compiled = self._engine(tree=emit == "tree")
-            if compiled is not None:
-                result = compiled.parse_nonterminal(data, start_name, 0, len(data))
-            else:
-                run = _Run(self, data, build_tree=emit == "tree")
-                result = run.parse_nonterminal(start_name, 0, len(data), None, None)
-        except (RecursionError, MemoryError) as exc:
-            # Safety net: the explicit max_depth check fires first under the
-            # default limits; a bare interpreter-stack or allocator blowup
-            # (e.g. with ParseLimits.unlimited()) still surfaces as a
-            # structured LimitExceeded instead of a raw stack trace.
-            raise LimitExceeded(
-                f"{type(exc).__name__} while parsing {start_name!r}; the input "
-                f"drives unbounded recursion or allocation — set "
-                f"ParseLimits.max_depth/max_steps to fail earlier",
-                limit="recursion",
-                nonterminal=start_name,
-            ) from exc
-        finally:
-            if self.recursion_limit > previous_limit:
-                sys.setrecursionlimit(previous_limit)
+        result = self._run_window(
+            start_name, data, 0, len(data), tree=emit == "tree", spans=spans
+        )
+        if spans is not None:
+            return (None, []) if result[0] is FAIL else result
         if result is FAIL:
             return None
         if emit is None:

@@ -36,13 +36,13 @@ corpus locks this in).
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional, Tuple
 
 from .buffers import as_buffer
 from .errors import BlackboxError, LimitExceeded, ParseFailure
 from .interpreter import FAIL, _Run
 from .parsetree import Node
+from .runtime import _guarded
 
 __all__ = ["LazyDocument", "LazyNode"]
 
@@ -271,39 +271,24 @@ class LazyDocument:
         are context-free, so this is exactly the env the eager parse
         records for the same window.
         """
-        parser = self.parser
-        with self._recursion_headroom():
-            elided = parser._engine(tree=False)
-            if elided is not None:
-                result = elided.parse_nonterminal(self.buffer, name, lo, hi)
-            else:
-                run = _Run(parser, self.buffer, build_tree=False)
-                result = run.parse_nonterminal(name, lo, hi, None, None)
+        result = self.parser._run_window(name, self.buffer, lo, hi, tree=False)
         return FAIL if result is FAIL else result.env
 
     def _materialize(self, slot: _LazySlot) -> list:
         """Decode a stub's children (one budgeted skeleton-spine run)."""
         run = _LazyRun(self, (slot.rule, slot.lo, slot.hi))
-        with self._recursion_headroom():
-            try:
-                result = run.parse_nonterminal(
-                    slot.rule, slot.lo, slot.hi, None, None
-                )
-            except (BlackboxError, OSError) as exc:
-                # A raising blackbox or an I/O fault from the underlying
-                # buffer (a page-in error on an mmap, an injected fault):
-                # in recovery mode the stub degrades instead of raising.
-                if not self.recover:
-                    raise
-                return self._degraded_children(slot, exc)
-            except (RecursionError, MemoryError) as exc:
-                raise LimitExceeded(
-                    f"{type(exc).__name__} while materializing {slot.rule!r} "
-                    f"over [{slot.lo}, {slot.hi}); set ParseLimits.max_depth/"
-                    f"max_steps to fail earlier",
-                    limit="recursion",
-                    nonterminal=slot.rule,
-                ) from exc
+        try:
+            result = _guarded(
+                self.parser.recursion_limit, slot.rule, run.parse_nonterminal,
+                slot.rule, slot.lo, slot.hi, None, None,
+            )
+        except (BlackboxError, OSError) as exc:
+            # A raising blackbox or an I/O fault from the underlying
+            # buffer (a page-in error on an mmap, an injected fault):
+            # in recovery mode the stub degrades instead of raising.
+            if not self.recover:
+                raise
+            return self._degraded_children(slot, exc)
         if result is FAIL:
             # The skeleton probe accepted this window; a failing re-parse
             # means the engines disagree (or the buffer's bytes changed
@@ -350,26 +335,3 @@ class LazyDocument:
         buffer = self.buffer
         if isinstance(buffer, memoryview):
             buffer.release()
-
-    def _recursion_headroom(self):
-        """Same recursion-limit bump every eager entry point installs."""
-        return _RecursionHeadroom(self.parser.recursion_limit)
-
-
-class _RecursionHeadroom:
-    __slots__ = ("limit", "previous")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.previous = None
-
-    def __enter__(self):
-        self.previous = sys.getrecursionlimit()
-        if self.limit > self.previous:
-            sys.setrecursionlimit(self.limit)
-        return self
-
-    def __exit__(self, *_exc):
-        if self.limit > self.previous:
-            sys.setrecursionlimit(self.previous)
-        return False

@@ -44,8 +44,12 @@ class ParseLimits:
 
     ``max_depth``
         Maximum rule-recursion depth (nested non-memoized rule
-        activations).  The default matches the de-facto ceiling the
-        interpreter already had via ``sys.setrecursionlimit``.
+        activations), counted by the reference interpreter and the
+        diagnosis, lazy and recovery runs built on it.  The compiled
+        engines and emitted modules do not count depth; there the parse
+        guard's recursion limit (``Parser.recursion_limit``, 100,000
+        frames by default) is the ceiling, reported as
+        ``LimitExceeded(limit="recursion")``.
     ``max_steps``
         Fuel: total rule activations per parse attempt.  Bounds
         quadratic re-parsing blowups that finish "eventually".

@@ -213,21 +213,41 @@ def tree_to_jsonable(tree: ParseTree) -> Dict[str, Any]:
     Used by the golden-tree regression corpus (``tests/golden/``): pinned
     expected trees diff engine refactors against checked-in artifacts
     instead of only against each other.  Leaf bytes are hex-encoded; node
-    environments are integer-valued by construction.
+    environments are integer-valued by construction.  A tree class with
+    a ``jsonable_record()`` method serializes as the record it returns
+    (:class:`~repro.core.recover.ErrorNode` does).
+
+    The walk is an explicit stack, like :func:`tree_to_tape`'s: a tree as
+    deep as the engines' raised recursion headroom allows serializes at
+    the caller's recursion limit.
     """
-    if isinstance(tree, Leaf):
-        return {"leaf": tree.value.hex()}
-    if isinstance(tree, ArrayNode):
-        return {
-            "array": tree.name,
-            "elements": [tree_to_jsonable(element) for element in tree.elements],
-        }
-    assert isinstance(tree, Node)
-    return {
-        "node": tree.name,
-        "env": dict(tree.env),
-        "children": [tree_to_jsonable(child) for child in tree.children],
-    }
+    root: List[Dict[str, Any]] = []
+    stack = [(tree, root)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        tree, out = pop()
+        kind = type(tree)
+        if kind is not Node and kind is not Leaf and kind is not ArrayNode:
+            record = getattr(tree, "jsonable_record", None)
+            if record is not None:
+                out.append(record())
+                continue
+            kind = _tree_class(tree)  # a subclass, e.g. LazyNode
+        if kind is Leaf:
+            out.append({"leaf": tree.value.hex()})
+        elif kind is Node:
+            children: List[Dict[str, Any]] = []
+            out.append(
+                {"node": tree.name, "env": dict(tree.env), "children": children}
+            )
+            for child in reversed(tree.children):
+                push((child, children))
+        else:
+            elements: List[Dict[str, Any]] = []
+            out.append({"array": tree.name, "elements": elements})
+            for element in reversed(tree.elements):
+                push((element, elements))
+    return root[0]
 
 
 def tree_to_tape(tree: ParseTree) -> bytes:
@@ -317,16 +337,29 @@ def tape_to_jsonable(blob: bytes) -> Dict[str, Any]:
 
 
 def tree_from_jsonable(obj: Dict[str, Any]) -> ParseTree:
-    """Inverse of :func:`tree_to_jsonable` (round-trips under ``==``)."""
-    if "leaf" in obj:
-        return Leaf(bytes.fromhex(obj["leaf"]))
-    if "array" in obj:
-        return ArrayNode(
-            obj["array"], [tree_from_jsonable(element) for element in obj["elements"]]
-        )
-    return Node(
-        obj["node"], obj["env"], [tree_from_jsonable(child) for child in obj["children"]]
-    )
+    """Inverse of :func:`tree_to_jsonable` (round-trips under ``==``).
+
+    Iterative like :func:`tree_to_jsonable`: each record becomes its tree
+    object at once, and its children are appended as they are built.
+    """
+    root: List[ParseTree] = []
+    stack = [(obj, root)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        obj, out = pop()
+        if "leaf" in obj:
+            out.append(Leaf(bytes.fromhex(obj["leaf"])))
+            continue
+        if "array" in obj:
+            tree = ArrayNode(obj["array"], ())
+            into, records = tree.elements, obj["elements"]
+        else:
+            tree = Node(obj["node"], obj["env"], ())
+            into, records = tree.children, obj["children"]
+        out.append(tree)
+        for record in reversed(records):
+            push((record, into))
+    return root[0]
 
 
 def tree_equal_modulo_specials(left: ParseTree, right: ParseTree) -> bool:

@@ -68,11 +68,11 @@ from .errors import (
     BoundsViolation,
     EvaluationError,
     LimitExceeded,
-    ParseFailure,
     TruncatedInput,
 )
 from .interpreter import FAIL, _LocalRules, _rebase, _Run
-from .parsetree import ArrayNode, Leaf, Node, ParseTree
+from .parsetree import ArrayNode, Node, ParseTree, tree_to_jsonable
+from .runtime import _guarded
 
 __all__ = [
     "ErrorNode",
@@ -145,6 +145,18 @@ class ErrorNode(Node):
         clone.window = self.window
         clone.error = self.error
         return clone
+
+    def jsonable_record(self) -> dict:
+        """This node's record in :func:`~repro.core.parsetree.tree_to_jsonable`."""
+        lo, hi = self.window
+        return {
+            "error_node": self.name,
+            "window": [lo, hi],
+            "class": self.error_class,
+            "offset": self.error_offset,
+            "message": str(self.error),
+            "env": dict(self.env),
+        }
 
     def __eq__(self, other: object) -> bool:
         # Strict: an ErrorNode never equals a plain Node (and vice versa —
@@ -285,30 +297,12 @@ def diagnose_window(parser, data, name: str, lo: int, hi: int) -> Exception:
     failure point.  Captured faults and tripped budgets come back as the
     diagnosis themselves.
     """
-    from .diagnose import _DiagRun
+    from .diagnose import _run_diagnosis
 
-    run = _DiagRun(parser, data, build_tree=False)
-    run._win = (lo, hi)
     try:
-        result = run.parse_nonterminal(name, lo, hi, None, None)
-    except LimitExceeded as exc:
-        return exc
+        return _run_diagnosis(parser, data, name, lo, hi)
     except _CAPTURED as exc:
         return exc
-    except (RecursionError, MemoryError) as exc:
-        return LimitExceeded(
-            f"{type(exc).__name__} while diagnosing the failed window "
-            f"[{lo}, {hi}) of {name!r}",
-            limit="recursion",
-            nonterminal=name,
-        )
-    if result is not FAIL:
-        return ParseFailure(
-            f"window [{lo}, {hi}) of {name!r} failed under recovery but "
-            f"re-parses cleanly (engines out of sync?)",
-            nonterminal=name,
-        )
-    return run._as_exception(name)
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +368,16 @@ class _RecoverRun(_Run):
         what makes recovered trees engine-independent.  Captured faults
         count as rejection (recovery mode will pin them down).
         """
-        parser = self.parser
         try:
-            elided = parser._engine(tree=False)
-            if elided is not None:
-                result = elided.parse_nonterminal(self.data, name, lo, hi)
-            else:
-                run = _Run(parser, self.data, build_tree=False)
-                result = run.parse_nonterminal(name, lo, hi, None, None)
+            result = self.parser._run_window(name, self.data, lo, hi, tree=False)
         except _CAPTURED:
             return False
         return result is not FAIL
 
     def _decode_clean(self, name: str, lo: int, hi: int):
         """Decode a probed-clean window through the configured engine."""
-        parser = self.parser
         try:
-            compiled = parser._engine()
-            if compiled is not None:
-                return compiled.parse_nonterminal(self.data, name, lo, hi)
-            run = _Run(parser, self.data, build_tree=True)
-            return run.parse_nonterminal(name, lo, hi, None, None)
+            return self.parser._run_window(name, self.data, lo, hi)
         except _CAPTURED:
             # A fault the probe did not hit (e.g. an injected fail-once
             # read): fall through to recovery mode rather than escaping.
@@ -893,51 +876,36 @@ def parse_recover(
     bounds the degradation a caller will accept: one error more and the
     original structured diagnosis is raised as if recovery were off.
     """
-    from .lazytree import _RecursionHeadroom
-
     buffer = as_buffer(data)
     start_name = start or parser.grammar.start
     parser._validate_blackboxes(start_name)
     n = len(buffer)
-    with _RecursionHeadroom(parser.recursion_limit):
-        # Fast path: input that parses takes exactly the normal engine
-        # route (recovery never changes the parse of a clean input).
-        try:
-            tree = parser.try_parse(buffer, start_name)
-        except _CAPTURED:
-            tree = None
-        except LimitExceeded as exc:
-            return _degraded(start_name, n, exc)
-        if tree is not None:
-            return RecoveredDocument(tree, [], n)
-        run = _RecoverRun(
-            parser, buffer, scan_bytes=resync_scan_bytes, max_probes=resync_probes
+    # Fast path: input that parses takes exactly the normal engine route
+    # (recovery never changes the parse of a clean input).
+    try:
+        tree = parser.try_parse(buffer, start_name)
+    except _CAPTURED:
+        tree = None
+    except LimitExceeded as exc:
+        return _degraded(start_name, n, exc)
+    if tree is not None:
+        return RecoveredDocument(tree, [], n)
+    run = _RecoverRun(
+        parser, buffer, scan_bytes=resync_scan_bytes, max_probes=resync_probes
+    )
+    try:
+        root = _guarded(
+            parser.recursion_limit, start_name, run._recover_rule,
+            start_name, 0, n, True,
         )
-        try:
-            result = run._recover_rule(start_name, 0, n, assume_failed=True)
-            if result is FAIL:
-                root = ErrorNode(
-                    start_name, 0, n, run._diagnose_window(start_name, 0, n)
-                )
-            else:
-                root = result
-        except _CAPTURED as exc:
-            # Backstop: a fault that escaped every window boundary still
-            # degrades instead of raising.
-            return _degraded(start_name, n, exc)
-        except LimitExceeded as exc:
-            return _degraded(start_name, n, exc)
-        except (RecursionError, MemoryError) as exc:
-            return _degraded(
-                start_name,
-                n,
-                LimitExceeded(
-                    f"{type(exc).__name__} while recovering {start_name!r}; "
-                    f"set ParseLimits.max_depth/max_steps to fail earlier",
-                    limit="recursion",
-                    nonterminal=start_name,
-                ),
+        if root is FAIL:
+            root = ErrorNode(
+                start_name, 0, n, run._diagnose_window(start_name, 0, n)
             )
+    except (LimitExceeded, *_CAPTURED) as exc:
+        # A tripped budget, or a fault that escaped every window
+        # boundary: the document degrades instead of raising.
+        return _degraded(start_name, n, exc)
     errors = collect_errors(root)
     if max_errors is not None and len(errors) > max_errors:
         from .diagnose import diagnose_parser
@@ -954,49 +922,6 @@ def _degraded(start_name: str, n: int, error: Exception) -> RecoveredDocument:
 # ---------------------------------------------------------------------------
 # Serialization (recovered-tree goldens, cross-engine comparison)
 # ---------------------------------------------------------------------------
-
-
-def recovered_tree_to_jsonable(tree: ParseTree):
-    """Like :func:`~repro.core.parsetree.tree_to_jsonable`, plus error
-    nodes (which that serializer predates and must not silently flatten).
-
-    Iterative on an explicit stack: salvaged trees can legitimately be as
-    deep as the parser's raised recursion headroom allowed, which a
-    recursive serializer running at the *caller's* recursion limit would
-    overflow on.
-    """
-    root_holder: list = []
-    stack = [(tree, root_holder)]
-    while stack:
-        node, out = stack.pop()
-        if isinstance(node, ErrorNode):
-            lo, hi = node.window
-            out.append(
-                {
-                    "error_node": node.name,
-                    "window": [lo, hi],
-                    "class": node.error_class,
-                    "offset": node.error_offset,
-                    "message": str(node.error),
-                    "env": dict(node.env),
-                }
-            )
-        elif isinstance(node, Leaf):
-            out.append({"leaf": node.value.hex()})
-        elif isinstance(node, ArrayNode):
-            elements: list = []
-            out.append({"array": node.name, "elements": elements})
-            for element in reversed(node.elements):
-                stack.append((element, elements))
-        else:
-            assert isinstance(node, Node)
-            children: list = []
-            out.append(
-                {"node": node.name, "env": dict(node.env), "children": children}
-            )
-            for child in reversed(node.children):
-                stack.append((child, children))
-    return root_holder[0]
 
 
 def jsonables_equal(a, b) -> bool:
@@ -1039,5 +964,5 @@ def document_to_jsonable(document: RecoveredDocument):
             }
             for e in document.errors
         ],
-        "tree": recovered_tree_to_jsonable(document.root),
+        "tree": tree_to_jsonable(document.root),
     }

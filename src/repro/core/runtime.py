@@ -3,7 +3,9 @@
 Generated rule functions call a fixed set of helpers: node allocation,
 bounds-checked array references, the partial arithmetic operators, the
 step/wall budget slow paths, the builtin nonterminal parsers and runners,
-and blackbox invocation.  This module is the only definition of each:
+blackbox invocation, and the parse guard every entry point runs its engine
+under (recursion headroom and its ``LimitExceeded`` mapping).  This module
+is the only definition of each:
 
 * the closure backend (:func:`repro.core.compiler.compile_grammar`) binds
   the names of :data:`__all__` straight from this module object into each
@@ -12,7 +14,10 @@ and blackbox invocation.  This module is the only definition of each:
   wrapping and blackbox call;
 * the ahead-of-time emitter (:mod:`repro.core.codegen`) copies the source
   below the ``VENDORED`` marker into every emitted parser module, so an
-  emitted module runs the very same code with only the standard library.
+  emitted module runs the very same code with only the standard library
+  (the live-guard count below the ``GUARD`` marker is vendored as a
+  fallback only: an emitted module binds this module's when ``repro`` is
+  importable, so the two count their live guards together).
 
 The vendored part uses nothing but the standard library and the names
 imported above the marker (the error classes and the parse-tree classes),
@@ -38,6 +43,7 @@ __all__ = [
     "_BUILTINS",
     "_E",
     "_MISS",
+    "_RECURSION_LIMIT",
     "_UB",
     "_aidx",
     "_aidx_env",
@@ -45,6 +51,7 @@ __all__ = [
     "_call_blackbox",
     "_div",
     "_exists",
+    "_guarded",
     "_ifb",
     "_limit_refill",
     "_make_builtin_runner",
@@ -415,3 +422,102 @@ def _call_blackbox(blackboxes, name, data, lo, hi, elide_tree):
     if elide_tree:
         payload = None  # the blackbox still runs; only its Leaf is dropped
     return _wrap_outcome(name, attrs, end, payload, hi - lo)
+
+
+# -- the parse guard ---------------------------------------------------------
+
+
+def _guarded(limit, name, run, *args):
+    """``run(*args)`` with at least ``limit`` recursion headroom.
+
+    Every entry point runs its engine through here: recursive descent
+    needs stack headroom on deep documents (Fig. 3's ``Int``, GIF's
+    ``Blocks``).  The caller's limit comes back when the last guard of
+    the process exits (the live-guard count below).  A ``RecursionError``
+    or ``MemoryError`` escaping ``run`` surfaces as :class:`LimitExceeded`
+    for the nonterminal ``name``.
+    """
+    ident = _guard_enter(limit)
+    try:
+        return run(*args)
+    except (RecursionError, MemoryError) as exc:
+        raise LimitExceeded(
+            f"{type(exc).__name__} while parsing {name!r}; the input drives "
+            f"unbounded recursion or allocation (ParseLimits.max_depth/"
+            f"max_steps fail earlier)",
+            limit="recursion",
+            nonterminal=name,
+        ) from exc
+    finally:
+        _guard_exit(ident)
+
+
+# -- GUARD: the live-guard count (an emitted module binds repro's) -----------
+
+# The recursion limit is process-wide while parses run per thread, so the
+# guards count themselves: the first one to raise the limit saves the
+# caller's value, and only the last one to exit puts it back.  A guard
+# that restored its own saved value would pull the limit out from under
+# another thread's live deep parse (a fatal stack overflow on CPython
+# 3.10/3.11).
+
+import os
+import sys
+import threading
+
+#: Recursion limit a parse runs under unless its ``Parser`` asks for
+#: another (``Parser(recursion_limit=...)``).
+_RECURSION_LIMIT = 100_000
+
+_guard_ident = threading.get_ident
+_guard_lock = threading.Lock()
+#: Live guards per thread ident.
+_guard_live = {}
+#: The caller's recursion limit, saved by the first live guard that
+#: raised it; ``None`` while no live guard has.
+_guard_saved = None
+
+
+def _guard_enter(limit):
+    """Count a live guard of this thread; raise the limit to ``limit``."""
+    global _guard_saved
+    ident = _guard_ident()
+    with _guard_lock:
+        current = sys.getrecursionlimit()
+        if current < limit:
+            sys.setrecursionlimit(limit)
+            if _guard_saved is None:
+                _guard_saved = current
+        _guard_live[ident] = _guard_live.get(ident, 0) + 1
+    return ident
+
+
+def _guard_exit(ident):
+    """Uncount a live guard; the last one out restores the saved limit."""
+    global _guard_saved
+    with _guard_lock:
+        live = _guard_live.pop(ident) - 1
+        if live:
+            _guard_live[ident] = live
+        elif not _guard_live and _guard_saved is not None:
+            sys.setrecursionlimit(_guard_saved)
+            _guard_saved = None
+
+
+def _guard_after_fork():
+    # A forked child runs only the forking thread: every other thread's
+    # guards are gone, and the lock may have been held at the fork.
+    global _guard_lock, _guard_saved
+    _guard_lock = threading.Lock()
+    ident = _guard_ident()
+    mine = _guard_live.get(ident)
+    _guard_live.clear()
+    if mine:
+        _guard_live[ident] = mine
+    elif _guard_saved is not None:
+        sys.setrecursionlimit(_guard_saved)
+        _guard_saved = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_guard_after_fork)

@@ -45,12 +45,11 @@ The public surface is :meth:`repro.Parser.parse_stream` /
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional, Union
 
 from .errors import IPGError, LimitExceeded, NeedMoreInput, ParseFailure
 from .parsetree import ArrayNode, Node, ParseTree
-from .runtime import FAIL, _refuel
+from .runtime import FAIL, _guarded, _refuel
 
 __all__ = [
     "EOIProxy",
@@ -556,27 +555,15 @@ class _StreamSession:
         # deadline restarts too: the budget bounds parsing work per
         # attempt, not time spent waiting for the producer's next chunk.
         self._reset_budget()
-        previous_limit = sys.getrecursionlimit()
-        raise_limit = self._recursion_limit > previous_limit
-        if raise_limit:
-            sys.setrecursionlimit(self._recursion_limit)
         try:
-            result = self._call_engine()
+            result = _guarded(
+                self._recursion_limit, self._start, self._call_engine
+            )
         except NeedMoreInput as suspension:
             self._wait_until = suspension.needed
             if self._compact and buffer.min_read is not None:
                 buffer.discard_below(buffer.min_read)
             return False
-        except (RecursionError, MemoryError) as exc:
-            raise LimitExceeded(
-                f"{type(exc).__name__} while stream-parsing {self._start!r}; "
-                f"the input drives unbounded recursion or allocation",
-                limit="recursion",
-                nonterminal=self._start,
-            ) from exc
-        finally:
-            if raise_limit:
-                sys.setrecursionlimit(previous_limit)
         self._done = True
         if result is FAIL:
             # Every decision of the attempt was definitive, so no extension

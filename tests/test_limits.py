@@ -10,7 +10,9 @@ Unit coverage for the robustness layer:
 * the taxonomy classes and their carried context (offset, rule stack,
   violated interval), ``render_explain``, and the CLI ``--explain-error``
   path;
-* ``RecursionError``/``MemoryError`` wrapping at public entry points.
+* ``RecursionError``/``MemoryError`` wrapping at public entry points,
+  and the caller's recursion limit coming back exactly after every kind
+  of parse (the parse guard, :func:`repro.core.runtime._guarded`).
 
 Cross-engine *agreement* on hostile inputs lives in
 ``test_hostile_corpus.py``; this file checks the mechanisms themselves.
@@ -18,9 +20,15 @@ Cross-engine *agreement* on hostile inputs lives in
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import warnings
+
 import pytest
 
 from repro import (
+    BlackboxError,
     BoundsViolation,
     GuardRejected,
     LimitExceeded,
@@ -350,6 +358,141 @@ class TestRecursionWrapping:
         with pytest.raises(LimitExceeded) as info:
             parser.parse(b"1" * 1000, "Int")
         assert info.value.limit in ("max_depth", "recursion")
+
+
+# ---------------------------------------------------------------------------
+# The parse guard gives the caller's recursion limit back exactly
+# ---------------------------------------------------------------------------
+
+#: A caller's recursion limit that no engine would choose.
+_CALLER_LIMIT = 1234
+
+#: Figure 3's ``Int`` whose innermost digit is a blackbox: a blackbox
+#: that blocks holds a parse 3000 levels deep for as long as it likes.
+_HELD_INT = """
+blackbox Hold ;
+Int -> Int[0, EOI - 1] Digit[EOI - 1, EOI] / Hold[0, 1] ;
+Digit -> "1"[0, 1] ;
+"""
+
+
+@pytest.fixture
+def caller_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(_CALLER_LIMIT)
+    try:
+        yield _CALLER_LIMIT
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+class TestCallerRecursionLimitRestored:
+    def test_after_success(self, backend, caller_limit):
+        parser = Parser(toy.FIGURE_3, backend=backend)
+        assert parser.parse(b"1" * 3000, "Int")["val"] == 2**3000 - 1
+        assert sys.getrecursionlimit() == caller_limit
+
+    def test_after_parse_failure(self, backend, caller_limit):
+        with pytest.raises(GuardRejected):  # the diagnosis run raised it
+            Parser(toy.FIGURE_1, backend=backend).parse(b"aaxxxbq")
+        assert sys.getrecursionlimit() == caller_limit
+
+    def test_after_limit_exceeded(self, backend, caller_limit):
+        budgeted = Parser(
+            toy.FIGURE_3, backend=backend, limits=ParseLimits(max_steps=100)
+        )
+        with pytest.raises(LimitExceeded) as info:
+            budgeted.parse(b"1" * 3000, "Int")
+        assert info.value.limit == "max_steps"
+        assert sys.getrecursionlimit() == caller_limit
+        # A guard never lowers the limit: at 500 the parse overflows the
+        # caller's 1234, and the RecursionError comes back as a limit.
+        shallow = Parser(
+            toy.FIGURE_3,
+            backend=backend,
+            recursion_limit=500,
+            limits=ParseLimits.unlimited(),
+        )
+        with pytest.raises(LimitExceeded) as info:
+            shallow.parse(b"1" * 3000, "Int")
+        assert info.value.limit == "recursion"
+        assert sys.getrecursionlimit() == caller_limit
+
+    def test_after_a_raising_blackbox(self, backend, caller_limit):
+        def boom(window):
+            raise ValueError("corrupt")
+
+        parser = Parser(_HELD_INT, blackboxes={"Hold": boom}, backend=backend)
+        with pytest.raises(BlackboxError):
+            parser.parse(b"1" * 3000, "Int")
+        assert sys.getrecursionlimit() == caller_limit
+
+    def test_after_a_parse_started_inside_a_blackbox(self, backend, caller_limit):
+        inner = Parser(toy.FIGURE_3, backend=backend)
+        seen = []
+
+        def nested(window):
+            inner.parse(b"1" * 3000, "Int")
+            seen.append(sys.getrecursionlimit())
+            return {}
+
+        parser = Parser(_HELD_INT, blackboxes={"Hold": nested}, backend=backend)
+        parser.parse(b"1" * 10, "Int")
+        # The inner parse's exit left the outer one its headroom.
+        assert seen == [parser.recursion_limit]
+        assert sys.getrecursionlimit() == caller_limit
+
+    def test_after_stream_lazy_and_recover(self, backend, caller_limit):
+        data = build_dns_response(answer_count=8)
+        parser = Parser(DNS_GRAMMAR, backend=backend)
+        chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
+        assert parser.parse_stream(chunks) == parser.parse(data)
+        assert sys.getrecursionlimit() == caller_limit
+        root = parser.parse_lazy(data, lazy_threshold=0)
+        assert sys.getrecursionlimit() == caller_limit
+        assert root.size() == parser.parse(data).size()  # materializes all
+        assert sys.getrecursionlimit() == caller_limit
+        document = parser.parse_recover(data[:-5])
+        assert document.errors
+        assert sys.getrecursionlimit() == caller_limit
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_the_caller_limit(caller_limit):
+    """A child forked during another thread's deep parse starts clean."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold(window):
+        entered.set()
+        release.wait(60)
+        return {}
+
+    parser = Parser(_HELD_INT, blackboxes={"Hold": hold})
+    thread = threading.Thread(target=parser.parse, args=(b"1" * 3000, "Int"))
+    thread.start()
+    try:
+        assert entered.wait(60)
+        assert sys.getrecursionlimit() == parser.recursion_limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # threaded fork
+            pid = os.fork()
+        if pid == 0:  # the child: only this thread exists here
+            code = 1
+            try:
+                clean = sys.getrecursionlimit() == caller_limit
+                Parser(toy.FIGURE_3).parse(b"1" * 3000, "Int")
+                restored = sys.getrecursionlimit() == caller_limit
+                code = 0 if clean and restored else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert sys.getrecursionlimit() == caller_limit
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,20 @@ byte-identical to the serial one.
 A failure here means parser state leaked across concurrent parses —
 historically the kind of bug that surfaces as a *rare* wrong tree, so
 the corpus is parsed repeatedly per thread.
+
+The recursion limit is the one piece of parse state that is
+process-wide by nature.  ``test_concurrent_deep_parse_keeps_its_headroom``
+races a deep parse against short ones in a child process, so that a
+fatal stack overflow fails the test instead of killing pytest.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +135,73 @@ def test_shared_parser_concurrent_failures_are_stable(fig13_corpus):
     for thread in threads:
         thread.join(timeout=300)
     assert not failures, failures[0]
+
+
+#: One thread parses a 3000-digit Figure 3 ``Int`` 40 times while three
+#: others loop on a 2-digit one, with a short switch interval.  When one
+#: parse's exit restored the caller's limit under another's live deep
+#: stack, CPython 3.10/3.11 aborted with "Cannot recover from stack
+#: overflow" and 3.12 raised spurious LimitExceeded.  Prints deep
+#: failures, shallow failures, threads left running, final limit.
+_RACE = """
+import sys, threading
+from repro import LimitExceeded, Parser, compile_grammar
+from repro.formats import toy
+
+mode = sys.argv[1]
+sys.setrecursionlimit(1234)
+sys.setswitchinterval(1e-4)
+backend = "interpreted" if mode == "interpreted" else "compiled"
+shallow_parser = Parser(toy.FIGURE_3, backend=backend)
+deep_parser = shallow_parser
+if mode == "emitted":
+    deep_parser = compile_grammar(toy.FIGURE_3).load_module("_race_figure_3")
+stop = threading.Event()
+failures = {"deep": 0, "shallow": 0}
+
+def shallow():
+    while not stop.is_set():
+        try:
+            shallow_parser.parse(b"12", "Int")
+        except LimitExceeded:
+            failures["shallow"] += 1
+
+threads = [threading.Thread(target=shallow) for _ in range(3)]
+for thread in threads:
+    thread.start()
+# An emitted module raises its own error classes.
+deep_limit = getattr(deep_parser, "LimitExceeded", LimitExceeded)
+try:
+    for _ in range(40):
+        try:
+            deep_parser.parse(b"1" * 3000, "Int")
+        except deep_limit:
+            failures["deep"] += 1
+finally:
+    stop.set()
+    for thread in threads:
+        thread.join(60)
+running = sum(thread.is_alive() for thread in threads)
+print(failures["deep"], failures["shallow"], running, sys.getrecursionlimit())
+"""
+
+
+@pytest.mark.parametrize("mode", ["compiled", "interpreted", "emitted"])
+def test_concurrent_deep_parse_keeps_its_headroom(mode):
+    """A short parse finishing never drops the limit under a deep one.
+
+    ``emitted`` races an emitted module's deep parses against a
+    ``Parser``'s short ones: the two must share one live-guard count.
+    """
+    paths = [str(Path(__file__).resolve().parent.parent / "src")]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    completed = subprocess.run(
+        [sys.executable, "-c", _RACE, mode],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr[-3000:]
+    assert completed.stdout.split() == ["0", "0", "0", "1234"]

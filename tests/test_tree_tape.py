@@ -2,13 +2,16 @@
 
 A tree reply crosses the worker pipe as a pickled postorder list and is
 decoded on the caller's side by ``tape_to_jsonable``; the decoded tree
-must equal ``tree_to_jsonable`` of the original for every tree.
+must equal ``tree_to_jsonable`` of the original for every tree.  All of
+these walkers run on an explicit stack, so trees deeper than the caller's
+recursion limit round-trip too.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from engine_matrix import format_sample
 from repro.core.interpreter import Parser
 from repro.core.lazytree import LazyNode
+from repro.core.recover import ErrorNode, jsonables_equal
 from repro.core.parsetree import (
     ArrayNode,
     Leaf,
@@ -27,7 +31,7 @@ from repro.core.parsetree import (
     tree_to_jsonable,
     tree_to_tape,
 )
-from repro.formats import registry
+from repro.formats import registry, toy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -107,6 +111,34 @@ def test_deep_tree_needs_no_recursion():
         assert decoded["env"] == {"d": depth}
         decoded = decoded["children"][0]
     assert decoded == {"leaf": "78"}
+
+
+def test_deep_parse_tree_serializes_at_the_caller_limit():
+    # The engines parse a 3000-digit Figure 3 Int under raised headroom;
+    # the jsonable walkers must handle the tree at the caller's limit.
+    tree = Parser(toy.FIGURE_3).parse(b"1" * 3000, "Int")
+    assert sys.getrecursionlimit() < 3000
+    jsonable = tree_to_jsonable(tree)
+    assert jsonables_equal(jsonable, round_trip(tree))
+    assert tree_to_tape(tree_from_jsonable(jsonable)) == tree_to_tape(tree)
+
+
+def test_error_nodes_serialize_as_error_records():
+    error = ErrorNode("R", 2, 5, ValueError("bad"))
+    assert tree_to_jsonable(Node("S", {}, [error])) == {
+        "node": "S",
+        "env": {},
+        "children": [
+            {
+                "error_node": "R",
+                "window": [2, 5],
+                "class": "ValueError",
+                "offset": None,
+                "message": "bad",
+                "env": {"EOI": 3, "start": 0, "end": 3},
+            }
+        ],
+    }
 
 
 def test_non_tree_is_refused():
