@@ -1741,7 +1741,6 @@ class CompiledGrammar:
         "bulk_arrays",
         "limits",
         "fuel_slot",
-        "span_trail",
         "_entry",
         "_new_state",
         "_bb",
@@ -1769,9 +1768,6 @@ class CompiledGrammar:
         #: MemoryError are mapped by the parse guard.
         self.limits = DEFAULT_LIMITS if limits is None else limits
         self.fuel_slot = compiler.fuel_slot
-        #: The ``[spans]`` holder of a record_spans instrumentation (see
-        #: :func:`instrument_span_recording`); None when uninstrumented.
-        self.span_trail = None
         self.optimizations = compiler.opts
         #: Rule name -> "dict" | "dense" | "skipped" | "unmemoized":
         #: how each rule's packrat memo was specialized.
@@ -1834,16 +1830,18 @@ class CompiledGrammar:
         maker = _make_builtin_runner_elided if self.elide_tree else _make_builtin_runner
         return maker(name)(data, lo, hi)
 
-    def run_nonterminal(self, data, name: str, lo: int, hi: int):
+    def run_nonterminal(self, data, name: str, lo: int, hi: int, state=None):
         """``s[lo, hi] ⊢ name ⇓ R`` through the compiled closures, unguarded.
 
         The caller runs it under the parse guard
         (:func:`~repro.core.runtime._guarded`), as
-        :meth:`parse_nonterminal` and ``Parser`` do.
+        :meth:`parse_nonterminal` and ``Parser`` do.  A rule runs on
+        ``state`` when given (a :meth:`new_state` list the caller keeps),
+        else on a fresh one.
         """
         fn = self._entry.get(name)
         if fn is not None:
-            return fn(self._new_state(), data, lo, hi)
+            return fn(self._new_state() if state is None else state, data, lo, hi)
         if is_builtin(name):
             return self.run_builtin(name, data, lo, hi)
         if name in self.grammar.blackboxes:
@@ -1957,18 +1955,18 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
     name* this function can rebind, and no decode fast path skips sub-rule
     calls.
 
-    The wrappers append to ``compiled.span_trail[0]`` (a single-element
-    holder), which the caller swaps for a fresh list per parse.
+    The trail is per parse: the wrappers append to the last slot of the
+    per-parse state, ``st[-1]``, so the caller appends a fresh list to each
+    :meth:`CompiledGrammar.new_state` and runs the parse on that state.
+    Concurrent and reentrant parses on one engine never share a trail.
     """
     namespace = compiled._new_state.__globals__
-    holder: list = [[]]
-    compiled.span_trail = holder
 
     def _wrap_alt(fn):
         # *extra: `where`-rule alternatives take trailing closure-cell
         # arguments beyond the (state, data, lo, hi) convention.
         def run(st, data, lo, hi, *extra):
-            spans = holder[0]
+            spans = st[-1]
             mark = len(spans)
             result = fn(st, data, lo, hi, *extra)
             if result is FAIL:
@@ -1982,7 +1980,7 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
             result = fn(st, data, lo, hi)
             if result is not FAIL:
                 env = result.env
-                holder[0].append((rule_name, lo + env["start"], lo + env["end"]))
+                st[-1].append((rule_name, lo + env["start"], lo + env["end"]))
             return result
 
         return run

@@ -30,11 +30,12 @@ Three deliberate design points:
   ``==`` across all of them (enforced by ``tests/engine_matrix.py``);
   without ``repro`` the vendored classes implement the same structural
   equality among themselves.
-* **One live-guard count.**  The recursion limit a deep parse raises is
-  process-wide, so the prelude binds ``repro``'s guard count
-  (:func:`~repro.core.runtime._guard_enter`) when ``repro`` is importable
-  and vendors it otherwise: an emitted module and a ``Parser`` parsing at
-  once never restore the limit under each other.
+* **One live-guard count.**  The recursion limit a deep parse raises and
+  the collector pause it holds are process-wide, so the prelude binds
+  ``repro``'s guard count (:func:`~repro.core.runtime._guard_enter`) when
+  ``repro`` is importable and vendors it otherwise: an emitted module and
+  a ``Parser`` parsing at once never restore the limit or re-enable
+  collection under each other.
 * **Blackboxes are late-bound.**  A blackbox parser is an arbitrary Python
   callable and cannot be serialized; the emitted module exposes
   ``register_blackbox(name, fn)`` and defers the lookup to parse time,

@@ -203,8 +203,8 @@ class Parser:
         ``tree=False`` selects tree elision (``emit="spans"``/``None``);
         ``stream`` the variant the streaming driver re-enters; ``spans``
         — a frozenset of top-level rule names — the ``record_spans``
-        variant, whose trail holder is ``engine.span_trail``.  Returns
-        ``None`` on the interpreter backend.
+        variant, whose parses keep their trail in the last slot of their
+        state.  Returns ``None`` on the interpreter backend.
 
         Each variant is staged on first use.  Batch variants run the
         parser's ``first_byte_dispatch``/``bulk_fixed_shape`` toggles plus
@@ -270,10 +270,13 @@ class Parser:
         else:
             compiled = self._engine(spans=spans)
         if compiled is not None:
-            if spans is not None:
-                compiled.span_trail[0] = trail = []
             run = compiled.run_nonterminal
             args = (data, name, lo, hi)
+            if spans is not None:
+                trail = []
+                state = compiled.new_state()
+                state.append(trail)
+                args += (state,)
         else:
             engine = _Run(self, data, build_tree=tree, span_rules=spans)
             trail = engine.spans

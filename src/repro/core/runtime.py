@@ -4,8 +4,8 @@ Generated rule functions call a fixed set of helpers: node allocation,
 bounds-checked array references, the partial arithmetic operators, the
 step/wall budget slow paths, the builtin nonterminal parsers and runners,
 blackbox invocation, and the parse guard every entry point runs its engine
-under (recursion headroom and its ``LimitExceeded`` mapping).  This module
-is the only definition of each:
+under (recursion headroom, its ``LimitExceeded`` mapping and the collector
+pause).  This module is the only definition of each:
 
 * the closure backend (:func:`repro.core.compiler.compile_grammar`) binds
   the names of :data:`__all__` straight from this module object into each
@@ -428,14 +428,17 @@ def _call_blackbox(blackboxes, name, data, lo, hi, elide_tree):
 
 
 def _guarded(limit, name, run, *args):
-    """``run(*args)`` with at least ``limit`` recursion headroom.
+    """``run(*args)`` with at least ``limit`` recursion headroom and the
+    cyclic garbage collector paused.
 
     Every entry point runs its engine through here: recursive descent
     needs stack headroom on deep documents (Fig. 3's ``Int``, GIF's
-    ``Blocks``).  The caller's limit comes back when the last guard of
-    the process exits (the live-guard count below).  A ``RecursionError``
-    or ``MemoryError`` escaping ``run`` surfaces as :class:`LimitExceeded`
-    for the nonterminal ``name``.
+    ``Blocks``), and every object an engine allocates is still alive
+    when it returns, so a collection during the run would only rescan
+    the growing tree.  The caller's limit and collector state come back
+    when the last guard of the process exits (the live-guard count
+    below).  A ``RecursionError`` or ``MemoryError`` escaping ``run``
+    surfaces as :class:`LimitExceeded` for the nonterminal ``name``.
     """
     ident = _guard_enter(limit)
     try:
@@ -454,13 +457,16 @@ def _guarded(limit, name, run, *args):
 
 # -- GUARD: the live-guard count (an emitted module binds repro's) -----------
 
-# The recursion limit is process-wide while parses run per thread, so the
-# guards count themselves: the first one to raise the limit saves the
-# caller's value, and only the last one to exit puts it back.  A guard
-# that restored its own saved value would pull the limit out from under
-# another thread's live deep parse (a fatal stack overflow on CPython
-# 3.10/3.11).
+# The recursion limit and the collector's on/off switch are process-wide
+# while parses run per thread, so the guards count themselves: the first
+# one to change either saves the caller's state, and only the last one to
+# exit puts it back.  A guard that restored its own saved limit would pull
+# it out from under another thread's live deep parse (a fatal stack
+# overflow on CPython 3.10/3.11).  The collector pause is one thread's:
+# a guard entered by a second thread ends it, so a process whose threads
+# always have some parse live collects as if no guard paused it.
 
+import gc
 import os
 import sys
 import threading
@@ -476,11 +482,18 @@ _guard_live = {}
 #: The caller's recursion limit, saved by the first live guard that
 #: raised it; ``None`` while no live guard has.
 _guard_saved = None
+#: Whether a live guard switched automatic collection off (it was on
+#: when the first guard entered, and no second thread has entered since).
+_guard_paused = False
 
 
 def _guard_enter(limit):
-    """Count a live guard of this thread; raise the limit to ``limit``."""
-    global _guard_saved
+    """Count a live guard of this thread; raise the limit to ``limit``.
+
+    The first guard of the process pauses automatic collection; one
+    entered while another thread holds the pause ends it.
+    """
+    global _guard_saved, _guard_paused
     ident = _guard_ident()
     with _guard_lock:
         current = sys.getrecursionlimit()
@@ -488,35 +501,50 @@ def _guard_enter(limit):
             sys.setrecursionlimit(limit)
             if _guard_saved is None:
                 _guard_saved = current
+        if not _guard_live and gc.isenabled():
+            gc.disable()
+            _guard_paused = True
+        elif _guard_paused and ident not in _guard_live:
+            gc.enable()
+            _guard_paused = False
         _guard_live[ident] = _guard_live.get(ident, 0) + 1
     return ident
 
 
 def _guard_exit(ident):
-    """Uncount a live guard; the last one out restores the saved limit."""
-    global _guard_saved
+    """Uncount a live guard; the last one out restores the caller's state."""
     with _guard_lock:
         live = _guard_live.pop(ident) - 1
         if live:
             _guard_live[ident] = live
-        elif not _guard_live and _guard_saved is not None:
-            sys.setrecursionlimit(_guard_saved)
-            _guard_saved = None
+        elif not _guard_live:
+            _guard_restore()
+
+
+def _guard_restore():
+    # Under the lock, with no live guard left: the caller's limit and
+    # collector state come back.
+    global _guard_saved, _guard_paused
+    if _guard_saved is not None:
+        sys.setrecursionlimit(_guard_saved)
+        _guard_saved = None
+    if _guard_paused:
+        gc.enable()
+        _guard_paused = False
 
 
 def _guard_after_fork():
     # A forked child runs only the forking thread: every other thread's
     # guards are gone, and the lock may have been held at the fork.
-    global _guard_lock, _guard_saved
+    global _guard_lock
     _guard_lock = threading.Lock()
     ident = _guard_ident()
     mine = _guard_live.get(ident)
     _guard_live.clear()
     if mine:
         _guard_live[ident] = mine
-    elif _guard_saved is not None:
-        sys.setrecursionlimit(_guard_saved)
-        _guard_saved = None
+    else:
+        _guard_restore()
 
 
 if hasattr(os, "register_at_fork"):

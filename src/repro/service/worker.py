@@ -58,8 +58,14 @@ garbage collector's policy itself; nothing caller-visible changes:
   only real cyclic garbage is left, and the first allocations after the
   state is restored collect it, between requests.
 
-The in-process :class:`~repro.core.interpreter.Parser`, the supervisor
-and the caller's process keep Python's default collector.
+The worker's pause is wider than the parse guard's
+(:func:`~repro.core.runtime._guarded`), which pauses automatic
+collection only while an engine runs and gives the caller's state back
+when it returns: that is all the in-process
+:class:`~repro.core.interpreter.Parser` does, and the supervisor and the
+caller's process otherwise keep the collector the caller set.  Inside
+the worker's pause the guards find collection already off and leave it
+so.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Unit coverage for the robustness layer:
   violated interval), ``render_explain``, and the CLI ``--explain-error``
   path;
 * ``RecursionError``/``MemoryError`` wrapping at public entry points,
-  and the caller's recursion limit coming back exactly after every kind
-  of parse (the parse guard, :func:`repro.core.runtime._guarded`).
+  and the caller's recursion limit and garbage-collector state coming
+  back exactly after every kind of parse (the parse guard,
+  :func:`repro.core.runtime._guarded`).
 
 Cross-engine *agreement* on hostile inputs lives in
 ``test_hostile_corpus.py``; this file checks the mechanisms themselves.
@@ -20,6 +21,7 @@ Cross-engine *agreement* on hostile inputs lives in
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -493,6 +495,217 @@ def test_forked_child_gets_the_caller_limit(caller_limit):
         thread.join(60)
     assert not thread.is_alive()
     assert sys.getrecursionlimit() == caller_limit
+
+
+# ---------------------------------------------------------------------------
+# The parse guard pauses collection and gives the caller's state back
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    previous = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if previous else gc.disable)()
+
+
+@pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+class TestCallerCollectionStateRestored:
+    def test_after_success(self, backend, caller_gc):
+        seen = []
+
+        def hold(window):
+            seen.append(gc.isenabled())
+            return {}
+
+        parser = Parser(_HELD_INT, blackboxes={"Hold": hold}, backend=backend)
+        parser.parse(b"1" * 3000, "Int")
+        assert seen == [False]  # paused while the engine ran
+        assert gc.isenabled() == caller_gc
+
+    def test_after_parse_failure(self, backend, caller_gc):
+        with pytest.raises(GuardRejected):  # the diagnosis run raised it
+            Parser(toy.FIGURE_1, backend=backend).parse(b"aaxxxbq")
+        assert gc.isenabled() == caller_gc
+
+    def test_after_limit_exceeded(self, backend, caller_gc, caller_limit):
+        budgeted = Parser(
+            toy.FIGURE_3, backend=backend, limits=ParseLimits(max_steps=100)
+        )
+        with pytest.raises(LimitExceeded):
+            budgeted.parse(b"1" * 3000, "Int")
+        assert gc.isenabled() == caller_gc
+        shallow = Parser(
+            toy.FIGURE_3,
+            backend=backend,
+            recursion_limit=500,
+            limits=ParseLimits.unlimited(),
+        )
+        with pytest.raises(LimitExceeded) as info:
+            shallow.parse(b"1" * 3000, "Int")
+        assert info.value.limit == "recursion"
+        assert gc.isenabled() == caller_gc
+
+    def test_after_a_raising_blackbox(self, backend, caller_gc):
+        def boom(window):
+            raise ValueError("corrupt")
+
+        parser = Parser(_HELD_INT, blackboxes={"Hold": boom}, backend=backend)
+        with pytest.raises(BlackboxError):
+            parser.parse(b"1" * 3000, "Int")
+        assert gc.isenabled() == caller_gc
+
+    def test_after_a_parse_started_inside_a_blackbox(self, backend, caller_gc):
+        inner = Parser(toy.FIGURE_3, backend=backend)
+        seen = []
+
+        def nested(window):
+            inner.parse(b"1" * 3000, "Int")
+            seen.append(gc.isenabled())
+            return {}
+
+        parser = Parser(_HELD_INT, blackboxes={"Hold": nested}, backend=backend)
+        parser.parse(b"1" * 10, "Int")
+        # The inner parse's exit left the outer one its pause.
+        assert seen == [False]
+        assert gc.isenabled() == caller_gc
+
+    def test_after_stream_lazy_and_recover(self, backend, caller_gc):
+        data = build_dns_response(answer_count=8)
+        parser = Parser(DNS_GRAMMAR, backend=backend)
+        chunks = [data[i : i + 7] for i in range(0, len(data), 7)]
+        assert parser.parse_stream(chunks) == parser.parse(data)
+        assert gc.isenabled() == caller_gc
+        root = parser.parse_lazy(data, lazy_threshold=0)
+        assert gc.isenabled() == caller_gc
+        assert root.size() == parser.parse(data).size()  # materializes all
+        assert gc.isenabled() == caller_gc
+        document = parser.parse_recover(data[:-5])
+        assert document.errors
+        assert gc.isenabled() == caller_gc
+
+
+def test_emitted_module_restores_the_caller_gc_state(caller_gc):
+    seen = []
+
+    def hold(window):
+        seen.append(gc.isenabled())
+        return {}
+
+    module = compile_grammar(_HELD_INT).load_module("_gc_held_int")
+    module.register_blackbox("Hold", hold)
+    module.parse(b"1" * 3000, "Int")
+    assert seen == [False]
+    assert gc.isenabled() == caller_gc
+    failing = compile_grammar(toy.FIGURE_1).load_module("_gc_figure_1")
+    with pytest.raises(failing.GuardRejected):  # the diagnosis run raised it
+        failing.parse(b"aaxxxbq")
+    assert gc.isenabled() == caller_gc
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_the_caller_gc_state(caller_gc):
+    """A child forked while another thread holds the pause starts clean."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold(window):
+        entered.set()
+        release.wait(60)
+        return {}
+
+    parser = Parser(_HELD_INT, blackboxes={"Hold": hold})
+    thread = threading.Thread(target=parser.parse, args=(b"1" * 3000, "Int"))
+    thread.start()
+    try:
+        assert entered.wait(60)
+        assert not gc.isenabled()  # the other thread's parse holds the pause
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # threaded fork
+            pid = os.fork()
+        if pid == 0:  # the child: only this thread exists here
+            code = 1
+            try:
+                clean = gc.isenabled() == caller_gc
+                Parser(toy.FIGURE_3).parse(b"1" * 3000, "Int")
+                restored = gc.isenabled() == caller_gc
+                code = 0 if clean and restored else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert gc.isenabled() == caller_gc
+
+
+def test_a_second_thread_ends_the_pause():
+    """Two threads parsing at once collect as if no guard paused it."""
+    previous = gc.isenabled()
+    gc.enable()
+    entered = [threading.Event(), threading.Event()]
+    release = threading.Event()
+    seen = []
+
+    def hold_in(index):
+        def hold(window):
+            seen.append((index, gc.isenabled()))
+            entered[index].set()
+            release.wait(60)
+            return {}
+
+        return Parser(_HELD_INT, blackboxes={"Hold": hold})
+
+    threads = [
+        threading.Thread(target=hold_in(index).parse, args=(b"1" * 100, "Int"))
+        for index in range(2)
+    ]
+    try:
+        threads[0].start()
+        assert entered[0].wait(60)
+        assert not gc.isenabled()  # one live parse: paused
+        threads[1].start()
+        assert entered[1].wait(60)
+        assert gc.isenabled()  # the second thread's guard ended the pause
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+        (gc.enable if previous else gc.disable)()
+    assert seen == [(0, False), (1, True)]
+
+
+def test_no_collection_inside_a_tree_parse():
+    """A 2000-member ZIP tree parse triggers no cyclic collection at all."""
+    from repro.core import runtime
+    from repro.formats import registry
+    from repro.samples import build_zip
+
+    parser = registry["zip"].build_parser()
+    parser.parse(build_zip(member_count=2, member_size=200))  # stage first
+    data = build_zip(member_count=2000, member_size=200)
+    inside = []
+
+    def count(phase, info):
+        # Only collections while a guard is live, i.e. inside the parse.
+        if phase == "start" and runtime._guard_live:
+            inside.append(info["generation"])
+
+    previous = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        parser.parse(data)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if previous else gc.disable)()
+    assert inside == []
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,47 @@ def test_shared_parser_concurrent_failures_are_stable(fig13_corpus):
     assert not failures, failures[0]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_concurrent_record_spans_keep_their_own_trail(backend):
+    """Each ``record_spans`` parse gets its own trail, whatever else runs."""
+    spec = registry["dns"]
+    parser = Parser(spec.grammar_text, backend=backend)
+    rules = {"Label", "RR"}
+    corpus = [samples.build_dns_response(answer_count=c) for c in (1, 3, 5, 7)]
+    expected = [parser.parse(data, record_spans=rules)[1] for data in corpus]
+    assert len({len(trail) for trail in expected}) == len(corpus)
+
+    failures = []
+    barrier = threading.Barrier(len(corpus))
+
+    def hammer(index: int) -> None:
+        try:
+            barrier.wait()
+            for _ in range(30):
+                _, trail = parser.parse(corpus[index], record_spans=rules)
+                if trail != expected[index]:
+                    failures.append(f"thread {index} got a foreign trail")
+                    return
+        except Exception as exc:  # noqa: BLE001 - report, don't deadlock
+            failures.append(f"thread {index} raised {type(exc).__name__}: {exc}")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(index,), daemon=True)
+            for index in range(len(corpus))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, "\n".join(failures)
+
+
 #: One thread parses a 3000-digit Figure 3 ``Int`` 40 times while three
 #: others loop on a 2-digit one, with a short switch interval.  When one
 #: parse's exit restored the caller's limit under another's live deep

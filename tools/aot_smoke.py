@@ -19,7 +19,9 @@ For every bundled format grammar this script
    (ZIP's raw-deflate ``Inflate``, returning a duck-typed result), parses
    the sample, checks a truncated input is cleanly rejected, and — for the
    streamable standalone modules — runs one chunked ``parse_stream`` and
-   checks it equals the batch tree.
+   checks it equals the batch tree.  It also checks the vendored parse
+   guard's collector pause: automatic garbage collection is off inside
+   every blackbox call and back on after every parse.
 
 CI runs this after the test suite and uploads ``--out`` as an artifact, so
 every PR leaves behind the inspectable generated parsers it shipped.
@@ -60,6 +62,7 @@ PACKAGE = "ipg_parsers"
 #: user site-packages leak in.  Only the stdlib (plus the emitted modules'
 #: directory) may be imported.
 RUNNER = '''\
+import gc
 import importlib
 import json
 import sys
@@ -86,12 +89,32 @@ class InflateResult:
         self.end = None
 
 
+#: gc.isenabled() inside each blackbox call since the last check: the
+#: parse guard pauses automatic collection while an engine runs.
+collecting_inside = []
+blackbox_calls = 0
+
+
 def inflate(data):
+    collecting_inside.append(gc.isenabled())
     decompressor = zlib.decompressobj(-zlib.MAX_WBITS)
     payload = decompressor.decompress(data) + decompressor.flush()
     return InflateResult({"usize": len(payload)}, payload)
 
 
+def collector_restored(label, step):
+    global blackbox_calls
+    blackbox_calls += len(collecting_inside)
+    inside = any(collecting_inside)
+    collecting_inside.clear()
+    if gc.isenabled() and not inside:
+        return True
+    state = "running inside" if inside else "paused after"
+    print(f"FAIL {label}: automatic collection {state} {step}")
+    return False
+
+
+gc.enable()
 manifest = json.load(open(f"{out_dir}/manifest.json"))
 failures = 0
 for fmt, entry in sorted(manifest.items()):
@@ -109,10 +132,16 @@ for fmt, entry in sorted(manifest.items()):
             print(f"FAIL {label}: sample did not parse")
             failures += 1
             continue
+        if not collector_restored(label, "the parse"):
+            failures += 1
+            continue
         nodes = sum(1 for _ in tree.walk())
         truncated = module.try_parse(data[: max(1, len(data) // 2)])
         if truncated is not None:
             print(f"FAIL {label}: truncated sample unexpectedly parsed")
+            failures += 1
+            continue
+        if not collector_restored(label, "the truncated parse"):
             failures += 1
             continue
         streamed = ""
@@ -122,8 +151,14 @@ for fmt, entry in sorted(manifest.items()):
                 print(f"FAIL {label}: streamed parse differs from batch")
                 failures += 1
                 continue
+            if not collector_restored(label, "the streamed parse"):
+                failures += 1
+                continue
             streamed = f" streamed({len(chunks)} chunks)"
         print(f"ok   {label}: root={tree.name} nodes={nodes} bytes={len(data)}{streamed}")
+if not blackbox_calls:
+    print("FAIL: no blackbox ran, so the collector pause went unchecked")
+    failures += 1
 sys.exit(1 if failures else 0)
 '''
 
