@@ -185,6 +185,19 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _grammar_source(args):
+    """``(grammar_text, blackboxes)`` of ``--format NAME`` or the grammar
+    file; ``None`` once an unknown format is reported (the caller exits 2).
+    """
+    if not args.format:
+        return _read_text(args.grammar), {}
+    spec = registry.get(args.format)
+    if spec is None:
+        print(f"unknown format {args.format!r}; see `repro formats`", file=sys.stderr)
+        return None
+    return spec.grammar_text, dict(spec.blackboxes)
+
+
 # ---------------------------------------------------------------------------
 # Sub-commands
 # ---------------------------------------------------------------------------
@@ -238,17 +251,11 @@ def _run_parse(args, data) -> int:
     emit = None if args.validate else ("spans" if args.spans else "tree")
     document = None
     try:
-        if args.format:
-            if args.format not in registry:
-                print(
-                    f"unknown format {args.format!r}; see `repro formats`",
-                    file=sys.stderr,
-                )
-                return 2
-            spec = registry[args.format]
-            parser = spec.build_parser(backend=args.backend)
-        else:
-            parser = Parser(_read_text(args.grammar), backend=args.backend)
+        source = _grammar_source(args)
+        if source is None:
+            return EXIT_USAGE
+        text, blackboxes = source
+        parser = Parser(text, blackboxes=blackboxes, backend=args.backend)
         if args.stream:
             # Incremental consumption: the file (or stdin) is fed to the
             # streaming engine chunk by chunk and never buffered whole.
@@ -358,16 +365,11 @@ def _run_index(args, data) -> int:
     from .core.parsetree import ArrayNode, Node
 
     try:
-        if args.format:
-            if args.format not in registry:
-                print(
-                    f"unknown format {args.format!r}; see `repro formats`",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            parser = registry[args.format].build_parser(backend=args.backend)
-        else:
-            parser = Parser(_read_text(args.grammar), backend=args.backend)
+        source = _grammar_source(args)
+        if source is None:
+            return EXIT_USAGE
+        text, blackboxes = source
+        parser = Parser(text, blackboxes=blackboxes, backend=args.backend)
         try:
             root = parser.parse_lazy(data, lazy_threshold=args.lazy_threshold)
         except ParseFailure as exc:
@@ -425,23 +427,16 @@ def _cmd_explain_shapes(args) -> int:
     from .core.interpreter import prepare_grammar
     from .core.shapes import explain_shapes
 
-    if args.format:
-        if args.format not in registry:
-            print(
-                f"unknown format {args.format!r}; see `repro formats`",
-                file=sys.stderr,
-            )
-            return 2
-        grammar_text = registry[args.format].grammar_text
-    elif args.grammar:
-        grammar_text = _read_text(args.grammar)
-    else:
+    if not (args.format or args.grammar):
         print(
             "error: --explain-shapes needs --format or a grammar file",
             file=sys.stderr,
         )
         return 2
-    grammar = prepare_grammar(grammar_text)
+    source = _grammar_source(args)
+    if source is None:
+        return 2
+    grammar = prepare_grammar(source[0])
     width = max(len(name) for name in grammar.rules)
     for name, description in explain_shapes(grammar):
         print(f"{name:<{width}}  {description}")
@@ -453,21 +448,14 @@ def _cmd_explain_ir(args) -> int:
     from .core.compiler import Optimizations
     from .core.ir import analyze, explain_plan
 
-    if args.format:
-        if args.format not in registry:
-            print(
-                f"unknown format {args.format!r}; see `repro formats`",
-                file=sys.stderr,
-            )
-            return 2
-        grammar_text = registry[args.format].grammar_text
-    elif args.grammar:
-        grammar_text = _read_text(args.grammar)
-    else:
+    if not (args.format or args.grammar):
         print("error: --explain needs --format or a grammar file", file=sys.stderr)
         return 2
+    source = _grammar_source(args)
+    if source is None:
+        return 2
     optimizations = Optimizations.none() if args.no_optimize else None
-    analysis = analyze(prepare_grammar(grammar_text), optimizations=optimizations)
+    analysis = analyze(prepare_grammar(source[0]), optimizations=optimizations)
     print(explain_plan(analysis), end="")
     return 0
 
@@ -480,13 +468,12 @@ def _cmd_compile_package(args) -> int:
     from .core.compiler import Optimizations, compile_grammar
     from .core.errors import CompilationError
 
+    if args.format and _grammar_source(args) is None:
+        return 2
     names = [args.format] if args.format else sorted(registry)
     optimizations = Optimizations.none() if args.no_optimize else None
     compiled = {}
     for name in names:
-        if name not in registry:
-            print(f"unknown format {name!r}; see `repro formats`", file=sys.stderr)
-            return 2
         spec = registry[name]
         try:
             compiled[name] = compile_grammar(
@@ -559,19 +546,11 @@ def cmd_compile(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.format:
-        if args.format not in registry:
-            print(
-                f"unknown format {args.format!r}; see `repro formats`",
-                file=sys.stderr,
-            )
-            return 2
-        spec = registry[args.format]
-        grammar_text = spec.grammar_text
-        blackbox_names = sorted(spec.blackboxes)
-    else:
-        grammar_text = _read_text(args.grammar)
-        blackbox_names = None
+    source = _grammar_source(args)
+    if source is None:
+        return 2
+    grammar_text, blackboxes = source
+    blackbox_names = sorted(blackboxes) if args.format else None
     optimizations = Optimizations.none() if args.no_optimize else Optimizations()
     try:
         compiled = compile_grammar(grammar_text, optimizations=optimizations)
@@ -598,16 +577,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_streamability(args) -> int:
-    if args.format:
-        if args.format not in registry:
-            print(
-                f"unknown format {args.format!r}; see `repro formats`",
-                file=sys.stderr,
-            )
-            return 2
-        report = analyze_streamability(registry[args.format].grammar_text)
-    else:
-        report = analyze_streamability(_read_text(args.grammar))
+    source = _grammar_source(args)
+    if source is None:
+        return 2
+    report = analyze_streamability(source[0])
     print(report.summary())
     for violation in report.violations:
         print(f"  {violation}")

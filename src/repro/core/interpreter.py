@@ -115,7 +115,10 @@ class Parser:
         the process share one guard (:func:`~repro.core.runtime._guarded`):
         it raises the limit when it is lower, never lowers it, and gives
         the caller's value back when the last parse in any thread, on any
-        engine or emitted module, finishes.
+        engine or emitted module, finishes.  Before CPython 3.11 it
+        raises the limit no higher than the C stack holds
+        (``RLIMIT_STACK`` / 440 bytes), so a deeper input raises
+        :class:`~repro.core.errors.LimitExceeded` instead of crashing.
     backend:
         ``"compiled"`` (the default) stages the grammar into specialized
         Python closures via :mod:`repro.core.backends.closures`;
@@ -420,8 +423,6 @@ class Parser:
         start: Optional[str] = None,
         *,
         max_errors: Optional[int] = None,
-        resync_scan_bytes: Optional[int] = None,
-        resync_probes: Optional[int] = None,
     ):
         """Parse ``data``, salvaging everything that parses.
 
@@ -441,20 +442,10 @@ class Parser:
         acceptable degradation: when the recovered document carries more
         errors, the original structured diagnosis is raised as if
         recovery were off.
-
-        ``resync_scan_bytes`` / ``resync_probes`` bound the FIRST-set
-        resync scan (see :mod:`repro.core.recover`).
         """
         from . import recover as _recover
 
-        kwargs = {}
-        if resync_scan_bytes is not None:
-            kwargs["resync_scan_bytes"] = resync_scan_bytes
-        if resync_probes is not None:
-            kwargs["resync_probes"] = resync_probes
-        return _recover.parse_recover(
-            self, data, start, max_errors=max_errors, **kwargs
-        )
+        return _recover.parse_recover(self, data, start, max_errors=max_errors)
 
     def parse_lazy(
         self,

@@ -89,11 +89,11 @@ __all__ = [
 #: (a page-in error on an mmap'd file, an injected fault).
 _CAPTURED = (BlackboxError, OSError)
 
-#: Default bound on the FIRST-set resync scan: how many bytes past a
-#: failed window's start are searched for a plausible record restart.
+#: Bound on the FIRST-set resync scan: how many bytes past a failed
+#: window's start are searched for a plausible record restart.
 DEFAULT_RESYNC_SCAN_BYTES = 65536
 
-#: Default bound on how many FIRST-admissible candidate offsets are
+#: Bound on how many FIRST-admissible candidate offsets are
 #: actually probed through the fast engine during one resync scan.
 DEFAULT_RESYNC_PROBES = 32
 
@@ -332,11 +332,9 @@ class _RecoverRun(_Run):
         "spilled_ctxs",
         "first_cache",
         "shape_cache",
-        "scan_bytes",
-        "max_probes",
     )
 
-    def __init__(self, parser, data, *, scan_bytes: int, max_probes: int):
+    def __init__(self, parser, data):
         super().__init__(parser, data, build_tree=True)
         self.memoize = False
         #: (name, lo, hi) -> recovered result (tree, ErrorNode-bearing
@@ -357,8 +355,6 @@ class _RecoverRun(_Run):
         self.spilled_ctxs: set = set()
         self.first_cache: Dict[str, Optional[frozenset]] = {}
         self.shape_cache: Dict[str, object] = {}
-        self.scan_bytes = scan_bytes
-        self.max_probes = max_probes
 
     # -- engine re-entry (the lazytree pattern) -----------------------------
     def _probe_ok(self, name: str, lo: int, hi: int) -> bool:
@@ -811,9 +807,10 @@ class _RecoverRun(_Run):
         forward for the next FIRST-admissible byte at which the rule
         re-parses cleanly, and commit ``[ErrorNode(prefix), suffix]``.
 
-        Bounded: at most ``scan_bytes`` bytes are examined and at most
-        ``max_probes`` candidate offsets probed, so a window of garbage
-        costs O(scan) plus a handful of engine probes, not O(n²).
+        Bounded: at most ``DEFAULT_RESYNC_SCAN_BYTES`` bytes are examined
+        and at most ``DEFAULT_RESYNC_PROBES`` candidate offsets probed, so
+        a window of garbage costs O(scan) plus a handful of engine probes,
+        not O(n²).
         """
         if hi - lo < 2:
             return FAIL
@@ -821,7 +818,7 @@ class _RecoverRun(_Run):
         if not admissible:
             return FAIL
         data = self.data
-        limit = min(hi, lo + 1 + self.scan_bytes)
+        limit = min(hi, lo + 1 + DEFAULT_RESYNC_SCAN_BYTES)
         probes = 0
         for q in range(lo + 1, limit):
             try:
@@ -831,7 +828,7 @@ class _RecoverRun(_Run):
             if byte not in admissible:
                 continue
             probes += 1
-            if probes > self.max_probes:
+            if probes > DEFAULT_RESYNC_PROBES:
                 return FAIL
             if not self._probe_ok(name, q, hi):
                 continue
@@ -862,8 +859,6 @@ def parse_recover(
     start: Optional[str] = None,
     *,
     max_errors: Optional[int] = None,
-    resync_scan_bytes: int = DEFAULT_RESYNC_SCAN_BYTES,
-    resync_probes: int = DEFAULT_RESYNC_PROBES,
 ) -> RecoveredDocument:
     """Parse ``data``, salvaging what parses; the implementation behind
     :meth:`repro.core.interpreter.Parser.parse_recover`.
@@ -890,9 +885,7 @@ def parse_recover(
         return _degraded(start_name, n, exc)
     if tree is not None:
         return RecoveredDocument(tree, [], n)
-    run = _RecoverRun(
-        parser, buffer, scan_bytes=resync_scan_bytes, max_probes=resync_probes
-    )
+    run = _RecoverRun(parser, buffer)
     try:
         root = _guarded(
             parser.recursion_limit, start_name, run._recover_rule,

@@ -475,6 +475,30 @@ import threading
 #: another (``Parser(recursion_limit=...)``).
 _RECURSION_LIMIT = 100_000
 
+
+def _guard_cap():
+    # Before CPython 3.11 every Python call nests C frames as well, so a
+    # limit above what the C stack holds turns a deep input into a
+    # segfault instead of LimitExceeded.  Deep parses on 3.10 overflowed
+    # an 8 MiB stack at a depth of ~20,140 (~416 bytes a level): allow one
+    # level per 440 bytes of RLIMIT_STACK, the size new threads get too.
+    if sys.version_info >= (3, 11):
+        return sys.maxsize
+    stack = 8 << 20
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_STACK)[0]
+        if soft != resource.RLIM_INFINITY:
+            stack = soft
+    except (ImportError, OSError, ValueError):
+        pass
+    return stack // 440
+
+
+#: The highest recursion limit a guard installs, whatever it is asked for.
+_GUARD_CAP = _guard_cap()
+
 _guard_ident = threading.get_ident
 _guard_lock = threading.Lock()
 #: Live guards per thread ident.
@@ -488,13 +512,15 @@ _guard_paused = False
 
 
 def _guard_enter(limit):
-    """Count a live guard of this thread; raise the limit to ``limit``.
+    """Count a live guard of this thread; raise the limit to ``limit``
+    (at most ``_GUARD_CAP``).
 
     The first guard of the process pauses automatic collection; one
     entered while another thread holds the pause ends it.
     """
     global _guard_saved, _guard_paused
     ident = _guard_ident()
+    limit = min(limit, _GUARD_CAP)
     with _guard_lock:
         current = sys.getrecursionlimit()
         if current < limit:

@@ -15,7 +15,10 @@ Entry points:
   (``submit() -> Future[ServiceResult]``);
 * :func:`parse_many` — one-shot batch convenience;
 * ``repro serve`` — the CLI front-end (paths in, JSON verdicts out);
-* ``tools/chaos_service.py`` — the deterministic chaos harness.
+* ``tools/chaos_service.py`` — the deterministic chaos harness.  Its
+  faults are ordinary requests: a grammar whose blackbox
+  (``tools/chaos_blackboxes.py``) crashes, hangs or leaks when the input
+  bytes say so, which takes the path a poisonous input takes.
 """
 
 from ..core.errors import (  # noqa: F401 - re-exported for service callers

@@ -2,10 +2,10 @@
 
 One frozen dataclass holds every policy knob the supervisor and its
 workers share — pool size, queue bound, deadline and retry policy,
-respawn backoff, payload shipping thresholds, quarantine and chaos
-switches — so a :class:`~repro.service.ParseService` is reproducible
-from its config alone (the chaos harness and the benchmark both rely on
-that: same config + same seed = same schedule).
+respawn backoff, payload shipping thresholds, quarantine and blackbox
+provider — so a :class:`~repro.service.ParseService` is reproducible
+from its config alone (the chaos harness relies on that: same config +
+same seed = same schedule).
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class ServiceConfig:
         survives the process boundary and the quarantine metadata.
         ``ParseService`` resolves it once at construction and raises
         :class:`~repro.core.errors.IPGError` if it cannot.
-    ``allow_chaos``
-        Accept fault-injection directives (``submit_chaos``).  Off by
-        default; the chaos harness and tests opt in.
     ``backend``
         Parse engine workers use, one of ``Parser.BACKENDS``
         (``"compiled"`` or ``"interpreted"``).  Anything else raises
@@ -108,7 +105,6 @@ class ServiceConfig:
     spool_root: str = field(default_factory=default_spool_root)
     quarantine_dir: Optional[str] = None
     blackbox_provider: Optional[str] = None
-    allow_chaos: bool = False
     backend: str = "compiled"
     limits: Optional[ParseLimits] = None
 
@@ -138,7 +134,6 @@ class ServiceConfig:
         return {
             "backend": self.backend,
             "blackbox_provider": self.blackbox_provider,
-            "allow_chaos": self.allow_chaos,
             "limits": self.limits,
         }
 

@@ -63,9 +63,8 @@ class ServiceResult:
     """One reply from the service — exactly one per submitted request.
 
     ``kind`` is ``"tree"``, ``"spans"``, ``"ok"`` (validate-only),
-    ``"recovered"``, ``"chaos"`` (a completed chaos directive) or
-    ``"error"``.  Trees and recovered documents are jsonable structures
-    (:func:`~repro.core.parsetree.tree_to_jsonable` /
+    ``"recovered"`` or ``"error"``.  Trees and recovered documents are
+    jsonable structures (:func:`~repro.core.parsetree.tree_to_jsonable` /
     :func:`~repro.core.recover.document_to_jsonable`) — wire-safe
     copies, never views into worker memory.  ``error`` carries the
     reconstructed taxonomy exception: a
@@ -153,7 +152,6 @@ class _Request:
     inline_data: Optional[bytes] = None
     spool_path: Optional[str] = None
     spool_length: int = 0
-    quarantinable: bool = True
     retried: bool = False
     quarantined: bool = False
 
@@ -306,34 +304,6 @@ class ParseService:
         )
         return self._enqueue(request, data)
 
-    def submit_chaos(
-        self,
-        mode: str,
-        *,
-        seconds: float = 0.0,
-        deadline_ms: Optional[int] = None,
-    ) -> Future:
-        """Inject a fault directive (requires ``allow_chaos``).
-
-        Chaos requests are never retried and never quarantined — the
-        harness asserts the *service's* reaction, not the directive's
-        success: ``exit``/``segv``/``oom``/``leak`` resolve to a
-        ``WorkerCrashed`` error result, ``hang``/``spin`` to
-        ``chaos-done`` or a ``DeadlineExceeded`` kill depending on the
-        deadline.
-        """
-        if not self.config.allow_chaos:
-            raise ServiceError("chaos directives require ServiceConfig.allow_chaos")
-        budget = self.config.default_deadline_ms if deadline_ms is None else deadline_ms
-        request = _Request(
-            id=-1,
-            msg={"op": "chaos", "mode": mode, "seconds": seconds},
-            deadline_ms=budget,
-            retries_left=0,
-            quarantinable=False,
-        )
-        return self._enqueue(request, None)
-
     def stats(self) -> Dict[str, int]:
         """A snapshot of the service counters plus live gauges."""
         with self._lock:
@@ -406,16 +376,13 @@ class ParseService:
             self._next_id += 1
             request.id = self._next_id
             request.msg["id"] = request.id
-            if data is not None:
-                if len(data) <= self.config.inline_bytes_max:
-                    request.inline_data = bytes(data)
-                    request.msg["data"] = request.inline_data
-                else:
-                    request.spool_path = spool_write(
-                        self._spool_dir, request.id, data
-                    )
-                    request.spool_length = len(data)
-                    request.msg["spool"] = (request.spool_path, len(data))
+            if len(data) <= self.config.inline_bytes_max:
+                request.inline_data = bytes(data)
+                request.msg["data"] = request.inline_data
+            else:
+                request.spool_path = spool_write(self._spool_dir, request.id, data)
+                request.spool_length = len(data)
+                request.msg["spool"] = (request.spool_path, len(data))
             self._stats["submitted"] += 1
             self._pending.append(request)
         self._wake()
@@ -438,11 +405,9 @@ class ParseService:
 
     def _spawn_locked(self, slot: _WorkerSlot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        payload = self.config.worker_payload()
-        payload["spool_dir"] = self._spool_dir
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, payload),
+            args=(child_conn, self.config.worker_payload()),
             name=f"repro-parse-worker-{slot.index}",
             daemon=True,
         )
@@ -506,11 +471,7 @@ class ParseService:
             request.spool_path = None
 
     def _quarantine_locked(self, request: _Request, reason: str, **extra) -> None:
-        if (
-            self._quarantine is None
-            or not request.quarantinable
-            or request.quarantined
-        ):
+        if self._quarantine is None or request.quarantined:
             return
         data = request.read_data()
         if data is None:
@@ -568,8 +529,6 @@ class ParseService:
             result.env = reply.get("env")
         elif kind == "recovered":
             result.document = reply.get("document")
-        elif kind == "chaos-done":
-            result.kind = "chaos"
         elif kind == "parse-error":
             result.kind = "error"
             result.error = failure_from_wire(reply)
@@ -744,8 +703,9 @@ class ParseService:
         """Remove spool files no live request owns.
 
         A crashing worker can strand files it created in the spool
-        directory (the ``leak`` chaos mode does so deliberately); part
-        of repairing after a death is reclaiming that space.  Request
+        directory (the chaos harness's ``leak`` directive does so
+        deliberately); part of repairing after a death is reclaiming that
+        space.  Request
         spool files are supervisor-owned and tracked, so anything not
         belonging to a pending or in-flight request is garbage.
         """

@@ -25,8 +25,10 @@ The worker converts every outcome into a reply:
   the worker survives anything that raises.
 
 What the worker can *not* survive — segfaults, the OOM killer,
-``os._exit`` — is the supervisor's job: it watches the process sentinel
-and isolates the death to the in-flight request.
+``os._exit`` in a blackbox — is the supervisor's job: it watches the
+process sentinel and isolates the death to the in-flight request.  The
+worker has no fault-injection mode of its own: the chaos harness sends
+inputs whose blackbox (``tools/chaos_blackboxes.py``) dies or stalls.
 
 Requests also honour an in-process *soft deadline*: the supervisor
 hands a ``soft_deadline_ms`` share of the request deadline, applied as
@@ -34,10 +36,6 @@ hands a ``soft_deadline_ms`` share of the request deadline, applied as
 fails structurally (``LimitExceeded(limit="wall")``) without costing a
 worker respawn.  The SIGKILL hard deadline remains the backstop for
 stalls the fuel checks cannot see (a sleeping blackbox).
-
-Fault injection (``op: "chaos"``) is only honoured when the service was
-configured with ``allow_chaos`` — production services reject the
-directives as errors.
 
 Collection policy.  The worker owns its process, so it sets the cyclic
 garbage collector's policy itself; nothing caller-visible changes:
@@ -136,8 +134,6 @@ class _WorkerState:
 
     def __init__(self, payload: dict):
         self.backend = payload.get("backend", "compiled")
-        self.allow_chaos = bool(payload.get("allow_chaos"))
-        self.spool_dir = payload.get("spool_dir")
         base = payload.get("limits") or DEFAULT_LIMITS
         if base.max_wall_ms is None:
             base = replace(base, max_wall_ms=_FALLBACK_WALL_MS)
@@ -241,46 +237,6 @@ def _handle_parse(state: _WorkerState, msg: dict) -> dict:
     return reply
 
 
-def _handle_chaos(state: _WorkerState, msg: dict) -> dict:
-    """Fault-injection directives (chaos harness / tests only)."""
-    if not state.allow_chaos:
-        return {
-            "kind": "worker-error",
-            "class": "ChaosDisabled",
-            "message": "chaos directives require ServiceConfig.allow_chaos",
-        }
-    mode = msg.get("mode")
-    seconds = float(msg.get("seconds", 0.0))
-    if mode == "exit":  # a bare os._exit mid-request
-        os._exit(int(msg.get("code", 3)))
-    if mode == "segv":  # native crash
-        import faulthandler
-
-        faulthandler.disable()  # the fault is deliberate; keep logs clean
-        os.kill(os.getpid(), signal.SIGSEGV)
-    if mode == "oom":  # the kernel OOM killer's verdict, simulated
-        os._exit(137)
-    if mode == "leak":  # strand a file in the spool dir, then die
-        if state.spool_dir:
-            path = os.path.join(state.spool_dir, f"leak-{os.getpid()}.bin")
-            with open(path, "wb") as handle:
-                handle.write(b"\0" * 4096)
-        os._exit(7)
-    if mode == "hang":  # blackbox-style sleep the fuel checks cannot see
-        time.sleep(seconds)
-        return {"kind": "chaos-done", "mode": mode}
-    if mode == "spin":  # busy loop (SIGKILL is the only way out early)
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            pass
-        return {"kind": "chaos-done", "mode": mode}
-    return {
-        "kind": "worker-error",
-        "class": "ChaosUnknown",
-        "message": f"unknown chaos mode {mode!r}",
-    }
-
-
 @contextmanager
 def _collection_paused():
     """Switch automatic cyclic collection off for the ``with`` body.
@@ -305,8 +261,6 @@ def _answer(conn, state: _WorkerState, msg: dict) -> bool:
         return False
     if op == "ping":
         reply = {"kind": "pong"}
-    elif op == "chaos":
-        reply = _handle_chaos(state, msg)
     elif op == "parse":
         reply = _handle_parse(state, msg)
     else:

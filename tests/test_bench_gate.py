@@ -1,10 +1,11 @@
-"""Tests for the compiler benchmark gate (``tools/bench_gate.py``).
+"""Tests for the benchmark gates (``tools/bench_gate.py``).
 
-The gate compares a measured ``bench_compiler_speedup.py`` report with the
-committed ``BENCH_compiler.json``.  It must be able to fail: a regressed
-median fails, and so does a median that is committed but was not
-measured — a benchmark that silently stops reporting a metric must not
-pass by omission.
+The compiler gate compares a measured ``bench_compiler_speedup.py`` report
+with the committed ``BENCH_compiler.json``.  It must be able to fail: a
+regressed median fails, and so does a median that is committed but was
+not measured — a benchmark that silently stops reporting a metric must
+not pass by omission.  The ``--service-floor`` gate fails the same ways:
+on a low throughput ratio, on an incorrect run and on a missing metric.
 """
 
 import importlib.util
@@ -73,3 +74,57 @@ def test_every_gated_median_is_committed(bench_gate):
     committed = json.loads((REPO_ROOT / "BENCH_compiler.json").read_text())
     missing = [key for key, _ in bench_gate.GATED_MEDIANS if key not in committed]
     assert not missing, f"gated medians the gate could never check: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# --service-floor: service-mixed docs/s against fig13-tree docs/s
+# ---------------------------------------------------------------------------
+
+
+def _result_line(docs_per_s, correct=True):
+    metrics = {}
+    if docs_per_s is not None:
+        metrics["docs_per_s"] = {"value": docs_per_s, "unit": "1/s"}
+    return json.dumps(
+        {"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics}
+    )
+
+
+def _run_floor(bench_gate, tmp_path, fig_line, svc_line):
+    fig_path = tmp_path / "fig.json"
+    svc_path = tmp_path / "svc.json"
+    # The gate reads the last line: a whole saved run works as well.
+    fig_path.write_text("# meta {}\n" + fig_line + "\n", encoding="utf-8")
+    svc_path.write_text(svc_line + "\n", encoding="utf-8")
+    return bench_gate.service_floor(str(fig_path), str(svc_path))
+
+
+def test_service_floor_passes_above_the_floor(bench_gate, tmp_path, capsys):
+    fig = 1000.0
+    svc = fig * bench_gate.SERVICE_FLOOR * 1.01
+    assert _run_floor(bench_gate, tmp_path, _result_line(fig), _result_line(svc)) == 0
+    assert "service-floor: passed" in capsys.readouterr().out
+
+
+def test_service_floor_fails_below_the_floor(bench_gate, tmp_path, capsys):
+    fig = 1000.0
+    svc = fig * bench_gate.SERVICE_FLOOR * 0.99
+    assert _run_floor(bench_gate, tmp_path, _result_line(fig), _result_line(svc)) == 1
+    assert "REGRESSION" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrong", ["fig", "svc"])
+def test_service_floor_fails_on_an_incorrect_run(bench_gate, tmp_path, wrong):
+    fig = _result_line(1000.0, correct=wrong != "fig")
+    svc = _result_line(900.0, correct=wrong != "svc")
+    assert _run_floor(bench_gate, tmp_path, fig, svc) == 1
+
+
+@pytest.mark.parametrize("missing", ["fig", "svc"])
+def test_service_floor_fails_on_a_missing_metric(
+    bench_gate, tmp_path, capsys, missing
+):
+    fig = _result_line(None if missing == "fig" else 1000.0)
+    svc = _result_line(None if missing == "svc" else 900.0)
+    assert _run_floor(bench_gate, tmp_path, fig, svc) == 1
+    assert "MISSING" in capsys.readouterr().out

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -360,6 +361,57 @@ class TestRecursionWrapping:
         with pytest.raises(LimitExceeded) as info:
             parser.parse(b"1" * 1000, "Int")
         assert info.value.limit in ("max_depth", "recursion")
+
+
+    def test_deep_input_never_overflows_the_c_stack(self):
+        # On CPython 3.10 the default limits let these inputs nest more C
+        # frames than an 8 MiB stack holds: the interpreter segfaulted at
+        # 3600 digits and the compiled engine at 11000.  The guard caps the
+        # limit it installs there, so they fail structurally, in a thread
+        # too; 3000 digits still parse.
+        completed = subprocess.run(
+            [sys.executable, "-c", _DEEP_INPUTS],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env=_child_env(),
+        )
+        assert completed.returncode == 0, completed.stderr[-3000:]
+        outcomes = completed.stdout.split()
+        assert outcomes[:2] == ["ok", "ok"]
+        assert set(outcomes[2:]) <= {"ok", "LimitExceeded"}
+        assert len(outcomes) == 6
+
+
+#: Figure 3 ``Int`` parses, each in the main thread and then in a thread:
+#: 3000 digits on the interpreter, the two 3.10 crash inputs.  Prints
+#: ``ok`` or ``LimitExceeded`` per parse.
+_DEEP_INPUTS = """
+import threading
+from repro import LimitExceeded, Parser
+from repro.formats import toy
+
+def attempt(backend, digits):
+    try:
+        Parser(toy.FIGURE_3, backend=backend).parse(b"1" * digits, "Int")
+        print("ok")
+    except LimitExceeded:
+        print("LimitExceeded")
+
+for backend, digits in (
+    ("interpreted", 3000), ("interpreted", 4000), ("compiled", 20000)
+):
+    attempt(backend, digits)
+    thread = threading.Thread(target=attempt, args=(backend, digits))
+    thread.start()
+    thread.join()
+"""
+
+
+def _child_env():
+    paths = [os.path.join(os.path.dirname(__file__), "..", "src")]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 # ---------------------------------------------------------------------------

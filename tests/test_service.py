@@ -51,6 +51,8 @@ pytestmark = pytest.mark.skipif(
 
 DEADLINE = 30_000  # generous per-attempt budget for functional tests
 
+TOOLS = str(Path(__file__).resolve().parent.parent / "tools")
+
 
 @pytest.fixture(scope="module")
 def dns_data() -> bytes:
@@ -58,8 +60,23 @@ def dns_data() -> bytes:
 
 
 @pytest.fixture(scope="module")
-def service():
-    with ParseService(workers=2, allow_chaos=True, seed=7) as svc:
+def chaos():
+    """``tools/chaos_blackboxes.py``: faults injected as blackbox inputs.
+
+    Imported here, it is in ``sys.modules`` of every worker forked later.
+    """
+    sys.path.insert(0, TOOLS)
+    try:
+        import chaos_blackboxes
+
+        yield chaos_blackboxes
+    finally:
+        sys.path.remove(TOOLS)
+
+
+@pytest.fixture(scope="module")
+def service(chaos):
+    with ParseService(workers=2, blackbox_provider=chaos.PROVIDER, seed=7) as svc:
         yield svc
 
 
@@ -292,9 +309,9 @@ def test_serve_cli_tree_lines_match_in_process(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_crash_is_isolated_and_pool_repairs(service, dns_data):
+def test_worker_crash_is_isolated_and_pool_repairs(service, chaos, dns_data):
     before = service.stats()["respawns"]
-    crashed = service.submit_chaos("exit").result()
+    crashed = service.submit(b"exit", grammar=chaos.GRAMMAR).result()
     assert isinstance(crashed.error, WorkerCrashed)
     assert crashed.error.exitcode == 3
     # The pool keeps answering while (and after) it repairs itself.
@@ -309,15 +326,17 @@ def test_worker_crash_is_isolated_and_pool_repairs(service, dns_data):
     assert service.stats()["workers_alive"] == 2
 
 
-def test_segfault_reports_signal_exitcode(service):
-    crashed = service.submit_chaos("segv").result()
+def test_segfault_reports_signal_exitcode(service, chaos):
+    crashed = service.submit(b"segv", grammar=chaos.GRAMMAR).result()
     assert isinstance(crashed.error, WorkerCrashed)
     assert crashed.error.exitcode == -11  # SIGSEGV
 
 
-def test_hung_worker_is_killed_at_the_deadline(service, dns_data):
+def test_hung_worker_is_killed_at_the_deadline(service, chaos, dns_data):
     begin = time.monotonic()
-    result = service.submit_chaos("hang", seconds=60, deadline_ms=400).result()
+    result = service.submit(
+        b"hang 60", grammar=chaos.GRAMMAR, deadline_ms=400, retries=0
+    ).result()
     elapsed = time.monotonic() - begin
     assert isinstance(result.error, DeadlineExceeded)
     assert result.error.deadline_ms == 400
@@ -372,16 +391,19 @@ def test_worker_parser_cache_is_bounded():
     assert len(state.parsers) == _MAX_PARSERS
 
 
-def test_overload_sheds_with_retry_after():
+def test_overload_sheds_with_retry_after(chaos):
     with ParseService(
-        workers=1, max_pending=2, allow_chaos=True, default_deadline_ms=10_000
+        workers=1,
+        max_pending=2,
+        blackbox_provider=chaos.PROVIDER,
+        default_deadline_ms=10_000,
     ) as svc:
-        blocker = svc.submit_chaos("hang", seconds=1.0, deadline_ms=20_000)
+        blocker = svc.submit(b"hang 1.0", grammar=chaos.GRAMMAR, deadline_ms=20_000)
         time.sleep(0.2)  # let the hang dispatch so the queue is empty
         accepted, shed = [], None
         for _ in range(10):
             try:
-                accepted.append(svc.submit_chaos("hang", seconds=0.0))
+                accepted.append(svc.submit(b"hang 0.0", grammar=chaos.GRAMMAR))
             except ServiceOverloaded as exc:
                 shed = exc
         assert shed is not None
@@ -389,6 +411,7 @@ def test_overload_sheds_with_retry_after():
         assert svc.stats()["shed"] >= 1
         for future in [blocker, *accepted]:
             assert future.result() is not None  # shed or not, no one hangs
+        assert blocker.result().kind == "tree"  # a finished hang parses
 
 
 def test_close_resolves_everything_and_rejects_new_work(dns_data):
@@ -403,18 +426,66 @@ def test_close_resolves_everything_and_rejects_new_work(dns_data):
     svc.close()  # idempotent
 
 
-def test_retry_runs_on_a_fresh_worker(service, dns_data):
+def test_retry_runs_on_a_fresh_worker(service, chaos, dns_data):
     # A crash with a parse in flight on the *other* worker: both answer.
-    crash = service.submit_chaos("exit")
+    crash = service.submit(b"exit", grammar=chaos.GRAMMAR)
     parse = service.submit(dns_data, format="dns", deadline_ms=DEADLINE)
     assert isinstance(crash.result().error, WorkerCrashed)
+    assert crash.result().retried
     assert parse.result().ok
 
 
-def test_chaos_requires_opt_in(dns_data):
-    with ParseService(workers=1) as svc:
-        with pytest.raises(ServiceError):
-            svc.submit_chaos("exit")
+@pytest.mark.parametrize(
+    "directive, exitcode", [(b"exit", 3), (b"segv", -11), (b"oom", 137)]
+)
+def test_crash_directive_is_retried_then_quarantined_once(
+    tmp_path, chaos, directive, exitcode
+):
+    # The README failure matrix's crash row: input quarantined, retried
+    # once on a fresh worker, then WorkerCrashed.
+    qdir = str(tmp_path / "quarantine")
+    with ParseService(
+        workers=1,
+        quarantine_dir=qdir,
+        blackbox_provider=chaos.PROVIDER,
+        default_deadline_ms=DEADLINE,
+    ) as svc:
+        first = svc.submit(directive, grammar=chaos.GRAMMAR).result()
+        stats = svc.stats()
+        assert isinstance(first.error, WorkerCrashed)
+        assert first.error.exitcode == exitcode
+        assert first.retried
+        assert stats["crashes"] == 2 and stats["retries"] == 1
+        assert stats["quarantined"] == 1
+        again = svc.submit(directive, grammar=chaos.GRAMMAR).result()
+        assert isinstance(again.error, WorkerCrashed) and again.retried
+        assert svc.stats()["quarantined"] == 1
+    (entry,) = QuarantineCorpus(qdir).entries()
+    assert entry.read_data() == directive
+    assert entry.metadata["reason"] == "crash"
+    assert entry.metadata["exitcode"] == exitcode
+    assert entry.metadata["grammar_text"] == chaos.GRAMMAR
+    assert entry.metadata["blackbox_provider"] == chaos.PROVIDER
+
+
+def test_leaked_spool_file_is_swept(chaos, monkeypatch):
+    seen = []
+    sweep = ParseService._sweep_spool_locked
+
+    def recording_sweep(self):
+        seen.extend(os.listdir(self._spool_dir))
+        sweep(self)
+
+    monkeypatch.setattr(ParseService, "_sweep_spool_locked", recording_sweep)
+    with ParseService(workers=1, blackbox_provider=chaos.PROVIDER) as svc:
+        spool_dir = svc.audit()["spool_dir"]
+        directive = f"leak {spool_dir}".encode()
+        result = svc.submit(directive, grammar=chaos.GRAMMAR).result()
+        assert isinstance(result.error, WorkerCrashed)
+        assert result.error.exitcode == 7
+        assert svc.audit()["spool_files"] == 0
+    # Both attempts stranded a file, and a sweep found each one.
+    assert len({name for name in seen if name.startswith("leak-")}) == 2
 
 
 # ---------------------------------------------------------------------------

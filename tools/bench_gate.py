@@ -30,6 +30,7 @@ Usage::
     python tools/bench_gate.py CURRENT.json [BASELINE.json] [--tolerance 0.15]
     python tools/bench_gate.py --limits-smoke [--limits-tolerance 0.03]
     python tools/bench_gate.py --lazy-smoke
+    python tools/bench_gate.py --service-floor FIG.json SVC.json
 
 ``BASELINE.json`` defaults to ``BENCH_compiler.json`` at the repository
 root.
@@ -45,6 +46,11 @@ recursive-rule entry (placed after the memo probe) and per count-driven
 element-loop iteration, so the expected cost is well under a percent;
 see :func:`limits_smoke` for why this is gated as a decomposition rather
 than an A/B wall-clock ratio.
+
+``--service-floor`` gates the parse service against the host it runs on:
+two perfbench result lines (fig13-tree and service-mixed, same machine)
+must both be correct, and the service's docs/s must stay above a fixed
+share of the in-process docs/s (see :func:`service_floor`).
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ GATED_MEDIANS = (
     ("validate_median_speedup_vs_tree", "median validate-only speedup vs tree"),
     ("streaming_median_speedup", "median streaming speedup"),
 )
+
+#: ``--service-floor``: least service-mixed docs/s per fig13-tree docs/s.
+#: 12 ``--seconds 3`` pairs on a 2-vCPU host (Python 3.11.7) read ratios
+#: of 0.335–0.450; the floor sits below half the lowest.
+SERVICE_FLOOR = 0.15
 
 #: Per-format metrics shown in the failure breakdown.
 _FORMAT_METRICS = (
@@ -360,101 +371,53 @@ def lazy_smoke() -> int:
     return 0
 
 
-def service_smoke() -> int:
-    """Gate the parse service on its absolute invariants at saturation.
+def _last_json_line(path: str) -> dict:
+    """The last non-empty line of a perfbench run's output, as JSON."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line for line in handle.read().splitlines() if line.strip()]
+    return json.loads(lines[-1]) if lines else {}
 
-    Runs the quick tier of ``benchmarks/bench_service.py`` (a clean
-    saturation scenario and a fault-injected one) and checks the
-    contract rather than machine-relative medians:
 
-    * every submitted request is answered in both scenarios (exactly-one
-      -reply is the service's core guarantee);
-    * the pool is back at full worker strength after the faulty run;
-    * fault collateral is bounded: only injected faults (and requests
-      unlucky enough to share a dying worker) degrade to service
-      errors — at most 2x the injected fault count;
-    * a loose absolute throughput floor (10 msgs/s clean, 2 msgs/s
-      faulty) that only a hang, a respawn storm, or a serialization
-      catastrophe could violate — real throughput is orders of
-      magnitude higher on any machine.
+def service_floor(fig_path: str, svc_path: str) -> int:
+    """Gate service throughput against in-process throughput on one host.
 
-    The committed ``BENCH_service.json`` records the development
-    machine's full-size numbers for trajectory; this smoke gate is what
-    CI enforces.
+    ``fig_path`` and ``svc_path`` hold the result lines of
+    ``perfbench/run.py --workload fig13-tree`` and ``--workload
+    service-mixed`` taken on the same machine.  Fails unless both report
+    ``"correct": true`` and service-mixed ``docs_per_s`` is at least
+    ``SERVICE_FLOOR`` times fig13-tree's.  The in-process rate stands in
+    for the host's speed, so the floor holds across machines; a service
+    that stalls, crash-loops or serializes badly falls through it, and so
+    does a result line that lost the metric.
     """
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_service", os.path.join(_REPO_ROOT, "benchmarks", "bench_service.py")
-    )
-    bench_service = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_service)
-
-    requests = bench_service.REQUESTS_QUICK
-    clean = bench_service.run_scenario(requests, inject_faults=False, seed=0)
-    faulty = bench_service.run_scenario(requests, inject_faults=True, seed=0)
-
     failures = []
-
-    def check(label: str, ok: bool, detail: str) -> None:
-        print(f"service-smoke: {label}: {detail}: {'ok' if ok else 'REGRESSION'}")
-        if not ok:
-            failures.append(label)
-
-    for name, scenario in (("clean", clean), ("faulty", faulty)):
-        check(
-            f"{name} all answered",
-            scenario["answered"] == requests,
-            f"{scenario['answered']}/{requests} requests answered",
-        )
-    check(
-        "clean has no service errors",
-        clean["service_errors"] == 0,
-        f"{clean['service_errors']} service errors without fault injection",
-    )
-    check(
-        "faulty collateral bounded",
-        faulty["service_errors"] <= 2 * faulty["faults_injected"],
-        f"{faulty['service_errors']} service errors for "
-        f"{faulty['faults_injected']} injected faults",
-    )
-    check(
-        "pool repaired after faults",
-        faulty["pool"]["workers_alive_at_end"] == faulty["pool"]["workers"],
-        f"{faulty['pool']['workers_alive_at_end']}/"
-        f"{faulty['pool']['workers']} workers alive",
-    )
-    check(
-        "clean throughput floor",
-        (clean["msgs_per_second"] or 0) >= 10,
-        f"{clean['msgs_per_second']} msgs/s (floor 10)",
-    )
-    check(
-        "faulty throughput floor",
-        (faulty["msgs_per_second"] or 0) >= 2,
-        f"{faulty['msgs_per_second']} msgs/s (floor 2)",
-    )
-
-    committed_path = os.path.join(_REPO_ROOT, "BENCH_service.json")
-    if os.path.exists(committed_path):
-        committed = _load(committed_path)
+    rates = {}
+    for label, path in (("fig13-tree", fig_path), ("service-mixed", svc_path)):
+        result = _last_json_line(path)
+        if result.get("correct") is not True:
+            correct = result.get("correct")
+            print(f"service-floor: {label}: correct={correct!r}: FAILED")
+            failures.append(f"{label} not correct")
+        rate = result.get("metrics", {}).get("docs_per_s", {}).get("value")
+        if not isinstance(rate, (int, float)) or rate <= 0:
+            print(f"service-floor: {label}: docs_per_s {rate!r}: MISSING")
+            failures.append(f"{label} docs_per_s missing")
+        else:
+            rates[label] = rate
+    if len(rates) == 2:
+        ratio = rates["service-mixed"] / rates["fig13-tree"]
+        verdict = "ok" if ratio >= SERVICE_FLOOR else "REGRESSION"
         print(
-            "service-smoke: committed trajectory: "
-            f"clean {committed['scenarios']['clean']['msgs_per_second']} msgs/s, "
-            f"faulty {committed['scenarios']['faulty']['msgs_per_second']} msgs/s "
-            f"(p99 {committed['scenarios']['faulty']['latency_ms']['p99']}ms)"
+            f"service-floor: service-mixed {rates['service-mixed']:.1f} docs/s / "
+            f"fig13-tree {rates['fig13-tree']:.1f} docs/s = {ratio:.3f} "
+            f"(floor {SERVICE_FLOOR}): {verdict}"
         )
-    else:
-        print("service-smoke: BENCH_service.json missing; trajectory not shown")
-
+        if ratio < SERVICE_FLOOR:
+            failures.append("service throughput ratio")
     if failures:
-        print(
-            f"service-smoke: FAILED — {', '.join(failures)} violated the "
-            f"service's absolute invariants",
-            file=sys.stderr,
-        )
+        print(f"service-floor: FAILED — {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("service-smoke: passed")
+    print("service-floor: passed")
     return 0
 
 
@@ -496,23 +459,23 @@ def main(argv=None) -> int:
         "eager read-then-parse)",
     )
     parser.add_argument(
-        "--service-smoke",
-        action="store_true",
-        help="run the parse-service invariant gate (quick saturation "
-        "benchmark with and without fault injection; every request "
-        "answered, pool repaired, loose absolute throughput floors)",
+        "--service-floor",
+        nargs=2,
+        metavar=("FIG.json", "SVC.json"),
+        help="gate perfbench result lines: both correct, and service-mixed "
+        f"docs/s at least {SERVICE_FLOOR}x fig13-tree docs/s",
     )
     args = parser.parse_args(argv)
     if args.limits_smoke:
         return limits_smoke(args.limits_tolerance)
     if args.lazy_smoke:
         return lazy_smoke()
-    if args.service_smoke:
-        return service_smoke()
+    if args.service_floor:
+        return service_floor(*args.service_floor)
     if not args.current:
         parser.error(
             "CURRENT.json is required unless --limits-smoke, --lazy-smoke, "
-            "or --service-smoke is given"
+            "or --service-floor is given"
         )
     return gate(args.current, args.baseline, args.tolerance)
 

@@ -12,7 +12,13 @@ spanning the inline and spooled payload paths) and fault injections
 (worker ``os._exit``, SIGSEGV, simulated OOM kills, spool-file leaks,
 sleeps and busy-spins that must be cut down by the deadline), submits
 it against one :class:`repro.service.ParseService`, and then asserts
-the convergence invariants the service guarantees:
+the convergence invariants the service guarantees.
+
+A fault is an ordinary ``submit(directive, grammar=GRAMMAR)`` request:
+the blackbox of ``tools/chaos_blackboxes.py`` reads the directive from
+the input bytes, so every fault takes the path a poisonous input takes.
+Crash directives keep the default retry (the retry on a fresh worker
+dies too); hang and spin directives run with ``retries=0``.
 
 1. **Every request is answered exactly once** — each future resolves
    with a ``ServiceResult``: a tree, a recovered document, a structured
@@ -25,9 +31,16 @@ the convergence invariants the service guarantees:
 3. **The pool repairs itself** — after the storm the service is back at
    full worker strength and still answers a fresh probe request.
 4. **Nothing leaks** — no stray child processes, no spool files (the
-   ``leak`` chaos mode deliberately strands some; the supervisor must
+   ``leak`` directive deliberately strands some; the supervisor must
    reclaim them), and the parent's fd table returns to its pre-storm
    size.
+5. **Fault collateral is bounded** — requests that carried no directive
+   and still degraded to ``WorkerCrashed``/``DeadlineExceeded`` number
+   at most twice the directives sent.
+6. **Killers are quarantined once** — the storm runs with a temporary
+   ``quarantine_dir``; every distinct directive input that killed a
+   worker is in the corpus exactly once (it dedupes by content hash),
+   and the corpus holds nothing that did not kill one.
 
 Same seed, same schedule: a failure reported by CI reproduces locally
 with the printed command line.  Exit code 0 = all invariants held.
@@ -37,12 +50,17 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 import random
+import shutil
+import sys
+import tempfile
 import time
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import chaos_blackboxes  # noqa: E402
 from repro import samples  # noqa: E402
 from repro.core.errors import (  # noqa: E402
     DeadlineExceeded,
@@ -53,7 +71,11 @@ from repro.core.errors import (  # noqa: E402
 )
 from repro.core.parsetree import tree_to_jsonable  # noqa: E402
 from repro.formats import registry  # noqa: E402
-from repro.service import ParseService, ServiceConfig  # noqa: E402
+from repro.service import (  # noqa: E402
+    ParseService,
+    QuarantineCorpus,
+    ServiceConfig,
+)
 
 #: Chaos directives and their weights in the schedule.
 CHAOS_MODES = (
@@ -64,6 +86,9 @@ CHAOS_MODES = (
     ("hang", 3),
     ("spin", 2),
 )
+
+#: Directives that kill their worker outright (and its retry's worker).
+CRASH_MODES = ("exit", "segv", "oom", "leak")
 
 #: Formats exercised; dns/ipv4 are inline-sized, zip crosses the spool
 #: threshold once padded (see _corpus).
@@ -143,6 +168,15 @@ def _check_verdict(result, expectation, failures, label):
     return "ok"
 
 
+def _submit(service, data, **kwargs):
+    """``service.submit`` that waits out load shedding."""
+    while True:
+        try:
+            return service.submit(data, **kwargs)
+        except ServiceOverloaded as exc:
+            time.sleep(min(exc.retry_after or 0.05, 0.2))
+
+
 def _fd_count() -> int:
     try:
         return len(os.listdir("/proc/self/fd"))
@@ -186,19 +220,22 @@ def run_storm(
     corpus = _corpus(rng)
     failures: list = []
     fd_before = _fd_count()
+    quarantine_dir = tempfile.mkdtemp(prefix="chaos-quarantine-")
 
     config = ServiceConfig(
         workers=workers,
-        allow_chaos=True,
+        blackbox_provider=chaos_blackboxes.PROVIDER,
+        quarantine_dir=quarantine_dir,
         seed=seed,
         default_deadline_ms=deadline_ms,
         max_pending=max(64, requests),
         spawn_backoff_base=0.02,
         spawn_backoff_cap=0.25,  # storms respawn fast; jitter still applies
     )
-    submitted = []  # (label, expectation-or-None, future)
+    submitted = []  # (label, data, expectation-or-mode, future)
     begin = time.monotonic()
     with ParseService(config) as service:
+        spool_dir = service.audit()["spool_dir"]
         for index in range(requests):
             if chaos_every and index % chaos_every == chaos_every - 1:
                 mode = rng.choices(
@@ -216,38 +253,56 @@ def run_storm(
                     if mode in ("hang", "spin")
                     else deadline_ms
                 )
-                future = service.submit_chaos(
-                    mode, seconds=seconds, deadline_ms=chaos_deadline
+                if mode in CRASH_MODES:
+                    directive = f"leak {spool_dir}" if mode == "leak" else mode
+                    retries = None  # the service default
+                else:
+                    directive = f"{mode} {seconds!r}"
+                    retries = 0
+                data = directive.encode()
+                future = _submit(
+                    service,
+                    data,
+                    grammar=chaos_blackboxes.GRAMMAR,
+                    deadline_ms=chaos_deadline,
+                    retries=retries,
                 )
-                submitted.append((f"chaos-{index}-{mode}", None, future))
+                submitted.append((f"chaos-{index}-{mode}", data, mode, future))
                 continue
             fmt, data, expectation = rng.choice(corpus)
-            while True:
-                try:
-                    future = service.submit(
-                        data, format=fmt, deadline_ms=deadline_ms
-                    )
-                    break
-                except ServiceOverloaded as exc:
-                    time.sleep(min(exc.retry_after or 0.05, 0.2))
-            submitted.append((f"req-{index}-{fmt}", expectation, future))
+            future = _submit(service, data, format=fmt, deadline_ms=deadline_ms)
+            submitted.append((f"req-{index}-{fmt}", data, expectation, future))
 
         # Invariant 1: every future resolves.  The bound is generous but
         # finite — a stranded future fails the harness rather than CI's
         # job timeout.
         wait_budget = 60 + requests * (deadline_ms / 1000.0)
         answered = degraded = 0
-        for label, expectation, future in submitted:
+        fired: Counter = Counter()
+        killers = set()  # inputs that killed a worker: must be quarantined
+        for label, data, expectation, future in submitted:
             try:
                 result = future.result(timeout=wait_budget)
             except Exception as exc:  # noqa: BLE001 - resolution is the contract
                 failures.append(f"{label}: future did not resolve ({exc!r})")
                 continue
             answered += 1
-            if expectation is not None:
+            if isinstance(expectation, tuple):
                 verdict = _check_verdict(result, expectation, failures, label)
                 if verdict == "degraded":
                     degraded += 1
+                    killers.add(data)
+                continue
+            fired[expectation] += 1
+            if isinstance(result.error, (WorkerCrashed, DeadlineExceeded)):
+                killers.add(data)
+            if expectation in CRASH_MODES and not (
+                isinstance(result.error, WorkerCrashed) and result.retried
+            ):
+                failures.append(
+                    f"{label}: crash directive got {result!r}, expected a "
+                    f"retried WorkerCrashed"
+                )
             elif result.error is not None and not isinstance(
                 result.error, ServiceError
             ):
@@ -255,6 +310,13 @@ def run_storm(
                     f"{label}: chaos directive got a non-service error "
                     f"{result.error!r}"
                 )
+        # Invariant 5: collateral stays bounded.
+        directives = sum(fired.values())
+        if degraded > 2 * directives:
+            failures.append(
+                f"fault collateral: {degraded} requests without a directive "
+                f"degraded, for {directives} directives sent"
+            )
 
         # Invariant 3: the pool repairs itself and still answers.
         settle = time.monotonic() + 30
@@ -285,8 +347,25 @@ def run_storm(
                     f"{audit['spool_files']} spool files leaked in "
                     f"{audit['spool_dir']}"
                 )
-        spool_dir = audit["spool_dir"]
         stats = service.stats()
+
+    # Invariant 6: every killer input is in the corpus exactly once, and
+    # nothing else is.
+    quarantined = Counter(
+        entry.read_data() for entry in QuarantineCorpus(quarantine_dir).entries()
+    )
+    shutil.rmtree(quarantine_dir, ignore_errors=True)
+    for data in sorted(killers):
+        if quarantined[data] != 1:
+            failures.append(
+                f"input {data[:40]!r} killed a worker but is quarantined "
+                f"{quarantined[data]} times"
+            )
+    strangers = set(quarantined) - killers
+    if strangers:
+        failures.append(
+            f"{len(strangers)} quarantined inputs never killed a worker"
+        )
 
     # Invariant 4b: after close, nothing remains — no children, no spool
     # directory, fd table back to its pre-storm size.
@@ -302,7 +381,12 @@ def run_storm(
     elapsed = time.monotonic() - begin
     print(
         f"chaos: seed={seed} requests={requests} answered={answered} "
-        f"degraded-by-chaos={degraded} elapsed={elapsed:.1f}s"
+        f"degraded-by-chaos={degraded} quarantined={len(quarantined)} "
+        f"elapsed={elapsed:.1f}s"
+    )
+    print(
+        "directives: "
+        + " ".join(f"{mode}={fired[mode]}" for mode, _ in CHAOS_MODES)
     )
     print(
         "stats: "
