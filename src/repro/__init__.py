@@ -117,7 +117,6 @@ from .core import (
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
-    Span,
     StreamabilityReport,
     StreamingParse,
     TerminationCheckError,
@@ -168,7 +167,6 @@ __all__ = [
     "ServiceClosed",
     "ServiceError",
     "ServiceOverloaded",
-    "Span",
     "StreamabilityReport",
     "StreamingParse",
     "TerminationCheckError",

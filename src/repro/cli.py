@@ -9,7 +9,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro index --format elf FILE      # list lazily decodable windows
     python -m repro check GRAMMAR.ipg            # attribute + termination check
     python -m repro compile --format zip -o z.py # emit a standalone AOT parser
-    python -m repro compile --format elf --explain-shapes  # fixed-shape report
+    python -m repro compile --format elf --explain  # analysis facts, struct plans
     python -m repro streamability --format dns   # stream-parser analysis (§8)
     python -m repro streamability GRAMMAR.ipg    # ... or on a grammar file
     python -m repro report [--full]              # re-run the paper's evaluation
@@ -422,27 +422,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _cmd_explain_shapes(args) -> int:
-    """``repro compile --explain-shapes``: the fixed-shape layout report."""
-    from .core.interpreter import prepare_grammar
-    from .core.shapes import explain_shapes
-
-    if not (args.format or args.grammar):
-        print(
-            "error: --explain-shapes needs --format or a grammar file",
-            file=sys.stderr,
-        )
-        return 2
-    source = _grammar_source(args)
-    if source is None:
-        return 2
-    grammar = prepare_grammar(source[0])
-    width = max(len(name) for name in grammar.rules)
-    for name, description in explain_shapes(grammar):
-        print(f"{name:<{width}}  {description}")
-    return 0
-
-
 def _cmd_explain_ir(args) -> int:
     """``repro compile --explain``: dump the grammar with its analysis facts."""
     from .core.compiler import Optimizations
@@ -513,15 +492,6 @@ def cmd_compile(args) -> int:
     from .core.compiler import Optimizations, compile_grammar
     from .core.errors import CompilationError
 
-    if args.explain_shapes:
-        if args.package or args.output:
-            print(
-                "error: --explain-shapes prints the fixed-shape analysis "
-                "and cannot be combined with --package or -o/--output",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_explain_shapes(args)
     if args.explain:
         if args.package or args.output:
             print(
@@ -861,15 +831,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print each rule with the analysis facts the compiler emits "
-        "from (memo mode, fuel, fixed-shape decoder, dispatch table) "
-        "instead of emitting a module",
-    )
-    compile_command.add_argument(
-        "--explain-shapes",
-        action="store_true",
-        help="print the fixed-shape layout analysis per rule (struct format "
-        "strings, covered prefixes, bail-out reasons) instead of emitting "
-        "a module",
+        "from (memo mode, fuel, dispatch table, struct plans with their "
+        "layouts and stop reasons) instead of emitting a module",
     )
     compile_command.add_argument(
         "--no-optimize",

@@ -53,7 +53,6 @@ from .grammar_parser import parse_expression, parse_grammar
 from .interpreter import Parser, parse, prepare_grammar
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree, tree_equal_modulo_specials
-from .span import Span
 from .streamability import StreamabilityReport, analyze_streamability
 from .streaming import StreamingParse
 
@@ -92,7 +91,6 @@ __all__ = [
     "ServiceError",
     "ServiceOverloaded",
     "SolverError",
-    "Span",
     "StreamabilityReport",
     "StreamingParse",
     "SwitchCase",

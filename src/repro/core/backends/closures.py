@@ -56,7 +56,8 @@ Three optimization passes, individually toggleable through
   single-alternative rules) instead of trying alternatives in order;
 * **bulk fixed shapes** — statically fixed layouts
   (:mod:`repro.core.shapes`) decode with one precompiled ``struct`` call
-  per fixed prefix or fixed-stride array.
+  per fixed prefix or fixed-stride array; which prefixes and arrays do is
+  an analysis fact (:func:`repro.core.ir.analyze`).
 
 A separate **tree-elision** compilation (``compile_grammar(...,
 elide_tree=True)``) backs ``Parser.parse(data, emit="spans"|None)``: the
@@ -269,6 +270,11 @@ class _GrammarCompiler:
         #: id(local Rule) -> plan for where-rule dispatch.
         self.dispatch_plans: Dict[str, object] = {}
         self.local_plans: Dict[int, object] = {}
+        #: Fixed-shape struct plans (see :func:`repro.core.ir.analyze`):
+        #: (top-level rule, alt index) -> fused prefix plan, and
+        #: id(TermArray) -> bulk-decoding decision.
+        self.prefix_plans: Dict[Tuple[str, int], object] = {}
+        self.array_plans: Dict[int, object] = {}
         self.namer = Namer()
         self.rule_fns: Dict[str, str] = {}
         #: Memo-table slot kinds of the per-parse state list ``st``:
@@ -428,6 +434,8 @@ class _GrammarCompiler:
         self._inline = set(analysis.inline)
         self.dispatch_plans = dict(analysis.dispatch_plans)
         self.local_plans = dict(analysis.local_plans)
+        self.prefix_plans = analysis.prefix_plans
+        self.array_plans = analysis.array_plans
         self.memo_modes.update(analysis.memo_modes)
 
         lines: List[str] = [
@@ -743,23 +751,6 @@ class _GrammarCompiler:
         args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
         return [f"def {fn_name}({args}):"] + _indent(inner)
 
-    def _alt_plan(self, rule_name: str, alt_index: int, alternative: Alternative):
-        """The fused fixed-prefix plan for one alternative, if worthwhile."""
-        if not self.opts.bulk_fixed_shape or alternative.local_rules:
-            return None
-        from ..shapes import alternative_shape  # deferred: keeps imports light
-
-        # Streaming compilations fuse flat-only prefixes: absorbing a
-        # nested *rule* would replace a memoized call with inline reads
-        # that re-run on every stream re-entry and pin the compaction
-        # watermark at the window start.
-        plan = alternative_shape(
-            self.grammar, rule_name, alt_index, flat_only=self.stream
-        )
-        if plan.covered and plan.worthwhile:
-            return plan
-        return None
-
     def _alternative_inner(
         self,
         rule_name: str,
@@ -804,9 +795,7 @@ class _GrammarCompiler:
         self._current_alternative_terms = alternative.terms
         self._current_alternative_locals = bool(alternative.local_rules)
         try:
-            plan = (
-                self._alt_plan(rule_name, alt_index, alternative) if toplevel else None
-            )
+            plan = self.prefix_plans.get((rule_name, alt_index)) if toplevel else None
             if plan is not None:
                 self._emit_fused_prefix(
                     plan, alternative, scope, body, attr_order, sink
@@ -971,7 +960,6 @@ class _GrammarCompiler:
         self,
         term: TermArray,
         scope: Scope,
-        bindings: Dict[str, Tuple[str, Scope]],
         body: List[str],
         sink: _ChildSink,
     ) -> bool:
@@ -984,24 +972,14 @@ class _GrammarCompiler:
         a record boundary — a resumed array never re-reads records earlier
         attempts already decoded, preserving the compaction guarantee.
         """
-        if not self.opts.bulk_fixed_shape:
+        decision = self.array_plans[id(term)]
+        if decision.shape is None:
             return False
-        element = term.element.name
-        if element in bindings or not self.grammar.has_rule(element):
-            return False
-        stride = None
+        from ..shapes import emit_plan_code
+
+        element, stride = decision.element, decision.stride
         interval = term.element.interval
-        if interval.left is not None and interval.right is not None:
-            from ..shapes import linear_stride
-
-            stride = linear_stride(interval.left, interval.right, term.var)
-        if stride is None:
-            return False
-        from ..shapes import emit_plan_code, rule_shape
-
-        plan = rule_shape(self.grammar, element, width=stride)
-        if plan is None:
-            return False
+        plan = decision.instantiate(self.grammar)
         self.bulk_arrays.add(element)
         self._assign_plan_uid(plan)
         fid = scope.fid
@@ -1497,7 +1475,7 @@ class _GrammarCompiler:
             body.append(f"{iscope.end} = 0")
             body += sink.init_lines()
             attr_order: List[str] = []
-            plan = self._alt_plan(name, 0, alternative)
+            plan = self.prefix_plans.get((name, 0))
             if plan is not None:
                 self._emit_fused_prefix(plan, alternative, iscope, body, attr_order, sink)
             consumed = plan.covered if plan else 0
@@ -1598,7 +1576,7 @@ class _GrammarCompiler:
         body: List[str],
         sink: _ChildSink,
     ) -> None:
-        if self._try_emit_bulk_array(term, scope, bindings, body, sink):
+        if self._try_emit_bulk_array(term, scope, body, sink):
             return
         element = term.element.name
         # Loop bounds are evaluated before the (fresh) element list becomes
@@ -1878,40 +1856,35 @@ class CompiledGrammar:
             )
         return result
 
-    def to_source(
-        self, module_doc: Optional[str] = None, streaming: bool = True
-    ) -> str:
+    def to_source(self, module_doc: Optional[str] = None) -> str:
         """Render this grammar as a standalone importable parser module.
 
         The emitted module vendors the runtime this engine runs on
         (:mod:`repro.core.runtime`) and needs no ``repro`` import at parse
         time (when ``repro`` *is* importable it reuses its parse-tree
         classes, so emitted trees compare ``==`` to the other engines').  Tree-elided compilations emit with the
-        elision baked in (``_ELIDE_TREE = True``), and unless ``streaming``
-        is disabled the module also embeds a fully-memoized stream variant
-        plus the vendored incremental driver (``stream()`` /
-        ``parse_stream()``).  See :mod:`repro.core.codegen`.
+        elision baked in (``_ELIDE_TREE = True``), and the module also
+        embeds a fully-memoized stream variant plus the vendored
+        incremental driver (``stream()`` / ``parse_stream()``).  See
+        :mod:`repro.core.codegen`.
         """
         # Deferred imports: codegen/streamability import from this module.
         from ..codegen import render_standalone_module
         from ..streamability import analyze_streamability
 
-        stream_compiled = None
-        streamable = False
-        if streaming:
-            streamable = analyze_streamability(self.grammar).streamable
-            try:
-                stream_compiled = compile_grammar(
-                    self.grammar,
-                    memoize=self.memoize,
-                    blackboxes=self.blackboxes,
-                    optimizations=self.optimizations,
-                    elide_tree=self.elide_tree,
-                    stream=True,
-                    limits=self.limits,
-                )
-            except CompilationError:
-                stream_compiled = None  # module ships batch-only
+        streamable = analyze_streamability(self.grammar).streamable
+        try:
+            stream_compiled = compile_grammar(
+                self.grammar,
+                memoize=self.memoize,
+                blackboxes=self.blackboxes,
+                optimizations=self.optimizations,
+                elide_tree=self.elide_tree,
+                stream=True,
+                limits=self.limits,
+            )
+        except CompilationError:
+            stream_compiled = None  # module ships batch-only
         return render_standalone_module(
             self,
             module_doc=module_doc,

@@ -374,21 +374,28 @@ def _compile(expr: Expr, scope: Scope, namer: Namer) -> str:
             )
         return source
     if isinstance(expr, BinOp):
-        return _compile_binop(expr, scope, namer)
+        left = _compile(expr.left, scope, namer)
+        return binop_source(expr.op, left, _compile(expr.right, scope, namer))
     if isinstance(expr, Cond):
-        condition = _compile(expr.condition, scope, namer)
-        then = _compile(expr.then, scope, namer)
-        otherwise = _compile(expr.otherwise, scope, namer)
-        return f"({then} if {condition} != 0 else {otherwise})"
+        return cond_source(
+            _compile(expr.condition, scope, namer),
+            _compile(expr.then, scope, namer),
+            _compile(expr.otherwise, scope, namer),
+        )
     if isinstance(expr, Exists):
         return _compile_exists(expr, scope, namer)
     raise CompilationError(f"cannot compile expression {expr!r}")
 
 
-def _compile_binop(expr: BinOp, scope: Scope, namer: Namer) -> str:
-    left = _compile(expr.left, scope, namer)
-    right = _compile(expr.right, scope, namer)
-    op = expr.op
+def binop_source(op: str, left: str, right: str) -> str:
+    """Python source of the IPG binary operator ``op`` over rendered operands.
+
+    The one operator table of all generated code — engine expressions,
+    fused struct plans (:mod:`repro.core.shapes`) and guard-narrowing
+    programs (:mod:`repro.core.firstsets`).  ``/``, ``%`` and the shifts
+    call the runtime helpers that raise :class:`EvaluationError` where the
+    interpreter does; comparisons, ``&&`` and ``||`` yield 0 or 1.
+    """
     if op in ("+", "-", "*", "&", "|"):
         return f"({left} {op} {right})"
     if op in ("<<", ">>"):
@@ -406,6 +413,11 @@ def _compile_binop(expr: BinOp, scope: Scope, namer: Namer) -> str:
     if op == "||":
         return f"(1 if {left} != 0 or {right} != 0 else 0)"
     raise CompilationError(f"cannot compile binary operator {op!r}")
+
+
+def cond_source(condition: str, then: str, otherwise: str) -> str:
+    """Python source of ``(condition ? then : otherwise)``."""
+    return f"({then} if {condition} != 0 else {otherwise})"
 
 
 def _compile_exists(expr: Exists, scope: Scope, namer: Namer) -> str:

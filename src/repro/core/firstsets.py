@@ -84,7 +84,7 @@ from .ast import (
 from .builtins import BUILTINS
 from .errors import EvaluationError
 from .expr import BinOp, Cond, Dot, Expr, Name, Num
-from .exprcomp import fold
+from .exprcomp import binop_source, cond_source, fold
 from .runtime import _div, _mod, _shift_l, _shift_r
 
 __all__ = [
@@ -577,9 +577,6 @@ _PROGRAM_GLOBALS = {
     "_shift_r": _shift_r,
 }
 
-_RUNTIME_OPS = {"/": "_div", "%": "_mod", "<<": "_shift_l", ">>": "_shift_r"}
-
-
 class _ConstraintProgram:
     """An alternative's constraints on the builtin's value, as Python.
 
@@ -700,23 +697,12 @@ class _ConstraintProgram:
             then, leaves_t = self.render(expr.then)
             otherwise, leaves_o = self.render(expr.otherwise)
             return (
-                f"({then} if {condition} != 0 else {otherwise})",
+                cond_source(condition, then, otherwise),
                 leaves_c or leaves_t or leaves_o,
             )
         left, leaves_l = self.render(expr.left)
         right, leaves_r = self.render(expr.right)
-        op = expr.op
-        if op in _RUNTIME_OPS:
-            source = f"{_RUNTIME_OPS[op]}({left}, {right})"
-        elif op in ("+", "-", "*", "&", "|"):
-            source = f"({left} {op} {right})"
-        elif op == "&&":
-            source = f"(1 if {left} != 0 and {right} != 0 else 0)"
-        elif op == "||":
-            source = f"(1 if {left} != 0 or {right} != 0 else 0)"
-        else:
-            source = f"(1 if {left} {'==' if op == '=' else op} {right} else 0)"
-        return source, leaves_l or leaves_r
+        return binop_source(expr.op, left, right), leaves_l or leaves_r
 
     def compile(self):
         """``admits_any(values) -> bool``, or ``None`` when nothing constrains."""

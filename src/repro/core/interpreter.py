@@ -12,8 +12,8 @@ Key behaviours taken from the paper:
 
 * every alternative starts with ``E = {EOI ↦ |s|, start ↦ |s|, end ↦ 0}``;
 * terminals and nonterminals evaluate their interval first and parse only
-  the local input confined by it (zero-copy: a :class:`~repro.core.span.Span`
-  window, never a byte copy);
+  the local input confined by it (zero-copy: ``lo``/``hi`` offsets into one
+  shared buffer, with ``as_buffer`` views, never a byte copy);
 * a nonterminal's ``start``/``end`` are re-based by ``+l`` into the caller's
   coordinates, and ``updStartEnd`` widens the caller's window only when the
   callee actually touched input (``end ≠ 0``);

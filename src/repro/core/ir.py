@@ -5,7 +5,7 @@ The compilation pipeline has two stages:
 ``analyze``
     Run the whole-grammar analyses once — call-site collection, recursion
     and EOI-anchoring fixpoints, single-use inline candidates, FIRST-set
-    dispatch plans (:mod:`repro.core.firstsets`), fixed-shape layout plans
+    dispatch plans (:mod:`repro.core.firstsets`), fixed-shape struct plans
     (:mod:`repro.core.shapes`) — and record the resulting *facts* in a
     :class:`GrammarAnalysis`.  No pass patches source strings or
     re-derives another pass's decisions.
@@ -18,7 +18,8 @@ The compilation pipeline has two stages:
 :func:`explain_plan` renders the same two inputs for humans
 (``repro compile --explain`` and the golden dumps under
 ``tests/golden_ir/``): per rule its memo mode, fuel placement, fixed-shape
-decoder and dispatch table, then one line per term —
+decoder and dispatch table, per alternative its struct plan (or why it has
+none), then one line per term —
 
 ==========  ===========================================================
 ``attr``    bind an attribute to an expression's value
@@ -26,7 +27,8 @@ decoder and dispatch table, then one line per term —
 ``lit``     match literal bytes inside an interval
 ``call``    parse a nonterminal confined to an interval
 ``array``   ``for v = s to t do A[l, r]``, with the statically proven
-            element ``stride`` when there is one
+            element ``stride`` when there is one and the ``bulk`` struct
+            plan when the array is bulk-decoded
 ``switch``  the first case whose condition is non-zero wins
 ==========  ===========================================================
 
@@ -94,6 +96,7 @@ class CallSite:
     target_kind: str  # "local" | "top" | "other"
     target: object  # Rule for "local", the name otherwise
     eoi_right: bool  # right endpoint is the unrebound EOI special
+    term: object  # the TermNonterminal, TermArray or TermSwitch making the call
 
 
 def collect_sites(grammar: Grammar) -> Tuple[List[CallSite], List[Rule]]:
@@ -156,7 +159,7 @@ def collect_sites(grammar: Grammar) -> Tuple[List[CallSite], List[Rule]]:
                     else:
                         target_kind, target = "other", name
                     sites.append(
-                        CallSite(rule, top, kind, target_kind, target, eoi_right)
+                        CallSite(rule, top, kind, target_kind, target, eoi_right, term)
                     )
             for local in alternative.local_rules:
                 walk(local, top, local_chain)
@@ -241,6 +244,31 @@ def inline_candidates(
     return candidates
 
 
+@dataclass(frozen=True)
+class ArrayPlan:
+    """The bulk-decoding decision for one ``for`` array term."""
+
+    #: The element nonterminal.
+    element: str
+    #: Statically proven element stride, or ``None``.
+    stride: Optional[int]
+    #: The element rule's fixed plan at ``width=stride`` when the array is
+    #: bulk-decoded (one struct decode per record), else ``None``.
+    shape: Optional[object]
+
+    def instantiate(self, grammar: Grammar):
+        """A fresh element plan for one emission of a bulk-decoded array.
+
+        The emitter numbers the attribute locals of each plan instance in
+        emission order, and an inlined rule's body is emitted twice (as its
+        own function and at its call site): each emission needs its own
+        instance for the generated code to stay the same.
+        """
+        from .shapes import rule_shape
+
+        return rule_shape(grammar, self.element, width=self.stride)
+
+
 @dataclass
 class GrammarAnalysis:
     """The shared facts every emission backend consumes.
@@ -263,8 +291,15 @@ class GrammarAnalysis:
     dispatch_plans: Dict[str, object]
     #: id(local Rule) -> firstsets.DispatchPlan for where-rule dispatch.
     local_plans: Dict[int, object]
-    #: Rule name -> full worthwhile AltShape plan (one struct decode).
-    full_shapes: Dict[str, object]
+    #: (top-level rule, alternative index) -> the shapes.AltShape analysed
+    #: for that alternative (flat-only in a stream analysis); empty when
+    #: ``bulk_fixed_shape`` is off.
+    alt_shapes: Dict[Tuple[str, int], object]
+    #: The subset the emitter decodes as one fused struct prefix: plans
+    #: covering at least one term with enough slots to be worthwhile.
+    prefix_plans: Dict[Tuple[str, int], object]
+    #: id(TermArray) -> ArrayPlan, for every array term of every rule.
+    array_plans: Dict[int, ArrayPlan]
 
 
 def analyze(
@@ -316,16 +351,9 @@ def analyze(
 
         dispatch_plans = _plans(grammar)
         local_plans = {id(rule): plan for rule, plan in local_dispatch_plans(grammar)}
-    full_shapes: Dict[str, object] = {}
-    if opts.bulk_fixed_shape:
-        from .shapes import alternative_shape
-
-        for name, rule in grammar.rules.items():
-            if len(rule.alternatives) != 1:
-                continue
-            plan = alternative_shape(grammar, name, 0)
-            if plan.full and plan.worthwhile:
-                full_shapes[name] = plan
+    alt_shapes, prefix_plans, array_plans = _struct_plans(
+        grammar, sites, opts, stream
+    )
     return GrammarAnalysis(
         grammar=grammar,
         memoize=memoize,
@@ -338,8 +366,49 @@ def analyze(
         memo_modes=memo_modes,
         dispatch_plans=dispatch_plans,
         local_plans=local_plans,
-        full_shapes=full_shapes,
+        alt_shapes=alt_shapes,
+        prefix_plans=prefix_plans,
+        array_plans=array_plans,
     )
+
+
+def _struct_plans(
+    grammar: Grammar, sites: List[CallSite], opts: Optimizations, stream: bool
+):
+    """Every fixed-shape decision the emitter takes (:mod:`repro.core.shapes`).
+
+    A top-level alternative fuses its covered prefix into one struct decode
+    when the plan is worthwhile (a plan of an alternative with where-rules
+    covers nothing).  A stream analysis plans flat-only prefixes: absorbing
+    a nested *rule* would replace a memoized call with inline reads that
+    re-run on every stream re-entry and pin the compaction watermark at
+    the window start.  An array is bulk-decoded when its element interval
+    has a fixed stride and the element is a top-level rule fully fixed at
+    that width.
+    """
+    from .shapes import alternative_shape, linear_stride, rule_shape
+
+    alt_shapes: Dict[Tuple[str, int], object] = {}
+    prefix_plans: Dict[Tuple[str, int], object] = {}
+    if opts.bulk_fixed_shape:
+        for name, rule in grammar.rules.items():
+            for index in range(len(rule.alternatives)):
+                plan = alternative_shape(grammar, name, index, flat_only=stream)
+                alt_shapes[name, index] = plan
+                if plan.covered and plan.worthwhile:
+                    prefix_plans[name, index] = plan
+    array_plans: Dict[int, ArrayPlan] = {}
+    for site in sites:
+        if site.kind != "array":
+            continue
+        element = site.term.element
+        interval = element.interval
+        stride = linear_stride(interval.left, interval.right, site.term.var)
+        shape = None
+        if opts.bulk_fixed_shape and stride is not None and site.target_kind == "top":
+            shape = rule_shape(grammar, element.name, width=stride)
+        array_plans[id(site.term)] = ArrayPlan(element.name, stride, shape)
+    return alt_shapes, prefix_plans, array_plans
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +471,24 @@ def _explain_interval(interval, what: str, path: str) -> str:
     return f"[{interval.left.to_source()}, {interval.right.to_source()}]"
 
 
-def _explain_term(term, path: str) -> str:
-    from .shapes import linear_stride
+def _explain_shape(plan) -> str:
+    return f"struct[{plan.fmt!r}, {plan.needed}B]"
 
+
+def _explain_alt(analysis: GrammarAnalysis, key: Tuple[str, int]) -> str:
+    """The struct plan of a top-level alternative, or why it has none."""
+    plan = analysis.prefix_plans.get(key)
+    if plan is not None:
+        return f" struct {plan.describe()}"
+    plan = analysis.alt_shapes.get(key)
+    if plan is None:
+        return ""
+    if plan.covered or plan.full:
+        return f" not fused ({plan.describe()}; too few slots)"
+    return f" not fixed ({plan.stop_reason})"
+
+
+def _explain_term(analysis: GrammarAnalysis, term, path: str) -> str:
     if isinstance(term, TermAttrDef):
         return f"attr   {term.name} = {term.expr.to_source()}"
     if isinstance(term, TermGuard):
@@ -418,11 +502,12 @@ def _explain_term(term, path: str) -> str:
     if isinstance(term, TermArray):
         element = term.element
         interval = _explain_interval(element.interval, element.name, path)
-        stride = linear_stride(element.interval.left, element.interval.right, term.var)
+        plan = analysis.array_plans[id(term)]
         return (
             f"array  for {term.var} = {term.start.to_source()} to "
             f"{term.stop.to_source()} do {element.name} {interval}"
-            + (f" stride={stride}" if stride is not None else "")
+            + (f" stride={plan.stride}" if plan.stride is not None else "")
+            + (f" bulk={_explain_shape(plan.shape)}" if plan.shape else "")
         )
     if isinstance(term, TermSwitch):
         cases = " / ".join(
@@ -458,17 +543,20 @@ def _explain_rule(
         memo, fuel = "local", True
         dispatch = analysis.local_plans.get(id(rule))
     facts = [f"memo={memo}", "fuel=charged" if fuel else "fuel=free"]
-    if toplevel and rule.name in analysis.full_shapes:
-        shape = analysis.full_shapes[rule.name]
-        facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
+    if toplevel and len(rule.alternatives) == 1:
+        # The whole body decodes with one struct call.
+        plan = analysis.prefix_plans.get((rule.name, 0))
+        if plan is not None and plan.full:
+            facts.append(f"decoder={_explain_shape(plan)}")
     out.append(f"{indent}rule {path}: {' '.join(facts)}")
     if dispatch is not None:
         _explain_dispatch(dispatch, out, indent + "  ")
     for index, alternative in enumerate(rule.alternatives):
         alt_path = f"{path}/a{index}"
-        out.append(f"{indent}  alt {index}:")
+        plan = _explain_alt(analysis, (rule.name, index)) if toplevel else ""
+        out.append(f"{indent}  alt {index}:{plan}")
         for term in alternative.terms:
-            out.append(f"{indent}    {_explain_term(term, alt_path)}")
+            out.append(f"{indent}    {_explain_term(analysis, term, alt_path)}")
         for local in alternative.local_rules:
             _explain_rule(
                 analysis, local, f"{alt_path}/{local.name}", False, out, depth + 2
@@ -479,9 +567,11 @@ def explain_plan(analysis: GrammarAnalysis) -> str:
     """Render a grammar and its analysis facts for humans.
 
     One ``rule`` line per (top-level or where-) rule with its memo mode,
-    fuel placement and fixed-shape decoder, then its dispatch table and one
-    line per term.  This is ``repro compile --explain`` and the golden dumps
-    under ``tests/golden_ir/``.
+    fuel placement and whole-body struct decoder, then its dispatch table,
+    one ``alt`` line per alternative with its struct plan — layout, bytes,
+    covered terms and stop reason — or why it has none, and one line per
+    term.  This is ``repro compile --explain`` and the golden dumps under
+    ``tests/golden_ir/``.
     """
     grammar = analysis.grammar
     opts = analysis.opts

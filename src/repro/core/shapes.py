@@ -52,11 +52,16 @@ so their struct slots can be assigned per plan.
 
 Consumers:
 
-* :mod:`repro.core.compiler` (``Optimizations.bulk_fixed_shape``) fuses
-  covered prefixes into the generated alternatives and lowers eligible
-  ``for`` arrays to ``iter_unpack`` loops — all as plain source, so the
-  ahead-of-time emitter vendors the ``struct.Struct`` constants for free;
-* ``repro compile --explain-shapes`` prints :func:`explain_shapes`.
+* :func:`repro.core.ir.analyze` (``Optimizations.bulk_fixed_shape``) takes
+  every plan decision once: which top-level alternatives fuse their
+  covered prefix, and which ``for`` arrays decode in bulk;
+* the closure backend (:mod:`repro.core.backends.closures`) renders those
+  plans with :func:`emit_plan_code` — fused prefixes in the generated
+  alternatives and ``iter_unpack`` loops for the arrays, all as plain
+  source, so the ahead-of-time emitter vendors the ``struct.Struct``
+  constants for free;
+* ``repro compile --explain`` prints each plan on its ``alt`` or
+  ``array`` line (:func:`repro.core.ir.explain_plan`).
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from .ast import (
 from .builtins import BUILTINS
 from .errors import EvaluationError
 from .expr import BinOp, Cond, Dot, Expr, Name, Num
-from .exprcomp import SPECIALS, fold
+from .exprcomp import SPECIALS, binop_source, cond_source, fold
 
 __all__ = [
     "AltShape",
@@ -85,7 +90,6 @@ __all__ = [
     "alternative_shape",
     "rule_shape",
     "linear_stride",
-    "explain_shapes",
 ]
 
 #: struct format codes of the fixed-width integer builtins.
@@ -936,23 +940,6 @@ def rule_shape(grammar: Grammar, name: str, width: Optional[int] = None) -> Opti
     return plan
 
 
-def explain_shapes(grammar: Grammar) -> List[Tuple[str, str]]:
-    """Per-rule one-line layout summaries for ``--explain-shapes``."""
-    lines = []
-    for name, rule in grammar.rules.items():
-        if len(rule.alternatives) != 1:
-            lines.append((name, f"not fixed ({len(rule.alternatives)} alternatives)"))
-            continue
-        plan = alternative_shape(grammar, name, 0)
-        if plan.covered == 0:
-            reason = plan.stop_reason or "no fixed layout"
-            description = f"not fixed ({reason})"
-        else:
-            description = plan.describe()
-        lines.append((name, description))
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # Plan -> Python source (the compiler's consumer)
 # ---------------------------------------------------------------------------
@@ -998,30 +985,12 @@ def _render(rw, slot_src: Callable[[_Field], str], attr_src, eoi_src: str) -> st
     if kind == "attr":
         return attr_src(rw[1])
     if kind == "cond":
-        cond = _render(rw[1], slot_src, attr_src, eoi_src)
-        then = _render(rw[2], slot_src, attr_src, eoi_src)
-        other = _render(rw[3], slot_src, attr_src, eoi_src)
-        return f"({then} if {cond} != 0 else {other})"
+        parts = [_render(part, slot_src, attr_src, eoi_src) for part in rw[1:]]
+        return cond_source(*parts)
     assert kind == "bin"
-    op = rw[1]
     left = _render(rw[2], slot_src, attr_src, eoi_src)
     right = _render(rw[3], slot_src, attr_src, eoi_src)
-    if op in ("+", "-", "*", "&", "|"):
-        return f"({left} {op} {right})"
-    if op in ("<<", ">>"):
-        return f"_shift_{'l' if op == '<<' else 'r'}({left}, {right})"
-    if op == "/":
-        return f"_div({left}, {right})"
-    if op == "%":
-        return f"_mod({left}, {right})"
-    if op == "=":
-        return f"(1 if {left} == {right} else 0)"
-    if op in ("!=", "<", ">", "<=", ">="):
-        return f"(1 if {left} {op} {right} else 0)"
-    if op == "&&":
-        return f"(1 if {left} != 0 and {right} != 0 else 0)"
-    assert op == "||"
-    return f"(1 if {left} != 0 or {right} != 0 else 0)"
+    return binop_source(rw[1], left, right)
 
 
 def _add_src(base: str, offset: int) -> str:

@@ -724,18 +724,8 @@ class StreamingParse(_StreamSession):
         buffer = self.buffer
         if self._run is not None:
             return self._run.parse_nonterminal(self._start, 0, buffer.end, None, None)
-        from .builtins import is_builtin
-
-        compiled = self._compiled
-        fn = compiled._entry.get(self._start)
-        if fn is not None:
-            return fn(self._state, buffer, 0, buffer.end)
-        if is_builtin(self._start):
-            return compiled.run_builtin(self._start, buffer, 0, buffer.end)
-        if self._start in compiled.grammar.blackboxes:
-            return compiled._bb(self._start, buffer, 0, buffer.end)
-        raise IPGError(
-            f"no rule, builtin or blackbox for nonterminal {self._start!r}"
+        return self._compiled.run_nonterminal(
+            buffer, self._start, 0, buffer.end, self._state
         )
 
     def _reset_budget(self):

@@ -11,7 +11,8 @@ intentional change with::
 
 **Dump facts** — every dumped ``rule …:`` line states exactly the memo
 mode, fuel placement, fixed-shape decoder and dispatch table that
-``analyze()`` decided for that rule.
+``analyze()`` decided for that rule, and the struct plans the dump shows
+are exactly the ones the compiled engines decode with.
 """
 
 import re
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.compiler import Optimizations
+from repro.core.compiler import Optimizations, compile_grammar
 from repro.core.interpreter import prepare_grammar
 from repro.core.ir import analyze, explain_plan
 from repro.formats import registry
@@ -107,8 +108,8 @@ def _expected_rule_lines(analysis):
                 f"memo={analysis.memo_modes[rule.name]}",
                 "fuel=charged" if rule.name in analysis.recursive else "fuel=free",
             ]
-            shape = analysis.full_shapes.get(rule.name)
-            if shape is not None:
+            shape = analysis.prefix_plans.get((rule.name, 0))
+            if len(rule.alternatives) == 1 and shape is not None and shape.full:
                 facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
             dispatch = rule.name in analysis.dispatch_plans
         else:
@@ -164,3 +165,30 @@ class TestPlanStructure:
         # Two independent front-end runs (analysis, then rendering) produce
         # the same dump.
         assert format_dump(fmt) == format_dump(fmt)
+
+
+def _dumped_struct_plans(dump: str):
+    """Rules with a struct-plan ``alt`` line, and elements of ``bulk=`` arrays."""
+    shaped, bulk = set(), set()
+    rule = None
+    for line in dump.splitlines():
+        match = _RULE_LINE.match(line)
+        if match:
+            rule = match.group(1)
+        elif line.lstrip().startswith("alt ") and ": struct " in line:
+            shaped.add(rule)
+        elif " bulk=" in line:
+            bulk.add(line.split(" do ")[1].split()[0])
+    return shaped, bulk
+
+
+class TestStructPlans:
+    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+    @pytest.mark.parametrize("fmt", sorted(registry))
+    def test_explain_shows_the_engine_plans(self, fmt, stream):
+        grammar = prepare_grammar(registry[fmt].grammar_text)
+        engine = compile_grammar(grammar, stream=stream)
+        dump = explain_plan(analyze(grammar, stream=stream))
+        shaped, bulk = _dumped_struct_plans(dump)
+        assert shaped == engine.shaped_rules
+        assert bulk == engine.bulk_arrays

@@ -7,7 +7,6 @@ from repro.core.combinators import int_p
 from repro.core.env import initial_env, upd_start_end, upd_start_end_in_place
 from engine_matrix import load_aot_module
 from repro.core.grammar_parser import parse_expression
-from repro.core.span import Span
 from repro.formats import dns, ipv4, pdf, toy, zipfmt
 from repro.solver import linearize
 
@@ -75,18 +74,6 @@ class TestEnvironmentInvariants:
             functional = upd_start_end(functional, low, high, touched)
             upd_start_end_in_place(destructive, low, high, touched)
         assert functional == destructive
-
-    @given(
-        st.binary(min_size=0, max_size=64),
-        st.integers(min_value=0, max_value=64),
-        st.integers(min_value=0, max_value=64),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_span_sub_matches_slicing(self, data, a, b):
-        low, high = sorted((min(a, len(data)), min(b, len(data))))
-        span = Span.whole(data).sub(low, high)
-        assert span.bytes() == data[low:high]
-        assert len(span) == high - low
 
 
 class TestSolverInvariants:

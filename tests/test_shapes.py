@@ -17,12 +17,8 @@ from repro import Parser
 from repro.core.compiler import Optimizations, compile_grammar
 from repro.core.errors import ParseFailure
 from repro.core.interpreter import prepare_grammar
-from repro.core.shapes import (
-    alternative_shape,
-    explain_shapes,
-    linear_stride,
-    rule_shape,
-)
+from repro.core.ir import analyze, explain_plan
+from repro.core.shapes import alternative_shape, linear_stride, rule_shape
 from repro.formats import registry
 
 
@@ -122,11 +118,16 @@ class TestLayoutInference:
         grammar = prepare_grammar('S -> "a"[0, 1] / "b"[0, 1] ;')
         assert rule_shape(grammar, "S") is None
 
-    def test_explain_shapes_reports_all_rules(self):
-        grammar = prepare_grammar(registry["elf"].grammar_text)
-        report = dict(explain_shapes(grammar))
-        assert "'<IBBHQQ'" in report["Sym"]
-        assert report["ELF"].startswith("not fixed")
+    def test_explain_reports_every_alternative(self):
+        dump = explain_plan(analyze(prepare_grammar(registry["elf"].grammar_text)))
+        alt_lines = {}
+        for line in dump.splitlines():
+            if line.startswith("rule "):
+                rule = line.split()[1].rstrip(":")
+            elif line.startswith("  alt 0:"):
+                alt_lines[rule] = line[len("  alt 0:") :]
+        assert "'<IBBHQQ'" in alt_lines["Sym"]
+        assert alt_lines["ELF"].startswith(" not fixed")
 
 
 class TestLinearStride:

@@ -1,49 +1,10 @@
-"""Unit tests for spans, parse trees and evaluation environments."""
+"""Unit tests for parse trees and evaluation environments."""
 
 import pytest
 
 from repro.core.env import EvalContext, initial_env, upd_start_end, upd_start_end_in_place
 from repro.core.errors import EvaluationError
 from repro.core.parsetree import ArrayNode, Leaf, Node, tree_equal_modulo_specials
-from repro.core.span import Span
-
-
-class TestSpan:
-    def test_whole_covers_buffer(self):
-        span = Span.whole(b"hello")
-        assert (span.lo, span.hi, len(span)) == (0, 5, 5)
-
-    def test_sub_is_relative(self):
-        span = Span(b"abcdefgh", 2, 8)
-        sub = span.sub(1, 4)
-        assert (sub.lo, sub.hi) == (3, 6)
-        assert sub.bytes() == b"def"
-
-    def test_sub_validates_bounds(self):
-        span = Span(b"abcdef", 0, 4)
-        with pytest.raises(ValueError):
-            span.sub(2, 5)
-        with pytest.raises(ValueError):
-            span.sub(-1, 2)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Span(b"abc", 2, 1)
-        with pytest.raises(ValueError):
-            Span(b"abc", 0, 4)
-
-    def test_peek_and_byte_at(self):
-        span = Span(b"abcdef", 1, 5)
-        assert span.peek(0, 2) == b"bc"
-        assert span.byte_at(3) == ord("e")
-        with pytest.raises(IndexError):
-            span.byte_at(4)
-
-    def test_starts_with(self):
-        span = Span(b"xxmagicyy", 2, 9)
-        assert span.starts_with(b"magic")
-        assert span.starts_with(b"agi", at=1)
-        assert not span.starts_with(b"magicyyz")
 
 
 class TestParseTree:

@@ -220,12 +220,17 @@ class TestCli:
         assert "def try_parse" in source
         compile(source, str(output), "exec")
 
-    def test_compile_explain_shapes(self, capsys):
-        assert main(["compile", "--format", "elf", "--explain-shapes"]) == 0
+    def test_compile_explain_shows_struct_plans(self, capsys):
+        assert main(["compile", "--format", "elf", "--explain"]) == 0
         out = capsys.readouterr().out
         assert "Sym" in out and "'<IBBHQQ'" in out
-        assert main(["compile", "--format", "zip", "--explain-shapes"]) == 0
+        assert main(["compile", "--format", "zip", "--explain"]) == 0
         assert "fixed prefix" in capsys.readouterr().out
+
+    def test_explain_shapes_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compile", "--format", "elf", "--explain-shapes"])
+        assert "unrecognized arguments: --explain-shapes" in capsys.readouterr().err
 
     def test_streamability_command(self, capsys, tmp_path):
         grammar = tmp_path / "grammar.ipg"

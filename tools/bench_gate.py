@@ -195,7 +195,9 @@ def limits_smoke(tolerance: float) -> int:
     from repro.formats import registry
 
     # The full-size Fig. 13 single-format workloads
-    # (benchmarks/bench_compiler_speedup.py, quick=False).
+    # (benchmarks/bench_compiler_speedup.py, quick=False), plus PDF, which
+    # that benchmark leaves out and which charges the most fuel per parse;
+    # 16 objects is the top of perfbench's PDF range.
     cases = {
         "dns": lambda: samples.build_dns_response(answer_count=16),
         "ipv4": lambda: samples.build_ipv4_udp_packet(payload_size=1024),
@@ -203,6 +205,7 @@ def limits_smoke(tolerance: float) -> int:
         "elf": lambda: samples.build_elf(section_count=16),
         "pe": lambda: samples.build_pe(section_count=8, section_size=2048),
         "zip": lambda: samples.build_zip(),
+        "pdf": lambda: samples.build_pdf(object_count=16)[0],
     }
     from repro.core.runtime import _limit_refill
     from repro.core.limits import DEFAULT_LIMITS

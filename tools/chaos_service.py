@@ -34,9 +34,11 @@ dies too); hang and spin directives run with ``retries=0``.
    ``leak`` directive deliberately strands some; the supervisor must
    reclaim them), and the parent's fd table returns to its pre-storm
    size.
-5. **Fault collateral is bounded** — requests that carried no directive
-   and still degraded to ``WorkerCrashed``/``DeadlineExceeded`` number
-   at most twice the directives sent.
+5. **Fault collateral is deadline-only and bounded** — every directive
+   kills or stalls only the worker running it, and a worker holds one
+   request at a time, so a request that carried no directive never
+   comes back ``WorkerCrashed``.  It may degrade to ``DeadlineExceeded``
+   (host load), and those number at most twice the directives sent.
 6. **Killers are quarantined once** — the storm runs with a temporary
    ``quarantine_dir``; every distinct directive input that killed a
    worker is in the corpus exactly once (it dedupes by content hash),
@@ -290,6 +292,11 @@ def run_storm(
             if isinstance(expectation, tuple):
                 verdict = _check_verdict(result, expectation, failures, label)
                 if verdict == "degraded":
+                    if isinstance(result.error, WorkerCrashed):
+                        failures.append(
+                            f"{label}: a request without a directive got "
+                            f"{result.error!r}"
+                        )
                     degraded += 1
                     killers.add(data)
                 continue
@@ -310,7 +317,7 @@ def run_storm(
                     f"{label}: chaos directive got a non-service error "
                     f"{result.error!r}"
                 )
-        # Invariant 5: collateral stays bounded.
+        # Invariant 5: collateral is deadline-only (checked above) and bounded.
         directives = sum(fired.values())
         if degraded > 2 * directives:
             failures.append(
