@@ -48,7 +48,11 @@ Three optimization passes, individually toggleable through
   exactly one call site (a plain nonterminal term like ``FileName ->
   Bytes``, an array element like ELF's ``Sym``, or a switch-case target)
   is expanded into that call site, eliminating the call, the memo probe
-  and the environment rebase copy (never in the stream variant);
+  and the environment rebase copy (never in the stream variant).  The
+  same pass runs each right chain (:func:`repro.core.ir.right_chains`)
+  as one rule function with a forward and a backward loop over its
+  levels instead of two calls per level (:meth:`_GrammarCompiler.
+  _chain_body`);
 * **first-byte dispatch** — where the FIRST-set analysis
   (:mod:`repro.core.firstsets`) proves the window's first byte
   discriminates between alternatives, the dispatcher jumps through a
@@ -177,6 +181,62 @@ def _indent(lines: List[str], levels: int = 1) -> List[str]:
     return [pad + line if line else line for line in lines]
 
 
+def _tuple_src(items: List[str]) -> str:
+    """Render a tuple display of source operands."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+_RETURN_FAIL = re.compile(r"^(\s*)return FAIL$")
+
+
+def _raise_on_fail(lines: List[str]) -> List[str]:
+    """Turn an alternative body's ``return FAIL`` exits into raises.
+
+    A right chain runs its step inline, inside the loop of its rule
+    function, where ``return FAIL`` would fail the whole rule: raised
+    instead, the failure reaches the handler that maps evaluation
+    errors to the step's failure, exactly like the step function's own.
+    """
+    out = []
+    for line in lines:
+        match = _RETURN_FAIL.match(line)
+        out.append(f"{match.group(1)}raise EvaluationError" if match else line)
+    return out
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _live_across(before: List[str], after: List[str]) -> List[str]:
+    """The locals ``before`` binds that ``after`` mentions, sorted.
+
+    The bound names come from compiling ``before`` as a function body
+    (its locals and the ones its lambdas capture); every identifier of
+    ``after`` counts as a use, which can only keep a local too many.
+    """
+    body = "\n".join(" " + line for line in before)
+    module = compile(f"def _():\n{body}\n", "<chain>", "exec")
+    code = next(const for const in module.co_consts if hasattr(const, "co_varnames"))
+    bound = set(code.co_varnames) | set(code.co_cellvars)
+    return sorted(bound & set(_IDENTIFIER.findall("\n".join(after))))
+
+
+@dataclass
+class _ChainStep:
+    """A right chain's step alternative, split around its self-call."""
+
+    #: Window locals and children initialisation (cannot fail).
+    head: List[str]
+    #: The terms before the self-call and its interval check.
+    prefix: List[str]
+    #: The self-call's left endpoint: the inner level starts at ``lo + left``.
+    left: str
+    #: Rebase of the inner level's result ``_v`` and the terms after it.
+    suffix: List[str]
+    #: The step's node expression.
+    node: str
+
+
 # ---------------------------------------------------------------------------
 # The grammar compiler
 # ---------------------------------------------------------------------------
@@ -275,6 +335,9 @@ class _GrammarCompiler:
         #: id(TermArray) -> bulk-decoding decision.
         self.prefix_plans: Dict[Tuple[str, int], object] = {}
         self.array_plans: Dict[int, object] = {}
+        #: Right-chain rules run as one loop (see :func:`repro.core.ir.
+        #: right_chains`): rule name -> ChainPlan.
+        self.chains: Dict[str, object] = {}
         self.namer = Namer()
         self.rule_fns: Dict[str, str] = {}
         #: Memo-table slot kinds of the per-parse state list ``st``:
@@ -436,6 +499,7 @@ class _GrammarCompiler:
         self.local_plans = dict(analysis.local_plans)
         self.prefix_plans = analysis.prefix_plans
         self.array_plans = analysis.array_plans
+        self.chains = analysis.chains
         self.memo_modes.update(analysis.memo_modes)
 
         lines: List[str] = [
@@ -502,11 +566,13 @@ class _GrammarCompiler:
         # Where rules thread the declaring scope's cell list through an
         # explicit trailing argument.
         args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
+        chain = self.chains.get(rule.name) if toplevel else None
         lines: List[str] = []
         for alt_index, (alternative, alt_fn) in enumerate(
             zip(rule.alternatives, alt_fns)
         ):
-            lines += self._compile_alternative(
+            is_step = chain is not None and alt_index == chain.step
+            compiled = self._compile_alternative(
                 rule.name,
                 alternative,
                 alt_fn,
@@ -514,7 +580,12 @@ class _GrammarCompiler:
                 bindings,
                 alt_index=alt_index,
                 toplevel=toplevel,
+                chain_call=chain.call if is_step else None,
             )
+            if is_step:
+                step = compiled  # runs inline in the rule's loop: no function
+                continue
+            lines += compiled
             lines.append("")
         if toplevel:
             plan = self.dispatch_plans.get(rule.name)
@@ -524,6 +595,16 @@ class _GrammarCompiler:
         # distinct where-rules may share a bare rule name.
         table_token = fn_name[1:]
         cache_slot = None
+        if chain is not None:
+            lines += self._emit_chain_table(plan, alt_fns, chain.step, table_token)
+            lines.append("")
+            lines.append(f"def {fn_name}({args}):")
+            lines += _indent(
+                self._chain_body(
+                    step, chain, plan, table_token, memo_mode, len(alt_fns)
+                )
+            )
+            return lines
         if plan is not None:
             lines += self._emit_dispatch_table(plan, alt_fns, table_token)
             lines.append("")
@@ -589,18 +670,21 @@ class _GrammarCompiler:
         lines += _indent(body)
         return lines
 
-    def _emit_dispatch_table(self, plan, alt_fns: List[str], token: str) -> List[str]:
+    def _emit_dispatch_table(
+        self, plan, alt_fns: List[str], token: str, render=None
+    ) -> List[str]:
         """Emit the module-level jump table for one rule's biased choice.
 
         Multi-alternative rules get a 256-entry tuple of (shared)
         alternative-function tuples plus an empty-window tuple;
         single-alternative rules collapse to a 256-byte admissibility mask.
-        Everything is plain source, so ahead-of-time emission
-        (:mod:`repro.core.codegen`) vendors the tables as module-level
-        constants for free.
+        ``render`` (entry -> source) replaces the function tuples with
+        other row constants; right chains use it.  Everything is plain
+        source, so ahead-of-time emission (:mod:`repro.core.codegen`)
+        vendors the tables as module-level constants for free.
         """
         lines: List[str] = []
-        if len(alt_fns) == 1:
+        if render is None and len(alt_fns) == 1:
             mask = bytes(1 if entry else 0 for entry in plan.table)
             lines.append(f"_fbm_{token} = {mask!r}")
             lines.append(f"_fbe_{token} = {1 if plan.empty else 0}")
@@ -616,10 +700,11 @@ class _GrammarCompiler:
                 groups[entry] = f"_fb{len(groups)}_{token}"
                 order.append(entry)
         for entry in order:
-            rendered = ", ".join(alt_fns[index] for index in entry)
-            if len(entry) == 1:
-                rendered += ","
-            lines.append(f"{groups[entry]} = ({rendered})")
+            if render is None:
+                rendered = _tuple_src([alt_fns[index] for index in entry])
+            else:
+                rendered = render(entry)
+            lines.append(f"{groups[entry]} = {rendered}")
         lines.append(f"_fbt_{token} = (")
         for start in range(0, 256, 8):
             row = ", ".join(groups[entry] for entry in plan.table[start : start + 8])
@@ -690,6 +775,18 @@ class _GrammarCompiler:
                 f"    _ok = _fbe_{token}",
                 f"_v = {alt_fns[0]}({args}) if _ok else FAIL",
             ]
+        return self._row_lines(plan, token, cache_slot) + [
+            "_v = FAIL",
+            "for _f in _fs:",
+            f"    _v = _f({args})",
+            "    if _v is not FAIL:",
+            "        break",
+        ]
+
+    def _row_lines(
+        self, plan, token: str, cache_slot: Optional[int] = None
+    ) -> List[str]:
+        """Leave the jump-table row of the window's first byte(s) in ``_fs``."""
         if plan.pair_table:
             decide = [
                 "_b = data[lo]",
@@ -714,15 +811,115 @@ class _GrammarCompiler:
             ]
             probe += _indent(decide, 2)
             probe.append("        _dc[lo] = _fs")
-        return probe + [
-            "else:",
-            f"    _fs = _fbe_{token}",
-            "_v = FAIL",
-            "for _f in _fs:",
-            f"    _v = _f({args})",
-            "    if _v is not FAIL:",
-            "        break",
-        ]
+        return probe + ["else:", f"    _fs = _fbe_{token}"]
+
+    # -- right chains ------------------------------------------------------
+    def _emit_chain_table(
+        self, plan, alt_fns: List[str], step: int, token: str
+    ) -> List[str]:
+        """The rows of a right chain's choice, as ``(before, step, after)``.
+
+        Each row holds the admitted alternative functions before the step,
+        whether the step is admitted, and the admitted ones after it.
+        Without a dispatch plan, one row ``_fbs_`` admits everything.
+        """
+
+        def render(entry) -> str:
+            before = _tuple_src([alt_fns[index] for index in entry if index < step])
+            after = _tuple_src([alt_fns[index] for index in entry if index > step])
+            return f"({before}, {1 if step in entry else 0}, {after})"
+
+        if plan is None:
+            return [f"_fbs_{token} = {render(range(len(alt_fns)))}"]
+        return self._emit_dispatch_table(plan, alt_fns, token, render)
+
+    def _chain_body(
+        self,
+        step: _ChainStep,
+        chain,
+        plan,
+        token: str,
+        memo_mode: str,
+        alternatives: int,
+    ) -> List[str]:
+        """The body of a right chain's rule function: two loops, no recursion.
+
+        The forward loop runs one level per iteration, in the order the
+        recursion entered them: memo probe, fuel charge, jump-table row,
+        the alternatives before the step, then the step's prefix, which
+        pushes the level's frame (its ``lo``, row and the locals its
+        suffix reads) and moves ``lo`` to the inner level.  A memo hit or
+        a level decided without the step ends it.  The backward loop pops
+        the frames innermost first and finishes each level as the
+        recursion's return path did: the step's suffix on the inner
+        result, the alternatives after the step when that fails, and the
+        memo store.
+        """
+        memo = memo_mode in ("dict", "dense")
+        key = "(lo, hi)" if memo_mode == "dict" else "lo"
+        before = chain.step > 0
+        after = chain.step < alternatives - 1
+
+        def trial(row: str) -> List[str]:
+            return [
+                f"for _f in {row}:",
+                "    _v = _f(st, data, lo, hi)",
+                "    if _v is not FAIL:",
+                "        break",
+            ]
+
+        prefix = _raise_on_fail(step.prefix)
+        suffix = _raise_on_fail(step.suffix) + [f"_v = {step.node}"]
+        live = _live_across(step.head + prefix, suffix)
+        frame = ", ".join(["_cf", "lo"] + (["_post"] if after else []) + live)
+        body: List[str] = []
+        level: List[str] = []
+        if memo:
+            slot = len(self.memo_slots)
+            self.memo_slots.append("d" if memo_mode == "dict" else "l")
+            body.append(f"_m = st[{slot}]")
+            level += [f"_v = _m.get({key}, _MISS)", "if _v is not _MISS:", "    break"]
+        if self.fuel_slot is not None:
+            body.append(f"_c = st[{self.fuel_slot}]")
+            level += ["_c[0] -= 1", "if _c[0] < 0:", "    _limit_refill(_c)"]
+        body.append("_cf = None")
+        if plan is None:
+            level.append(f"_pre, _stp, _post = _fbs_{token}")
+        else:
+            level += self._row_lines(plan, token)
+            level.append("_pre, _stp, _post = _fs")
+        level.append("_v = FAIL")
+        undecided = ["if _stp:"]
+        undecided += _indent(step.head + ["try:"])
+        undecided += _indent(
+            prefix + [f"_cf = {frame}", f"lo += {step.left}", "continue"], 2
+        )
+        undecided += _indent(
+            ["except (EvaluationError, KeyError, NameError):", "    pass"]
+        )
+        if after:
+            undecided += trial("_post")
+        if before:
+            level += trial("_pre")
+            level += ["if _v is FAIL:"] + _indent(undecided)
+        else:
+            level += undecided
+        if memo:
+            level.append(f"_m[{key}] = _v")
+        level.append("break")
+        body += ["while True:"] + _indent(level)
+        back = [f"{frame} = _cf", "if _v is not FAIL:"]
+        back += _indent(["try:"] + _indent(suffix))
+        back += _indent(
+            ["except (EvaluationError, KeyError, NameError):", "    _v = FAIL"]
+        )
+        if after:
+            back += ["if _v is FAIL:"] + _indent(trial("_post"))
+        if memo:
+            back.append(f"_m[{key}] = _v")
+        body += ["while _cf is not None:"] + _indent(back)
+        body.append("return _v")
+        return body
 
     # -- alternatives ------------------------------------------------------
     def _compile_alternative(
@@ -734,7 +931,13 @@ class _GrammarCompiler:
         bindings: Dict[str, Tuple[str, Scope]],
         alt_index: int = 0,
         toplevel: bool = False,
-    ) -> List[str]:
+        chain_call: Optional[int] = None,
+    ):
+        """The ``def`` of one alternative function.
+
+        With ``chain_call``, a right chain's step instead, split around
+        its self-call (see :meth:`_alternative_inner`).
+        """
         saved_frame = (self._lo, self._hi)
         self._lo, self._hi = "lo", "hi"
         try:
@@ -745,9 +948,12 @@ class _GrammarCompiler:
                 bindings,
                 alt_index=alt_index,
                 toplevel=toplevel,
+                chain_call=chain_call,
             )
         finally:
             self._lo, self._hi = saved_frame
+        if chain_call is not None:
+            return inner
         args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
         return [f"def {fn_name}({args}):"] + _indent(inner)
 
@@ -759,7 +965,13 @@ class _GrammarCompiler:
         bindings: Dict[str, Tuple[str, Scope]],
         alt_index: int = 0,
         toplevel: bool = False,
-    ) -> List[str]:
+        chain_call: Optional[int] = None,
+    ):
+        """The body lines of one alternative function.
+
+        With ``chain_call`` (the index of a right chain's self-call) the
+        body comes back split around that call as a :class:`_ChainStep`.
+        """
         fid = self.namer.fresh("")
         scope = Scope(fid, parent_scope)
         sink = self._make_sink(alternative, fid)
@@ -801,7 +1013,11 @@ class _GrammarCompiler:
                     plan, alternative, scope, body, attr_order, sink
                 )
             consumed = plan.covered if plan else 0
-            for term in alternative.terms[consumed:]:
+            for index, term in enumerate(alternative.terms[consumed:], consumed):
+                if index == chain_call:
+                    prefix, body = body, []
+                    chain_left = self._emit_chain_call(term, scope, prefix, body, sink)
+                    continue
                 self._emit_term(term, scope, local_bindings, body, attr_order, sink)
         finally:
             self._current_alternative_terms, self._current_alternative_locals = (
@@ -869,6 +1085,12 @@ class _GrammarCompiler:
             inner.append(f"{scope.cell_local} = {init}")
             self._deferred += local_defs
         inner += preamble
+        node = (
+            f"_mk_node({rule_name!r}, {{{', '.join(env_items)}}}, "
+            f"{sink.final_expr()})"
+        )
+        if chain_call is not None:
+            return _ChainStep(inner, prefix, chain_left, body, node)
         inner.append("try:")
         inner += _indent(body if body else ["pass"])
         # KeyError covers missing node attributes, NameError covers
@@ -876,10 +1098,7 @@ class _GrammarCompiler:
         # EvaluationError in the interpreter and fail the alternative).
         inner.append("except (EvaluationError, KeyError, NameError):")
         inner.append("    return FAIL")
-        inner.append(
-            f"return _mk_node({rule_name!r}, {{{', '.join(env_items)}}}, "
-            f"{sink.final_expr()})"
-        )
+        inner.append(f"return {node}")
         return inner
 
     # -- fixed-shape vectorization -----------------------------------------
@@ -1220,11 +1439,7 @@ class _GrammarCompiler:
             node, env = self._emit_nt_parse(
                 term.name, left, right, scope, bindings, body, allow_inline=True
             )
-            record = f"_nv{scope.fid}_{self._token(term.name)}"
-            body.append(f"{record} = {env}")
-            self._mirror(scope, record, body)
-            scope.node_envs[term.name] = (record, True)
-            sink.add(node, body)
+            self._record_call(term.name, node, env, scope, body, sink)
             return
         if isinstance(term, TermArray):
             self._emit_array(term, scope, bindings, body, sink)
@@ -1233,6 +1448,43 @@ class _GrammarCompiler:
             self._emit_switch(term, scope, bindings, body, sink)
             return
         raise CompilationError(f"cannot compile term kind {type(term).__name__}")
+
+    def _record_call(
+        self,
+        name: str,
+        node: Optional[str],
+        env: str,
+        scope: Scope,
+        body: List[str],
+        sink: _ChildSink,
+    ) -> None:
+        """Record a nonterminal term's env for ``name.attr`` and its child."""
+        record = f"_nv{scope.fid}_{self._token(name)}"
+        body.append(f"{record} = {env}")
+        self._mirror(scope, record, body)
+        scope.node_envs[name] = (record, True)
+        sink.add(node, body)
+
+    def _emit_chain_call(
+        self,
+        term: TermNonterminal,
+        scope: Scope,
+        prefix: List[str],
+        suffix: List[str],
+        sink: _ChildSink,
+    ) -> str:
+        """Split a right chain's step at its self-call; return the left endpoint.
+
+        The interval check ends the prefix.  The suffix starts from the
+        inner level's result, which the rule's loop leaves in ``_v``, and
+        goes on exactly like the code after a recursive call.
+        """
+        left, _right = self._emit_interval(term.interval, scope, prefix)
+        result = self.namer.fresh("_n")
+        suffix.append(f"{result} = _v")
+        node, env = self._emit_rebase(term.name, left, result, scope, suffix)
+        self._record_call(term.name, node, env, scope, suffix, sink)
+        return left
 
     def _emit_interval(
         self, interval: Interval, scope: Scope, body: List[str]
@@ -1399,6 +1651,15 @@ class _GrammarCompiler:
         body.append(f"{result} = {call}")
         body.append(f"if {result} is FAIL:")
         body.append("    return FAIL")
+        return self._emit_rebase(name, left, result, scope, body)
+
+    def _emit_rebase(
+        self, name: str, left: str, result: str, scope: Scope, body: List[str]
+    ) -> Tuple[Optional[str], str]:
+        """Rebase the callee node ``result`` to ``left`` in the caller (T-NTSucc).
+
+        Returns ``(node_var, env_var)``; updates the caller's span.
+        """
         env = self.namer.fresh("_e")
         untouched = self.namer.fresh("_z")
         if left == "0":

@@ -4,11 +4,17 @@ The compilation pipeline has two stages:
 
 ``analyze``
     Run the whole-grammar analyses once — call-site collection, recursion
-    and EOI-anchoring fixpoints, single-use inline candidates, FIRST-set
-    dispatch plans (:mod:`repro.core.firstsets`), fixed-shape struct plans
+    and EOI-anchoring fixpoints, single-use inline candidates, right
+    chains (:func:`right_chains`), FIRST-set dispatch plans
+    (:mod:`repro.core.firstsets`), fixed-shape struct plans
     (:mod:`repro.core.shapes`) — and record the resulting *facts* in a
     :class:`GrammarAnalysis`.  No pass patches source strings or
     re-derives another pass's decisions.
+
+    Right chains ride on the ``inline_single_use`` pass, so batch
+    compilations run them as loops with no Python frame per element and
+    ``Parser.recursion_limit`` no longer bounds their length; the stream
+    and ``record_spans`` compilations, which never inline, still recurse.
 
 ``emit``
     :mod:`repro.core.backends.closures` — the staged source-emitting
@@ -17,9 +23,9 @@ The compilation pipeline has two stages:
 
 :func:`explain_plan` renders the same two inputs for humans
 (``repro compile --explain`` and the golden dumps under
-``tests/golden_ir/``): per rule its memo mode, fuel placement, fixed-shape
-decoder and dispatch table, per alternative its struct plan (or why it has
-none), then one line per term —
+``tests/golden_ir/``): per rule its memo mode, fuel placement, right-chain
+loop, fixed-shape decoder and dispatch table, per alternative its struct
+plan (or why it has none), then one line per term —
 
 ==========  ===========================================================
 ``attr``    bind an attribute to an expression's value
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import (
+    Alternative,
     Grammar,
     Rule,
     TermArray,
@@ -50,9 +57,10 @@ from .ast import (
     TermSwitch,
     TermTerminal,
 )
+from .builtins import BUILTINS, is_builtin
 from .cycles import recursive_vertices
 from .errors import IPGError
-from .expr import Name
+from .expr import Dot, Name, Num
 
 @dataclass(frozen=True)
 class Optimizations:
@@ -64,7 +72,8 @@ class Optimizations:
     is not a toggle: :func:`analyze` derives it from the compilation kind.
     """
 
-    #: Expand single-use single-alternative rules into their call site.
+    #: Expand single-use single-alternative rules into their call site,
+    #: and run right chains (:func:`right_chains`) as loops.
     inline_single_use: bool = True
     #: Replace ordered trial-and-backtrack with byte-indexed jump tables
     #: where the FIRST-set analysis (:mod:`repro.core.firstsets`) prunes
@@ -244,6 +253,141 @@ def inline_candidates(
     return candidates
 
 
+def consuming_nonterminals(grammar: Grammar) -> Set[str]:
+    """Nonterminals whose parsing always touches at least one input byte.
+
+    Computed as a least fixpoint: a rule consumes when *every* alternative
+    contains a non-empty terminal, a fixed-size builtin, or a nonterminal
+    already known to consume.  This is the syntactic check the paper uses to
+    justify adding ``A.end > 0`` (:mod:`repro.core.termination`), and the
+    proof that a right chain's ``X.end`` step advances (:func:`right_chains`).
+    """
+    names = {rule.name for rule, _parent in grammar.iter_all_rules()}
+    rules = {rule.name: rule for rule, _parent in grammar.iter_all_rules()}
+    consuming: Set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for name in names:
+            if name in consuming:
+                continue
+            if _rule_consumes(rules[name], consuming):
+                consuming.add(name)
+                changed = True
+    return consuming
+
+
+def _rule_consumes(rule: Rule, consuming: Set[str]) -> bool:
+    return all(_alternative_consumes(alt, consuming) for alt in rule.alternatives)
+
+
+def _alternative_consumes(alternative: Alternative, consuming: Set[str]) -> bool:
+    local_names = alternative.local_rule_names()
+    for term in alternative.terms:
+        if isinstance(term, TermTerminal) and term.value:
+            return True
+        if isinstance(term, TermNonterminal):
+            name = term.name
+            if name in consuming and name not in local_names:
+                return True
+            if is_builtin(name) and BUILTINS[name].size:
+                return True
+            # Local rules: conservatively check their own alternatives.
+            for local in alternative.local_rules:
+                if local.name == name and _rule_consumes(local, consuming):
+                    return True
+    return False
+
+
+@dataclass(frozen=True)
+class ChainPlan:
+    """How a right-chain rule's step alternative splits around its self-call."""
+
+    #: Index of the step: the one alternative that calls the rule itself.
+    step: int
+    #: Index of the self-call among the step's terms; only attribute
+    #: definitions and guards follow it.
+    call: int
+
+
+def right_chains(grammar: Grammar, sites: List[CallSite]) -> Dict[str, ChainPlan]:
+    """Top-level rules the closure backend runs as a loop instead of recursing.
+
+    A rule ``R`` is a right chain when exactly one alternative, the step,
+    calls ``R``: once, as a plain nonterminal term at ``[e, EOI]`` with the
+    unrebound ``EOI`` (so every level shares the caller's ``hi``), followed
+    only by attribute definitions and guards, and with no where-rules.
+    The step must provably advance, or the loop could spin where the
+    recursion overflowed: ``e`` is a constant >= 1, or ``X.end`` of a
+    nonterminal term of the step before the self-call whose rule always
+    consumes a byte (the fact behind :mod:`repro.core.termination`'s
+    ``X.end > 0`` extension).  PDF's ``ObjBody`` and ``Num``, DNS's
+    ``Name`` and GIF's ``Blocks`` and ``SubBlocks`` are right chains;
+    left-recursive rules such as PDF's ``BNum`` are not.
+    """
+    from .exprcomp import fold
+
+    consuming = consuming_nonterminals(grammar)
+    local_names = {
+        rule.name for rule, parent in grammar.iter_all_rules() if parent is not None
+    }
+
+    def always_consumes(name: str) -> bool:
+        # A where-rule sharing the name makes the consumption fact ambiguous.
+        if name in local_names:
+            return False
+        if grammar.has_rule(name):
+            return name in consuming
+        return is_builtin(name) and bool(BUILTINS[name].size)
+
+    self_calls: Dict[str, List[CallSite]] = {}
+    for site in sites:
+        if site.target_kind == "top" and site.target == site.top:
+            self_calls.setdefault(site.top, []).append(site)
+    chains: Dict[str, ChainPlan] = {}
+    for name, calls in self_calls.items():
+        rule = grammar.rule(name)
+        site = calls[0]
+        if (
+            len(calls) != 1
+            or site.caller is not rule
+            or site.kind != "nt"
+            or not site.eoi_right
+        ):
+            continue
+        step = next(
+            index
+            for index, alternative in enumerate(rule.alternatives)
+            if any(term is site.term for term in alternative.terms)
+        )
+        alternative = rule.alternatives[step]
+        call = next(
+            index for index, term in enumerate(alternative.terms) if term is site.term
+        )
+        prefix = alternative.terms[:call]
+        if alternative.local_rules or not all(
+            isinstance(term, (TermAttrDef, TermGuard))
+            for term in alternative.terms[call + 1 :]
+        ):
+            continue
+        left = fold(site.term.interval.left)
+        if isinstance(left, Num):
+            advances = left.value >= 1
+        else:
+            advances = (
+                isinstance(left, Dot)
+                and left.attr == "end"
+                and always_consumes(left.nonterminal)
+                and any(
+                    isinstance(term, TermNonterminal) and term.name == left.nonterminal
+                    for term in prefix
+                )
+            )
+        if advances:
+            chains[name] = ChainPlan(step, call)
+    return chains
+
+
 @dataclass(frozen=True)
 class ArrayPlan:
     """The bulk-decoding decision for one ``for`` array term."""
@@ -300,6 +444,10 @@ class GrammarAnalysis:
     prefix_plans: Dict[Tuple[str, int], object]
     #: id(TermArray) -> ArrayPlan, for every array term of every rule.
     array_plans: Dict[int, ArrayPlan]
+    #: Top-level rule name -> ChainPlan for the right chains the closure
+    #: backend runs as loops; empty in stream analyses and when
+    #: ``inline_single_use`` is off.
+    chains: Dict[str, ChainPlan]
 
 
 def analyze(
@@ -354,6 +502,13 @@ def analyze(
     alt_shapes, prefix_plans, array_plans = _struct_plans(
         grammar, sites, opts, stream
     )
+    chains: Dict[str, ChainPlan] = {}
+    if opts.inline_single_use and not stream:
+        chains = {
+            name: plan
+            for name, plan in right_chains(grammar, sites).items()
+            if getattr(prefix_plans.get((name, plan.step)), "covered", 0) <= plan.call
+        }
     return GrammarAnalysis(
         grammar=grammar,
         memoize=memoize,
@@ -369,6 +524,7 @@ def analyze(
         alt_shapes=alt_shapes,
         prefix_plans=prefix_plans,
         array_plans=array_plans,
+        chains=chains,
     )
 
 
@@ -543,6 +699,8 @@ def _explain_rule(
         memo, fuel = "local", True
         dispatch = analysis.local_plans.get(id(rule))
     facts = [f"memo={memo}", "fuel=charged" if fuel else "fuel=free"]
+    if toplevel and rule.name in analysis.chains:
+        facts.append("chain")
     if toplevel and len(rule.alternatives) == 1:
         # The whole body decodes with one struct call.
         plan = analysis.prefix_plans.get((rule.name, 0))
@@ -567,7 +725,8 @@ def explain_plan(analysis: GrammarAnalysis) -> str:
     """Render a grammar and its analysis facts for humans.
 
     One ``rule`` line per (top-level or where-) rule with its memo mode,
-    fuel placement and whole-body struct decoder, then its dispatch table,
+    fuel placement, ``chain`` for a right chain run as a loop and
+    whole-body struct decoder, then its dispatch table,
     one ``alt`` line per alternative with its struct plan — layout, bytes,
     covered terms and stop reason — or why it has none, and one line per
     term.  This is ``repro compile --explain`` and the golden dumps under

@@ -49,7 +49,11 @@ class ParseLimits:
         engines and emitted modules do not count depth; there the parse
         guard's recursion limit (``Parser.recursion_limit``, 100,000
         frames by default) is the ceiling, reported as
-        ``LimitExceeded(limit="recursion")``.
+        ``LimitExceeded(limit="recursion")``.  Batch compilations run
+        right chains (PDF object bodies and numbers, DNS names, GIF
+        block lists; :func:`repro.core.ir.right_chains`) as loops with
+        no Python frame per element, so that limit no longer bounds
+        them; the stream and ``record_spans`` compilations still recurse.
     ``max_steps``
         Fuel: total rule activations per parse attempt.  Bounds
         quadratic re-parsing blowups that finish "eventually".

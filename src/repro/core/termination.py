@@ -42,13 +42,12 @@ from .ast import (
     TermArray,
     TermNonterminal,
     TermSwitch,
-    TermTerminal,
 )
-from .builtins import BUILTINS, is_builtin
 from .cycles import elementary_cycles
 from .errors import TerminationCheckError
 from .expr import Dot, Expr, Name
 from .interpreter import prepare_grammar
+from .ir import consuming_nonterminals
 
 
 # ---------------------------------------------------------------------------
@@ -142,56 +141,6 @@ def build_dependency_graph(grammar: Grammar) -> DependencyGraph:
     for rule in grammar.iter_rules():
         walk_rule(rule, rule.name, {})
     return graph
-
-
-# ---------------------------------------------------------------------------
-# "Consumes at least one terminal" analysis (for the A.end > 0 extension)
-# ---------------------------------------------------------------------------
-
-
-def consuming_nonterminals(grammar: Grammar) -> Set[str]:
-    """Nonterminals whose parsing always touches at least one input byte.
-
-    Computed as a least fixpoint: a rule consumes when *every* alternative
-    contains a non-empty terminal, a fixed-size builtin, or a nonterminal
-    already known to consume.  This is the syntactic check the paper uses to
-    justify adding ``A.end > 0``.
-    """
-    names = {rule.name for rule, _parent in grammar.iter_all_rules()}
-    rules = {rule.name: rule for rule, _parent in grammar.iter_all_rules()}
-    consuming: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            if name in consuming:
-                continue
-            if _rule_consumes(rules[name], consuming):
-                consuming.add(name)
-                changed = True
-    return consuming
-
-
-def _rule_consumes(rule: Rule, consuming: Set[str]) -> bool:
-    return all(_alternative_consumes(alt, consuming) for alt in rule.alternatives)
-
-
-def _alternative_consumes(alternative: Alternative, consuming: Set[str]) -> bool:
-    local_names = alternative.local_rule_names()
-    for term in alternative.terms:
-        if isinstance(term, TermTerminal) and term.value:
-            return True
-        if isinstance(term, TermNonterminal):
-            name = term.name
-            if name in consuming and name not in local_names:
-                return True
-            if is_builtin(name) and BUILTINS[name].size:
-                return True
-            # Local rules: conservatively check their own alternatives.
-            for local in alternative.local_rules:
-                if local.name == name and _rule_consumes(local, consuming):
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------

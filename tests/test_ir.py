@@ -10,8 +10,8 @@ intentional change with::
     PYTHONPATH=src python -m pytest tests/test_ir.py --update-golden
 
 **Dump facts** — every dumped ``rule …:`` line states exactly the memo
-mode, fuel placement, fixed-shape decoder and dispatch table that
-``analyze()`` decided for that rule, and the struct plans the dump shows
+mode, fuel placement, right-chain loop, fixed-shape decoder and dispatch
+table that ``analyze()`` decided for that rule, and the struct plans the dump shows
 are exactly the ones the compiled engines decode with.
 """
 
@@ -108,6 +108,8 @@ def _expected_rule_lines(analysis):
                 f"memo={analysis.memo_modes[rule.name]}",
                 "fuel=charged" if rule.name in analysis.recursive else "fuel=free",
             ]
+            if rule.name in analysis.chains:
+                facts.append("chain")
             shape = analysis.prefix_plans.get((rule.name, 0))
             if len(rule.alternatives) == 1 and shape is not None and shape.full:
                 facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")

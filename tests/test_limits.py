@@ -307,6 +307,85 @@ class TestAotBudgets:
         assert "def set_limits(" in source
 
 
+#: The smallest ``max_steps`` each compiled engine accepts the canonical
+#: sample of a format with (``engine_matrix.format_sample``).  Charges are
+#: entries of recursive rules plus iterations of count-driven loops; the
+#: right-chain loops of PDF, DNS and GIF charge each level exactly like
+#: the recursion they replace.  The interpreter counts differently.
+_FUEL_THRESHOLDS = {"pdf": 278, "dns": 14, "gif": 16, "elf": 13, "zip": 6}
+
+
+def _smallest_accepting(accepts):
+    """Binary-search the least budget ``accepts`` (monotone) holds for."""
+    low, high = 0, 1
+    while not accepts(high):
+        low, high = high, high * 2
+    while low + 1 < high:
+        middle = (low + high) // 2
+        if accepts(middle):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
+class TestExactFuelCharges:
+    """The step budget is exact: ``n`` accepts, ``n - 1`` is refused."""
+
+    @staticmethod
+    def _engines(fmt):
+        from repro.formats import registry
+
+        spec = registry[fmt]
+        blackboxes = dict(spec.blackboxes)
+        parser = Parser(spec.grammar_text, blackboxes=blackboxes)
+        assert parser.backend == "compiled"
+        module = compile_grammar(spec.grammar_text, blackboxes=blackboxes).load_module(
+            f"_fuel_aot_{fmt}"
+        )
+
+        def on_parser(emit):
+            def run(data, steps):
+                parser.limits = ParseLimits(max_steps=steps)
+                parser.parse(data, emit=emit)
+
+            return run
+
+        def on_module(data, steps):
+            module.set_limits(steps)
+            module.parse(data)
+
+        return {
+            "tree": on_parser("tree"),
+            "elided": on_parser(None),
+            "emitted": on_module,
+        }
+
+    @pytest.mark.parametrize("fmt", sorted(_FUEL_THRESHOLDS))
+    def test_threshold_is_pinned_on_every_compiled_engine(self, fmt):
+        from engine_matrix import format_sample
+
+        data = format_sample(fmt)
+        for engine, run in self._engines(fmt).items():
+
+            def accepts(steps):
+                try:
+                    run(data, steps)
+                except Exception as exc:
+                    # The emitted module raises its own vendored class.
+                    assert type(exc).__name__ == "LimitExceeded", exc
+                    assert exc.limit == "max_steps"
+                    return False
+                return True
+
+            threshold = _smallest_accepting(accepts)
+            assert threshold == _FUEL_THRESHOLDS[fmt], (fmt, engine)
+            with pytest.raises(Exception) as info:
+                run(data, threshold - 1)
+            assert type(info.value).__name__ == "LimitExceeded"
+            assert info.value.limit == "max_steps"
+
+
 # ---------------------------------------------------------------------------
 # The taxonomy and its carried context
 # ---------------------------------------------------------------------------

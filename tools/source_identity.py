@@ -16,11 +16,18 @@ and per ``repro.formats.toy`` grammar that compiles, for all 8
 stream and stream-elided compilations, ``to_source()`` of both batch
 variants, and the instrumented ``record_spans`` compilation.
 ``--compare`` exits 1 when any digest differs or is missing on one side.
+
+``--by-function`` digests each top-level definition of every source
+instead (a ``def``, a class, a constant; other statements by kind and
+occurrence), keyed ``SOURCE::NAME``, so that ``--compare`` names the
+functions and tables that changed and counts the sources each one
+changed in.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -31,7 +38,27 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests() -> dict:
+def _units(source: str) -> dict:
+    """Digest per top-level statement of a generated module, by name."""
+    lines = source.splitlines()
+    units: dict = {}
+    ordinals: dict = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Assign):
+            name = ",".join(ast.unparse(target) for target in node.targets)
+        else:
+            name = type(node).__name__.lower()
+        ordinals[name] = ordinals.get(name, 0) + 1
+        if ordinals[name] > 1:
+            name = f"{name}#{ordinals[name]}"
+        text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+        units[name] = _digest(text)
+    return units
+
+
+def digests(by_function: bool = False) -> dict:
     from repro.core.backends.closures import instrument_span_recording
     from repro.core.compiler import Optimizations, compile_grammar
     from repro.core.errors import IPGError
@@ -44,6 +71,14 @@ def digests() -> dict:
         if name.isupper() and isinstance(value, str):
             texts[f"toy.{name}"] = value
     result = {}
+
+    def record(key: str, source: str) -> None:
+        if by_function:
+            for unit, digest in _units(source).items():
+                result[f"{key}::{unit}"] = digest
+        else:
+            result[key] = _digest(source)
+
     for name in sorted(texts):
         try:
             grammar = prepare_grammar(texts[name])
@@ -59,23 +94,39 @@ def digests() -> dict:
                     grammar, optimizations=options, elide_tree=elide, stream=stream
                 )
                 key = f"{tag}/elide={elide}/stream={stream}"
-                result[key] = _digest(compiled.source)
+                record(key, compiled.source)
                 if not stream:
-                    result[f"{key}/to_source"] = _digest(compiled.to_source())
+                    record(f"{key}/to_source", compiled.to_source())
             spans = compile_grammar(
                 grammar, memoize=False, optimizations=Optimizations.none()
             )
             instrument_span_recording(spans, frozenset(grammar.rules))
-            result[f"{tag}/record_spans"] = _digest(spans.source)
+            record(f"{tag}/record_spans", spans.source)
     return result
 
 
 def compare(before: dict, after: dict) -> int:
     keys = sorted(set(before) | set(after))
     differ = [key for key in keys if before.get(key) != after.get(key)]
-    print(f"compared {len(keys)} sources: {len(differ)} differ")
+    units = [key for key in differ if "::" in key]
+    print(f"compared {len(keys)} digests: {len(differ)} differ")
     for key in differ:
-        print(f"  differs: {key}")
+        if "::" not in key:
+            print(f"  differs: {key}")
+    # Per-function digests: one line per grammar and definition, with the
+    # number of sources (configurations and variants) it changed in.
+    changed: dict = {}
+    for key in units:
+        source, unit = key.split("::", 1)
+        grammar = source.split("/", 1)[0]
+        changed.setdefault((grammar, unit), set()).add(source)
+    for (grammar, unit), sources in sorted(changed.items()):
+        print(f"  differs: {grammar} {unit} in {len(sources)} source(s)")
+    if units:
+        touched = sorted({key.split("::", 1)[0] for key in units})
+        print(f"sources with a changed definition: {len(touched)}")
+        for source in touched:
+            print(f"  {source}")
     return 1 if differ else 0
 
 
@@ -84,6 +135,11 @@ def main(argv=None) -> int:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--out", help="write this checkout's digests to OUT")
     group.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument(
+        "--by-function",
+        action="store_true",
+        help="with --out: one digest per top-level definition of each source",
+    )
     args = parser.parse_args(argv)
     if args.compare:
         loaded = []
@@ -91,10 +147,10 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as handle:
                 loaded.append(json.load(handle))
         return compare(*loaded)
-    result = digests()
+    result = digests(by_function=args.by_function)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
-    print(f"{len(result)} sources hashed -> {args.out}")
+    print(f"{len(result)} digests -> {args.out}")
     return 0
 
 
