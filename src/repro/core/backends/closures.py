@@ -52,7 +52,9 @@ Three optimization passes, individually toggleable through
   same pass runs each right chain (:func:`repro.core.ir.right_chains`)
   as one rule function with a forward and a backward loop over its
   levels instead of two calls per level (:meth:`_GrammarCompiler.
-  _chain_body`);
+  _chain_body`), and builds the subtree of each fixed term of a chain
+  step or an inlined array element (:func:`repro.core.ir.fixed_terms`)
+  once per loop entry;
 * **first-byte dispatch** — where the FIRST-set analysis
   (:mod:`repro.core.firstsets`) proves the window's first byte
   discriminates between alternatives, the dispatcher jumps through a
@@ -235,6 +237,8 @@ class _ChainStep:
     suffix: List[str]
     #: The step's node expression.
     node: str
+    #: Builds of the step's fixed subtrees, run once before the loops.
+    hoisted: List[str]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +342,13 @@ class _GrammarCompiler:
         #: Right-chain rules run as one loop (see :func:`repro.core.ir.
         #: right_chains`): rule name -> ChainPlan.
         self.chains: Dict[str, object] = {}
+        #: Terms built once per loop entry (see :func:`repro.core.ir.
+        #: fixed_terms`): id(TermNonterminal) -> FixedTerm.
+        self.fixed: Dict[int, object] = {}
+        #: Where the loop being emitted builds its fixed subtrees: the
+        #: lines run at its entry, or ``None`` outside chain steps and
+        #: array element bodies.
+        self._hoist: Optional[List[str]] = None
         self.namer = Namer()
         self.rule_fns: Dict[str, str] = {}
         #: Memo-table slot kinds of the per-parse state list ``st``:
@@ -500,6 +511,7 @@ class _GrammarCompiler:
         self.prefix_plans = analysis.prefix_plans
         self.array_plans = analysis.array_plans
         self.chains = analysis.chains
+        self.fixed = analysis.fixed
         self.memo_modes.update(analysis.memo_modes)
 
         lines: List[str] = [
@@ -869,7 +881,9 @@ class _GrammarCompiler:
             ]
 
         prefix = _raise_on_fail(step.prefix)
-        suffix = _raise_on_fail(step.suffix) + [f"_v = {step.node}"]
+        # ``_own`` is the node the previous backward iteration built: the
+        # suffix shifts it in place instead of copying it.
+        suffix = _raise_on_fail(step.suffix) + [f"_v = {step.node}", "_own = _v"]
         live = _live_across(step.head + prefix, suffix)
         frame = ", ".join(["_cf", "lo"] + (["_post"] if after else []) + live)
         body: List[str] = []
@@ -878,10 +892,18 @@ class _GrammarCompiler:
             slot = len(self.memo_slots)
             self.memo_slots.append("d" if memo_mode == "dict" else "l")
             body.append(f"_m = st[{slot}]")
-            level += [f"_v = _m.get({key}, _MISS)", "if _v is not _MISS:", "    break"]
+            # A tuple is a level this function's loop shifted in place.
+            level += [
+                f"_v = _m.get({key}, _MISS)",
+                "if _v is not _MISS:",
+                "    if _v.__class__ is tuple:",
+                "        _v = _unshift(_v)",
+                "    break",
+            ]
         if self.fuel_slot is not None:
             body.append(f"_c = st[{self.fuel_slot}]")
             level += ["_c[0] -= 1", "if _c[0] < 0:", "    _limit_refill(_c)"]
+        body += step.hoisted
         body.append("_cf = None")
         if plan is None:
             level.append(f"_pre, _stp, _post = _fbs_{token}")
@@ -908,6 +930,7 @@ class _GrammarCompiler:
             level.append(f"_m[{key}] = _v")
         level.append("break")
         body += ["while True:"] + _indent(level)
+        body.append("_own = None")
         back = [f"{frame} = _cf", "if _v is not FAIL:"]
         back += _indent(["try:"] + _indent(suffix))
         back += _indent(
@@ -938,8 +961,9 @@ class _GrammarCompiler:
         With ``chain_call``, a right chain's step instead, split around
         its self-call (see :meth:`_alternative_inner`).
         """
-        saved_frame = (self._lo, self._hi)
+        saved_frame = (self._lo, self._hi, self._hoist)
         self._lo, self._hi = "lo", "hi"
+        self._hoist = [] if chain_call is not None else None
         try:
             inner = self._alternative_inner(
                 rule_name,
@@ -951,7 +975,7 @@ class _GrammarCompiler:
                 chain_call=chain_call,
             )
         finally:
-            self._lo, self._hi = saved_frame
+            self._lo, self._hi, self._hoist = saved_frame
         if chain_call is not None:
             return inner
         args = "st, data, lo, hi" if toplevel else "st, data, lo, hi, _cells"
@@ -1090,7 +1114,7 @@ class _GrammarCompiler:
             f"{sink.final_expr()})"
         )
         if chain_call is not None:
-            return _ChainStep(inner, prefix, chain_left, body, node)
+            return _ChainStep(inner, prefix, chain_left, body, node, self._hoist)
         inner.append("try:")
         inner += _indent(body if body else ["pass"])
         # KeyError covers missing node attributes, NameError covers
@@ -1435,6 +1459,10 @@ class _GrammarCompiler:
             self._emit_terminal(term, scope, body, sink)
             return
         if isinstance(term, TermNonterminal):
+            fixed = self.fixed.get(id(term))
+            if fixed is not None and self._hoist is not None:
+                self._emit_fixed_term(term, fixed, scope, body, sink)
+                return
             left, right = self._emit_interval(term.interval, scope, body)
             node, env = self._emit_nt_parse(
                 term.name, left, right, scope, bindings, body, allow_inline=True
@@ -1465,6 +1493,55 @@ class _GrammarCompiler:
         scope.node_envs[name] = (record, True)
         sink.add(node, body)
 
+    def _emit_fixed_term(
+        self,
+        term: TermNonterminal,
+        fixed,
+        scope: Scope,
+        body: List[str],
+        sink: _ChildSink,
+    ) -> None:
+        """A term whose subtree the grammar fixes (:func:`repro.core.ir.fixed_terms`).
+
+        The subtree is built once, at the entry of the loop running the
+        term (``self._hoist``), never across parses; each iteration checks
+        the window and the literals, updates the span and shares it.
+        """
+        self._emit_interval(term.interval, scope, body)
+        for offset, literal in fixed.checks:
+            body.append(self._mismatch(self._abs(repr(offset)), literal))
+            body.append("    return FAIL")
+        if fixed.span is not None:
+            start, end = fixed.span
+            body.append(f"if {start} < {scope.start}:")
+            body.append(f"    {scope.start} = {start}")
+            body.append(f"if {end} > {scope.end}:")
+            body.append(f"    {scope.end} = {end}")
+        tree = fixed.tree
+        env = self.namer.fresh("_fe")
+        self._hoist.append(f"{env} = {self._fixed_env(tree)}")
+        node = None
+        if not self.elide:
+            node = self.namer.fresh("_fd")
+            self._hoist.append(
+                f"{node} = _mk_node({tree.name!r}, {env}, {self._fixed_children(tree)})"
+            )
+        self._record_call(term.name, node, env, scope, body, sink)
+
+    @staticmethod
+    def _fixed_env(tree) -> str:
+        return "{" + ", ".join(f"{key!r}: {value!r}" for key, value in tree.env) + "}"
+
+    def _fixed_children(self, tree) -> str:
+        children = [
+            self._leaf_const(child)
+            if isinstance(child, bytes)
+            else f"_mk_node({child.name!r}, {self._fixed_env(child)}, "
+            f"{self._fixed_children(child)})"
+            for child in tree.children
+        ]
+        return "[" + ", ".join(children) + "]"
+
     def _emit_chain_call(
         self,
         term: TermNonterminal,
@@ -1482,7 +1559,17 @@ class _GrammarCompiler:
         left, _right = self._emit_interval(term.interval, scope, prefix)
         result = self.namer.fresh("_n")
         suffix.append(f"{result} = _v")
-        node, env = self._emit_rebase(term.name, left, result, scope, suffix)
+        # The inner level's memo entry records the in-place shift.
+        mode = self.memo_modes[term.name]
+        inner = self._abs(left)
+        record = ""
+        if mode == "dense":
+            record = f"_m[{inner}] = {result}, {left}"
+        elif mode == "dict":
+            record = f"_m[({inner}, hi)] = {result}, {left}"
+        node, env = self._emit_rebase(
+            term.name, left, result, scope, suffix, shift=record
+        )
         self._record_call(term.name, node, env, scope, suffix, sink)
         return left
 
@@ -1577,14 +1664,7 @@ class _GrammarCompiler:
         if literal:
             position = self.namer.fresh("_p")
             body.append(f"{position} = {self._abs(left)}")
-            if width == 1:
-                # Single-byte magic (block introducers, terminators): an
-                # integer compare instead of a one-byte slice allocation.
-                body.append(f"if data[{position}] != {literal[0]}:")
-            else:
-                body.append(
-                    f"if data[{position}:{position} + {width}] != {literal!r}:"
-                )
+            body.append(self._mismatch(position, literal))
             body.append("    return FAIL")
             # updStartEnd with [left, left + |s|), touched.
             body.append(f"if {left} < {scope.start}:")
@@ -1594,6 +1674,15 @@ class _GrammarCompiler:
             body.append(f"    {scope.end} = {end}")
         if sink.mode != "none":
             sink.add(self._leaf_const(literal), body)
+
+    @staticmethod
+    def _mismatch(position: str, literal: bytes) -> str:
+        """The ``if`` line testing ``literal`` against the input at ``position``."""
+        if len(literal) == 1:
+            # Single-byte magic (block introducers, terminators): an
+            # integer compare instead of a one-byte slice allocation.
+            return f"if data[{position}] != {literal[0]}:"
+        return f"if data[{position}:{position} + {len(literal)}] != {literal!r}:"
 
     def _emit_nt_parse(
         self,
@@ -1654,18 +1743,31 @@ class _GrammarCompiler:
         return self._emit_rebase(name, left, result, scope, body)
 
     def _emit_rebase(
-        self, name: str, left: str, result: str, scope: Scope, body: List[str]
+        self,
+        name: str,
+        left: str,
+        result: str,
+        scope: Scope,
+        body: List[str],
+        shift: Optional[str] = None,
     ) -> Tuple[Optional[str], str]:
         """Rebase the callee node ``result`` to ``left`` in the caller (T-NTSucc).
 
-        Returns ``(node_var, env_var)``; updates the caller's span.
+        Returns ``(node_var, env_var)``; updates the caller's span.  With
+        ``shift`` (a right chain's self-call), a ``result`` that is the
+        loop's ``_own`` node is shifted in place instead of copied, and
+        ``shift`` (a statement, or empty) records the shift in its memo
+        entry.
         """
         env = self.namer.fresh("_e")
         untouched = self.namer.fresh("_z")
         if left == "0":
             # Rebasing by 0 is the identity: reuse the callee's node and
-            # env unchanged (nothing ever mutates a recorded env, so
-            # sharing with the memo table is safe).  This elides one dict
+            # env unchanged.  Sharing with the memo table is safe: the
+            # one env ever mutated is a right chain's level, shifted by
+            # the backward loop that built it, one iteration later,
+            # before any other code can read it (its memo entry then
+            # records the shift, and a hit copies).  This elides one dict
             # copy and one node allocation per leading-term rule call.
             start = self.namer.fresh("_x")
             body.append(f"{env} = {result}.env")
@@ -1679,16 +1781,25 @@ class _GrammarCompiler:
             return (None if self.elide else result), env
         start = self.namer.fresh("_x")
         end = self.namer.fresh("_y")
-        body.append(f"{env} = dict({result}.env)")
+        node = None if self.elide else self.namer.fresh("_d")
+        if shift is None:
+            body.append(f"{env} = dict({result}.env)")
+        else:
+            own = [f"{env} = {result}.env"]
+            copy = [f"{env} = dict({result}.env)"]
+            if node is not None:
+                own.append(f"{node} = {result}")
+                copy.append(f"{node} = _mk_node({name!r}, {env}, {result}.children)")
+            if shift:
+                own.append(shift)
+            body.append(f"if {result} is _own:")
+            body += _indent(own) + ["else:"] + _indent(copy)
         body.append(f"{untouched} = {env}['end']")
         body.append(f"{start} = {left} + {env}['start']")
         body.append(f"{end} = {left} + {untouched}")
         body.append(f"{env}['start'] = {start}")
         body.append(f"{env}['end'] = {end}")
-        if self.elide:
-            node = None
-        else:
-            node = self.namer.fresh("_d")
+        if node is not None and shift is None:
             body.append(f"{node} = _mk_node({name!r}, {env}, {result}.children)")
         body.append(f"if {untouched}:")
         body.append(f"    if {start} < {scope.start}:")
@@ -1880,12 +1991,18 @@ class _GrammarCompiler:
         # through the cell.
         self._mirror(scope, loop_var, loop)
         left, right = self._emit_interval(term.element.interval, scope, loop)
-        node, env = self._emit_nt_parse(
-            element, left, right, scope, bindings, loop, allow_inline=True
-        )
+        saved_hoist, self._hoist = self._hoist, []
+        try:
+            node, env = self._emit_nt_parse(
+                element, left, right, scope, bindings, loop, allow_inline=True
+            )
+            hoisted = self._hoist
+        finally:
+            self._hoist = saved_hoist
         # Tree-elided element lists hold bare envs (read through the
         # _aidx_env runtime variant); tree-building ones hold the nodes.
         loop.append(f"{elements}.append({env if self.elide else node})")
+        body += hoisted
         body.append(f"for {loop_var} in range({first}, {stop}):")
         body += _indent(loop)
 

@@ -5,7 +5,8 @@ The compilation pipeline has two stages:
 ``analyze``
     Run the whole-grammar analyses once — call-site collection, recursion
     and EOI-anchoring fixpoints, single-use inline candidates, right
-    chains (:func:`right_chains`), FIRST-set dispatch plans
+    chains (:func:`right_chains`), fixed terms (:func:`fixed_terms`),
+    FIRST-set dispatch plans
     (:mod:`repro.core.firstsets`), fixed-shape struct plans
     (:mod:`repro.core.shapes`) — and record the resulting *facts* in a
     :class:`GrammarAnalysis`.  No pass patches source strings or
@@ -31,7 +32,8 @@ plan (or why it has none), then one line per term —
 ``attr``    bind an attribute to an expression's value
 ``guard``   fail the alternative when the expression evaluates to 0
 ``lit``     match literal bytes inside an interval
-``call``    parse a nonterminal confined to an interval
+``call``    parse a nonterminal confined to an interval; ``fixed`` when
+            its subtree is built once per loop entry (:func:`fixed_terms`)
 ``array``   ``for v = s to t do A[l, r]``, with the statically proven
             element ``stride`` when there is one and the ``bulk`` struct
             plan when the array is bulk-decoded
@@ -389,6 +391,143 @@ def right_chains(grammar: Grammar, sites: List[CallSite]) -> Dict[str, ChainPlan
 
 
 @dataclass(frozen=True)
+class FixedTree:
+    """A subtree the grammar fixes: a node, or literal ``bytes`` for a leaf."""
+
+    name: str
+    #: The node's env items, ``start``/``end`` in its caller's window.
+    env: Tuple[Tuple[str, int], ...]
+    children: Tuple[object, ...]  # FixedTree | bytes
+
+
+@dataclass(frozen=True)
+class FixedTerm:
+    """A nonterminal term whose whole subtree the grammar determines.
+
+    The emitter builds :attr:`tree` once per entry of the loop running
+    the term (a right chain's levels, an array's elements) and shares it
+    between iterations; each iteration still checks the window and the
+    literals.
+    """
+
+    tree: FixedTree
+    #: ``(offset in the caller's window, literal)`` the input must match.
+    checks: Tuple[Tuple[int, bytes], ...]
+    #: The caller's span update ``(start, end)``; ``None`` when the
+    #: subtree touches no byte.
+    span: Optional[Tuple[int, int]]
+
+
+def _fixed_subtree(grammar: Grammar, name: str, left: int, right: int, inline):
+    """``(tree, checks, span)`` of ``name`` at the constant ``[left, right]``.
+
+    ``None`` unless the subtree is determined by the grammar: the builtin
+    ``Raw``, or a rule inlined at its one call site (``inline``) with a
+    single alternative of literals, fixed nonterminals at constant
+    windows and constant attributes: no guard, switch, array, special
+    rebinding or payload leaf.  Literal and window checks that could
+    never pass also give ``None``: the term is left to the plain path.
+    """
+    from .exprcomp import SPECIALS, fold
+
+    width = right - left
+    if not grammar.has_rule(name):
+        if name != "Raw":
+            return None
+        env = ("EOI", width), ("start", left), ("end", right), ("len", width)
+        tree = FixedTree(name, env + (("val", width),), ())
+        return tree, (), ((left, right) if width else None)
+    if name not in inline:
+        return None
+    start, end = width, 0
+    attrs: Dict[str, int] = {}
+    children: List[object] = []
+    checks: List[Tuple[int, bytes]] = []
+    for term in grammar.rule(name).alternatives[0].terms:
+        if isinstance(term, TermAttrDef):
+            value = fold(term.expr)
+            if term.name in SPECIALS or not isinstance(value, Num):
+                return None
+            attrs[term.name] = value.value
+            continue
+        if not isinstance(term, (TermTerminal, TermNonterminal)):
+            return None
+        lo, hi = fold(term.interval.left), fold(term.interval.right)
+        if not (isinstance(lo, Num) and isinstance(hi, Num)):
+            return None
+        lo, hi = lo.value, hi.value
+        if not 0 <= lo <= hi <= width:
+            return None
+        if isinstance(term, TermTerminal):
+            if hi - lo < len(term.value):
+                return None
+            children.append(term.value)
+            if term.value:
+                checks.append((left + lo, term.value))
+                start, end = min(start, lo), max(end, lo + len(term.value))
+            continue
+        inner = _fixed_subtree(grammar, term.name, lo, hi, inline)
+        if inner is None:
+            return None
+        tree, inner_checks, span = inner
+        children.append(tree)
+        checks += [(left + offset, literal) for offset, literal in inner_checks]
+        if span is not None:
+            start, end = min(start, span[0]), max(end, span[1])
+    env = (("EOI", width), ("start", left + start), ("end", left + end))
+    tree = FixedTree(name, env + tuple(attrs.items()), tuple(children))
+    return tree, tuple(checks), ((left + start, left + end) if end else None)
+
+
+def fixed_terms(
+    grammar: Grammar,
+    sites: List[CallSite],
+    inline: Set[str],
+    chains: Dict[str, ChainPlan],
+    prefix_plans: Dict[Tuple[str, int], object],
+    array_plans: Dict[int, "ArrayPlan"],
+) -> Dict[int, FixedTerm]:
+    """Terms built once per loop entry: id(TermNonterminal) -> FixedTerm.
+
+    The candidates are the terms a loop runs once per iteration: those
+    before a right chain's self-call, and those of an array element
+    inlined at its ``for`` (not bulk-decoded).  Terms a fused struct
+    prefix decodes are left to it.  PDF's ``ObjBody`` step ``AnyByte[0,
+    1] -> Raw[0, 1]`` is the bundled example.
+    """
+    from .exprcomp import fold
+
+    bodies: List[Tuple[List[object], int]] = []
+    for name, chain in chains.items():
+        covered = getattr(prefix_plans.get((name, chain.step)), "covered", 0)
+        terms = grammar.rule(name).alternatives[chain.step].terms[: chain.call]
+        bodies.append((terms, covered))
+    for site in sites:
+        if (
+            site.kind == "array"
+            and site.target_kind == "top"
+            and site.target in inline
+            and array_plans[id(site.term)].shape is None
+        ):
+            covered = getattr(prefix_plans.get((site.target, 0)), "covered", 0)
+            bodies.append((grammar.rule(site.target).alternatives[0].terms, covered))
+    fixed: Dict[int, FixedTerm] = {}
+    for terms, covered in bodies:
+        for term in terms[covered:]:
+            if not isinstance(term, TermNonterminal):
+                continue
+            left, right = fold(term.interval.left), fold(term.interval.right)
+            if not (isinstance(left, Num) and isinstance(right, Num)):
+                continue
+            if not 0 <= left.value <= right.value:
+                continue
+            found = _fixed_subtree(grammar, term.name, left.value, right.value, inline)
+            if found is not None:
+                fixed[id(term)] = FixedTerm(*found)
+    return fixed
+
+
+@dataclass(frozen=True)
 class ArrayPlan:
     """The bulk-decoding decision for one ``for`` array term."""
 
@@ -448,6 +587,10 @@ class GrammarAnalysis:
     #: backend runs as loops; empty in stream analyses and when
     #: ``inline_single_use`` is off.
     chains: Dict[str, ChainPlan]
+    #: id(TermNonterminal) -> FixedTerm for the terms the closure backend
+    #: builds once per loop entry (:func:`fixed_terms`); empty in stream
+    #: analyses and when ``inline_single_use`` is off.
+    fixed: Dict[int, FixedTerm]
 
 
 def analyze(
@@ -509,6 +652,7 @@ def analyze(
             for name, plan in right_chains(grammar, sites).items()
             if getattr(prefix_plans.get((name, plan.step)), "covered", 0) <= plan.call
         }
+    fixed = fixed_terms(grammar, sites, inline, chains, prefix_plans, array_plans)
     return GrammarAnalysis(
         grammar=grammar,
         memoize=memoize,
@@ -525,6 +669,7 @@ def analyze(
         prefix_plans=prefix_plans,
         array_plans=array_plans,
         chains=chains,
+        fixed=fixed,
     )
 
 
@@ -654,7 +799,8 @@ def _explain_term(analysis: GrammarAnalysis, term, path: str) -> str:
         return f"lit    {term.value!r} {interval}"
     if isinstance(term, TermNonterminal):
         interval = _explain_interval(term.interval, term.name, path)
-        return f"call   {term.name} {interval}"
+        fixed = " fixed" if id(term) in analysis.fixed else ""
+        return f"call   {term.name} {interval}{fixed}"
     if isinstance(term, TermArray):
         element = term.element
         interval = _explain_interval(element.interval, element.name, path)

@@ -12,6 +12,14 @@ The classes below add a small navigation API on top (``child``,
 ``children_named``, ``attr``, ``walk``) because downstream code — the format
 helpers, the examples, and the evaluation harness — constantly needs to pull
 attributes and sub-structures out of parsed files.
+
+Trees are read-only in practice: the compiled engines share objects
+inside one tree.  Literal leaves are constants of the staged grammar, and
+a *fixed* subtree (one the grammar determines entirely, such as PDF's
+``AnyByte -> Raw[0, 1]``; see :func:`repro.core.ir.fixed_terms`) is built
+once per entry of the loop that runs it and appears at every level or
+element of that loop.  Two parses never share a fixed subtree.  Copy a
+tree before mutating it (``tree_from_jsonable(tree_to_jsonable(tree))``).
 """
 
 from __future__ import annotations
@@ -261,7 +269,9 @@ def tree_to_tape(tree: ParseTree) -> bytes:
     * a :class:`Leaf` is its ``bytes`` value.
 
     Env values go through pickle unchanged, so a blackbox attribute that
-    is a ``str``, ``tuple`` or ``None`` arrives as itself.  The walk is
+    is a ``str``, ``tuple`` or ``None`` arrives as itself, and an env
+    the tree shares (a fixed subtree's) is pickled once, so the decoded
+    records alias it.  The walk is
     an explicit stack, not recursion: it emits the records of the mirror
     preorder (children right to left) and reverses them, which is the
     postorder.  :func:`tape_to_jsonable` decodes the tape.
@@ -306,7 +316,9 @@ def tape_to_jsonable(blob: bytes) -> Dict[str, Any]:
     """Decode a :func:`tree_to_tape` tape; equals ``tree_to_jsonable(tree)``.
 
     One pass over the records with a stack of finished subtrees: a record
-    pops its ``count`` children off the stack and pushes itself.
+    pops its ``count`` children off the stack and pushes itself.  Node
+    dicts take their ``env`` from the tape as is, so the dicts of a
+    shared subtree share one ``env`` dict (:func:`tree_to_tape`).
     """
     import pickle
 

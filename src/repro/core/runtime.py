@@ -68,6 +68,7 @@ __all__ = [
     "_shift_r",
     "_struct",
     "_undef",
+    "_unshift",
 ]
 
 # -- VENDORED: everything below is copied into emitted parser modules --------
@@ -105,6 +106,20 @@ def _mk_node(name, env, children):
     node.env = env
     node.children = children
     return node
+
+
+def _unshift(entry):
+    """A copy of the node a right chain's memo entry ``(node, shift)`` names.
+
+    The chain's backward loop shifts the node of a level it built by
+    ``shift`` in place when the next level takes it as a child; the memo
+    entry keeps the shift, so a later hit gets the unshifted node.
+    """
+    node, shift = entry
+    env = dict(node.env)
+    env["start"] -= shift
+    env["end"] -= shift
+    return _mk_node(node.name, env, node.children)
 
 
 def _mk_leaf(value):

@@ -18,7 +18,12 @@ so their depth no longer costs Python frames.  This file checks
   chain, dense and ``(lo, hi)`` memo tables, memoization on and off,
   every ``Optimizations`` combination, tree and elided engines, truncated
   inputs and failure classes;
-* that a step the analysis cannot prove advancing stays recursive.
+* that a step the analysis cannot prove advancing stays recursive;
+* the levels the backward loop shifts in place and the subtrees it
+  builds once per loop entry: callers entering a chain mid-way before
+  and after the whole chain ran (generated grammars, and PDF objects
+  overlapping through their xref table), fixed terms of array elements,
+  and fixed subtrees that one tree shares but two parses never do.
 
 Trees compare through :func:`_flat`, an iterative walk: ``Node.__eq__``
 and nested ``dict`` equality recurse once per chain level.
@@ -34,10 +39,11 @@ import pytest
 
 from engine_matrix import load_aot_module
 from repro import Parser, ParseFailure, samples
+from repro.samples.pdf import build_pdf_bytes
 from repro.core.compiler import Optimizations, compile_grammar
 from repro.core.interpreter import FAIL, prepare_grammar
 from repro.core.ir import analyze, explain_plan
-from repro.core.parsetree import tree_to_jsonable
+from repro.core.parsetree import Leaf, Node, tree_to_jsonable
 from repro.core.runtime import _guarded
 from repro.formats import registry
 
@@ -330,3 +336,223 @@ def test_a_step_not_proven_to_advance_stays_recursive():
         assert (got is None) == (want is None)
         if want is not None:
             assert _flat(got) == _flat(want)
+
+
+# ---------------------------------------------------------------------------
+# Levels shifted in place, fixed subtrees built once per loop entry
+# ---------------------------------------------------------------------------
+
+#: ``R`` is entered at 1 and, ``k`` bytes on, at ``1 + k``: ``S`` runs the
+#: whole chain first, so the second call meets a level the loop shifted
+#: in place; ``T`` runs the inner call first, so the outer loop meets the
+#: inner call's first level.  ``X`` takes ``R`` at offset 0 (no copy).
+#: ``A`` is fixed: the step builds its subtree once per loop entry.
+_MIDWAY = """
+S -> U8[0, 1] {k = U8.val} R[1, EOI] {a = R.val} X[1 + k, EOI] {b = X.val} {e = X.end} ;
+T -> U8[0, 1] {k = U8.val} X[1 + k, EOI] {b = X.val} R[1, EOI] {a = R.val} {e = R.end} ;
+X -> R[0, EOI] {val = R.val * 10 + R.start} {s = R.end} ;
+R -> "."[0, 1] {val = 0} / STEP ;
+"""
+
+_STEPS = {
+    # AnyByte-like: one fixed Raw byte per level.
+    "raw": ("A[0, 1] R[1, EOI] {val = R.val + 1}", 'A -> Raw[0, 1] ;'),
+    # A literal check, a constant attribute and an empty Raw per level.
+    "literal": (
+        "A[0, 1] R[1, EOI] {val = R.val + A.w}",
+        'A -> "a"[0, 1] {w = 2} Raw[1, 1] ;',
+    ),
+    # Two fixed terms and a two-byte advance.
+    "pair": (
+        "A[0, 1] B[1, 2] R[2, EOI] {val = R.val + A.w + B.end}",
+        'A -> "a"[0, 1] {w = 3} ;\nB -> Raw[0, 1] ;',
+    ),
+}
+
+
+def _midway_grammar(step: str, start: str, anchored: bool) -> str:
+    body, elements = _STEPS[step]
+    text = _MIDWAY.replace("STEP", body) + elements + "\n"
+    if not anchored:
+        # The chain's memo table is keyed by (lo, hi).
+        text = f'W -> {start}[0, EOI - 1] "!"[EOI - 1, EOI] ;\n' + text
+    return text
+
+
+def _midway_inputs(step: str, anchored: bool):
+    rng = random.Random(step)
+    bodies = [b".", b"a.", b"aa.", b"aaaa.", b"aaaaaaa.", b"abab.", b"aaa", b""]
+    bodies += [
+        bytes(rng.choice(b"ab.") for _ in range(rng.randint(1, 9))) for _ in range(12)
+    ]
+    inputs = sorted({bytes([k]) + body for body in bodies for k in range(0, 9)})
+    return inputs if anchored else [data + b"!" for data in inputs] + inputs[:20]
+
+
+_MIDWAY_CONFIGS = [
+    (step, start, anchored)
+    for step in _STEPS
+    for start in ("S", "T")
+    for anchored in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "step,start,anchored",
+    _MIDWAY_CONFIGS,
+    ids=["-".join(map(str, config)) for config in _MIDWAY_CONFIGS],
+)
+def test_a_second_caller_entering_a_chain_midway(step, start, anchored):
+    text = _midway_grammar(step, start, anchored)
+    entry = start if anchored else "W"
+    assert _chain_rules(text) == {"R"}
+    dump = explain_plan(analyze(prepare_grammar(text)))
+    fixed = [line for line in dump.splitlines() if line.endswith(" fixed")]
+    assert len(fixed) == (2 if step == "pair" else 1), fixed
+    interpreter = Parser(text, backend="interpreted")
+    inputs = _midway_inputs(step, anchored)
+    expected = {data: interpreter.try_parse(data, entry) for data in inputs}
+    accepted = sum(tree is not None for tree in expected.values())
+    assert 0 < accepted < len(inputs)
+    for memoize, elided in itertools.product((True, False), repeat=2):
+        engine = compile_grammar(text, memoize=memoize, elide_tree=elided)
+        assert "_own = _v" in engine.source
+        for data in inputs:
+            tree = expected[data]
+            want = None if tree is None else (dict(tree.env) if elided else _flat(tree))
+            got = _outcome(engine, data, entry, elided)
+            assert got == want, (data, memoize, elided)
+    module = load_aot_module(text)
+    for data in inputs:
+        got, tree = module.try_parse(data, entry), expected[data]
+        assert (None if got is None else _flat(got)) == (
+            None if tree is None else _flat(tree)
+        ), data
+
+
+def _overlapping_pdf(order):
+    """A PDF whose object 2 starts inside object 1's body.
+
+    Object 1's body holds ``2 0 obj`` and both objects end at the same
+    ``endobj``.  ``order`` lists the xref entries: ``"outer"`` (object
+    1) and ``"inner"`` (the embedded object 2), in parse order.
+    """
+    body = b"1 0 obj\n<< /Kids [ 2 0 obj\n(inner) ] >>\nendobj\n"
+    header = b"%PDF-1.4\n"
+    offsets = {"outer": len(header), "inner": len(header) + body.index(b"2 0 obj")}
+    out = bytearray(header + body)
+    xref = len(out)
+    out += b"xref\n0 %d\n0000000000 65535 f \n" % (len(order) + 1)
+    for which in order:
+        out += b"%010d 00000 n \n" % offsets[which]
+    out += b"trailer\n<< /Size %d >>\nstartxref\n%d\n%%%%EOF" % (len(order) + 1, xref)
+    return bytes(out)
+
+
+_PDF_ORDERS = [
+    ("outer", "inner"),  # the inner chain meets a level shifted in place
+    ("inner", "outer"),  # the outer chain meets the inner chain's first level
+    ("outer", "outer"),  # a repeated entry
+    ("inner", "outer", "inner", "outer"),
+]
+
+
+@pytest.mark.parametrize("order", _PDF_ORDERS, ids=["-".join(o) for o in _PDF_ORDERS])
+def test_overlapping_pdf_objects_match_the_interpreter(order):
+    text = registry["pdf"].grammar_text
+    data = _overlapping_pdf(order)
+    reference = Parser(text, backend="interpreted").parse(data)
+    objects = reference.array("Obj").elements
+    assert [obj["objnum"] for obj in objects] == [
+        1 if which == "outer" else 2 for which in order
+    ]
+    parser = Parser(text)
+    assert parser.backend == "compiled"
+    assert _flat(parser.parse(data)) == _flat(reference)
+    assert parser.parse(data) == reference
+    assert parser.parse(data, emit="spans").env == reference.env
+    assert parser.parse(data, emit=None) is True
+    for memoize in (True, False):
+        elided = compile_grammar(text, memoize=memoize, elide_tree=True)
+        assert _outcome(elided, data, "PDF", True) == dict(reference.env)
+        engine = compile_grammar(text, memoize=memoize)
+        assert _outcome(engine, data, "PDF", False) == _flat(reference)
+    assert load_aot_module(text).parse(data) == reference
+
+
+#: ``E`` is inlined at its ``for`` and never bulk-decoded (its ``Bytes``
+#: length depends on the data); ``T[0, EOI]`` keeps a struct prefix from
+#: covering its ``P`` and ``Q`` terms, which are fixed.
+_FIXED_ELEMENTS = """
+S -> U8[0, 1] {n = U8.val} for i = 0 to n do E[1 + 5 * i, 6 + 5 * i] ;
+E -> T[0, EOI] P[1, 2] Q[2, 3] U8[3, 4] {v = U8.val + P.w + Q.z}
+     Bytes[4, 4 + U8.val % 2] ;
+T -> "K"[0, 1] ;
+P -> Raw[0, 1] {w = 5} ;
+Q -> "Z"[0, 1] {z = 2} Raw[1, 1] ;
+"""
+
+
+def test_fixed_terms_of_array_elements_match_the_interpreter():
+    dump = explain_plan(analyze(prepare_grammar(_FIXED_ELEMENTS)))
+    fixed = [line.split()[1] for line in dump.splitlines() if line.endswith(" fixed")]
+    assert fixed == ["P", "Q"]
+    element = b"K?Z\x03x"
+    inputs = [bytes([n]) + element * n for n in range(4)]
+    inputs += [b"\x02" + element + b"K?Y\x03x", b"\x02" + element + b"K?Z\x02x"]
+    inputs += [data[:cut] for data in inputs[:3] for cut in range(len(data))]
+    interpreter = Parser(_FIXED_ELEMENTS, backend="interpreted")
+    expected = {data: interpreter.try_parse(data) for data in inputs}
+    assert 0 < sum(tree is not None for tree in expected.values()) < len(inputs)
+    for memoize, options in itertools.product((True, False), ALL_OPTIMIZATIONS):
+        for elided in (False, True):
+            engine = compile_grammar(
+                _FIXED_ELEMENTS,
+                memoize=memoize,
+                optimizations=options,
+                elide_tree=elided,
+            )
+            assert ("_fe" in engine.source) == options.inline_single_use
+            for data in inputs:
+                tree = expected[data]
+                if tree is None:
+                    want = None
+                else:
+                    want = dict(tree.env) if elided else _flat(tree)
+                assert _outcome(engine, data, "S", elided) == want, (data, options)
+    module = load_aot_module(_FIXED_ELEMENTS)
+    for data in inputs:
+        got, tree = module.try_parse(data), expected[data]
+        assert (None if got is None else _flat(got)) == (
+            None if tree is None else _flat(tree)
+        ), data
+
+
+def _named(tree, name):
+    """The ``name`` nodes of ``tree``, by an iterative preorder walk."""
+    found, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            if item.name == name:
+                found.append(item)
+            stack.extend(item.children)
+        elif not isinstance(item, Leaf):
+            stack.extend(item.elements)
+    return found
+
+
+def test_fixed_subtrees_are_shared_within_a_tree_but_never_across_parses():
+    text = registry["pdf"].grammar_text
+    data = build_pdf_bytes(3)
+    reference = tree_to_jsonable(Parser(text, backend="interpreted").parse(data))
+    for parse in (Parser(text).parse, load_aot_module(text).parse):
+        first = parse(data)
+        anybytes = _named(first, "AnyByte")
+        # One AnyByte subtree per object body, shared by all its levels.
+        assert len({id(node) for node in anybytes}) == 3 < len(anybytes)
+        anybytes[0].env["start"] = 99
+        anybytes[0].children[0].env["len"] = 7
+        anybytes[0].children.append(Leaf(b"x"))
+        assert tree_to_jsonable(first) != reference
+        assert tree_to_jsonable(parse(data)) == reference

@@ -25,7 +25,8 @@ bisect cleanly:
   big (points past EOF) and nonsense (mid-structure);
 * **format specials**: a DNS compression-pointer self-loop, a DNS name
   of maximal recursion depth (label chains drive the only recursive rule
-  in the bundled grammars), and a zero-length-label torture packet.
+  in the bundled grammars), a zero-length-label torture packet, and PDF
+  objects overlapping through the xref table.
 
 The default (no flags) mode replays the whole corpus through the
 cross-engine matrix (``EngineMatrix.assert_error_agree``): every entry
@@ -215,6 +216,24 @@ def _specials(fmt: str, data: bytes) -> Iterator[Tuple[str, bytes]]:
         mutated = bytearray(data)
         mutated[40:44] = b"PK\x05\x06"
         yield "special_inner_eocd_sig", bytes(mutated)
+    elif fmt == "pdf":
+        # Objects overlapping through the xref table: "9 0 obj" and
+        # "8 0 obj" written into the padding of objects 1 and 3, and
+        # entries sending Obj to each embedded object before and after
+        # its host, plus a repeated entry.  Each pair of objects shares
+        # the tail of one ObjBody chain, entered mid-way.
+        doc, offsets = samples.build_pdf(object_count=5)
+        mutated = bytearray(doc)
+        embedded = []
+        for host, number in ((0, b"9"), (2, b"8")):
+            pad = doc.index(b"/Pad (", offsets[host]) + len(b"/Pad (")
+            mutated[pad : pad + 8] = number + b" 0 obj "
+            embedded.append(pad)
+        table = doc.index(b"0000000000 65535 f \n") + 20
+        entries = (embedded[0], offsets[0], offsets[2], embedded[1], offsets[2])
+        for index, offset in enumerate(entries):
+            mutated[table + 20 * index : table + 20 * index + 10] = b"%010d" % offset
+        yield "special_overlapping_objects", bytes(mutated)
 
 
 def _corrupt_deflate(data: bytes, members) -> bytes:
