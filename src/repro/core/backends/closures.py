@@ -313,7 +313,8 @@ class _GrammarCompiler:
         #: against the per-parse deadline in ``cell[2]``.
         self.wall_clock = wall_clock
         self.fuel_slot: Optional[int] = None
-        self._fuel_rules: Set[str] = set()
+        #: Where the fuel checks go (:class:`repro.core.ir.ChargePoints`).
+        self.charges = None
         #: The variant the streaming driver re-enters.  Besides complete
         #: memoization (see :func:`repro.core.ir.analyze`), it remembers
         #: each dispatch decision in a per-parse ``lo``-keyed table instead
@@ -492,19 +493,14 @@ class _GrammarCompiler:
             self.fuel_slot = len(self.memo_slots)
             self.memo_slots.append("c")
         # The analyze stage (repro.core.ir): one shared fact set instead of
-        # per-backend re-derivation.  Fuel is charged where unbounded work
-        # can originate: entries of recursive rules and iterations of
-        # count-driven element loops.  Everything else is a DAG of
-        # straight-line bodies whose work is a constant factor of those
-        # charges, so skipping the check there keeps the budget sound while
-        # keeping rule-call-dense grammars fast.
+        # per-backend re-derivation, fuel placement included.
         analysis = analyze_grammar(
             self.grammar,
             memoize=self.memoize,
             optimizations=self.opts,
             stream=self.stream,
         )
-        self._fuel_rules = analysis.recursive
+        self.charges = analysis.charges
         self._inline = set(analysis.inline)
         self.dispatch_plans = dict(analysis.dispatch_plans)
         self.local_plans = dict(analysis.local_plans)
@@ -625,15 +621,10 @@ class _GrammarCompiler:
                 self.memo_slots.append("b")
         body: List[str] = []
         # Fuel check: one counter decrement per activation of a
-        # *recursive* rule, placed after the memo probe (memo hits
-        # replay free, mirroring the interpreter, whose _parse_rule is
-        # likewise bypassed by hits).  Non-recursive rules are skipped:
-        # their activations are bounded by a constant factor of the
-        # charged ones (recursive entries plus element-loop iterations),
-        # and exempting them keeps the budget's cost invisible on
-        # token-helper-dense grammars.
+        # recursive rule, top-level or where, placed after the memo probe
+        # (memo hits replay free, as on every engine).
         fuel_check: List[str] = []
-        if self.fuel_slot is not None and toplevel and rule.name in self._fuel_rules:
+        if self.fuel_slot is not None and id(rule) in self.charges.rules:
             fuel_check = [
                 f"_c = st[{self.fuel_slot}]",
                 "_c[0] -= 1",
@@ -1974,14 +1965,11 @@ class _GrammarCompiler:
         scope.names[term.var] = loop_var
 
         loop: List[str] = []
-        if self.fuel_slot is not None:
+        if self.fuel_slot is not None and id(term) not in self.charges.bulk:
             # Count-driven loops are the one place a lying length field
             # buys unbounded iterations without consuming input (an
             # element may match empty), so each iteration is charged even
-            # when the element rule itself carries no entry check.  The
-            # fixed-shape bulk loops need no charge: their stride is >= 1
-            # byte and every iteration is bounds-checked against the
-            # interval, capping them at the input length.
+            # when the element rule itself carries no entry check.
             cell = self.namer.fresh("_t")
             loop.append(f"{cell} = st[{self.fuel_slot}]")
             loop.append(f"{cell}[0] -= 1")
@@ -2117,11 +2105,13 @@ class CompiledGrammar:
         self.grammar = grammar
         self.source = source
         self.memoize = memoize
-        #: ParseLimits this compilation was specialized for.  Only
-        #: max_steps is enforced natively (the fuel cell at state slot
-        #: :attr:`fuel_slot`, None when compiled out); depth/memo/node
-        #: growth are transitively bounded by it, and RecursionError/
-        #: MemoryError are mapped by the parse guard.
+        #: ParseLimits this compilation was specialized for.  max_steps
+        #: is enforced by the fuel cell at state slot :attr:`fuel_slot`
+        #: (None when compiled out), charged at every recursive rule
+        #: entry and counted loop iteration (:class:`repro.core.ir.
+        #: ChargePoints`), so tree and memo growth are transitively
+        #: bounded by it; RecursionError/MemoryError are mapped by the
+        #: parse guard.
         self.limits = DEFAULT_LIMITS if limits is None else limits
         self.fuel_slot = compiler.fuel_slot
         self.optimizations = compiler.opts

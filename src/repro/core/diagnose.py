@@ -77,7 +77,7 @@ class _DiagRun(_Run):
     executing (saved/restored around every term so array loops see their
     own window after parsing an element); ``rstack`` is an always-on
     rule-name stack (independent of the budget machinery, which only
-    tracks it when limits are active and only keeps it on abort).
+    tracks it under a step or wall budget and only keeps it on abort).
     """
 
     __slots__ = ("rstack", "best", "_win")

@@ -125,11 +125,12 @@ class GuardRejected(ParseFailure):
 class LimitExceeded(ParseFailure):
     """A :class:`~repro.core.limits.ParseLimits` budget was exhausted.
 
-    ``limit`` names the tripped budget (``"max_depth"``, ``"max_steps"``,
-    ``"max_tree_nodes"``, ``"max_memo_entries"``, ``"max_buffer_bytes"``,
-    ``"wall"`` when the :attr:`~repro.core.limits.ParseLimits.max_wall_ms`
-    wall-clock budget expired, or ``"recursion"`` when a bare
-    ``RecursionError``/``MemoryError`` was intercepted).  ``offset`` is
+    ``limit`` names the tripped budget: ``"max_steps"``,
+    ``"max_buffer_bytes"``, ``"wall"`` when the
+    :attr:`~repro.core.limits.ParseLimits.max_wall_ms` wall-clock budget
+    expired, or ``"recursion"`` when the parse guard intercepted a bare
+    ``RecursionError``/``MemoryError`` — the one ceiling on recursion
+    depth, on every engine.  ``offset`` is
     always ``None``: resource exhaustion has no single culprit byte.
     """
 

@@ -26,7 +26,6 @@ The public entry point is :class:`Parser`.
 
 from __future__ import annotations
 
-from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Union
 
 from .ast import (
@@ -52,9 +51,9 @@ from .errors import (
     EvaluationError,
     IPGError,
     LimitExceeded,
-    ParseFailure,
 )
 from .grammar_parser import parse_grammar
+from .ir import charge_points
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree
 from .runtime import (
@@ -62,6 +61,8 @@ from .runtime import (
     FAIL,
     _call_blackbox,
     _guarded,
+    _limit_refill,
+    _refuel,
     _wrap_outcome,
 )
 
@@ -605,12 +606,8 @@ class _Run:
         "build",
         "limits",
         "fuel",
-        "fuel0",
-        "wall",
+        "charges",
         "stack",
-        "max_depth",
-        "memo_cap",
-        "nodes",
         "span_rules",
         "spans",
     )
@@ -633,38 +630,21 @@ class _Run:
         self.spans: Optional[List[tuple]] = [] if span_rules is not None else None
         self.memoize = parser.memoize and span_rules is None
         self.build = build_tree
-        # Resource budgets (None = every budget unlimited; see limits.py).
-        # fuel/nodes are single-element cells so checks cost one list op;
-        # the rule-name stack is popped on success only — a suspension
-        # (NeedMoreInput) aborts the attempt, and the streaming driver
-        # calls reset_budgets() before re-entering.
+        # The step and wall budgets: the compiled engines' fuel cell
+        # (runtime._limit_refill), charged at the grammar's charge points,
+        # or None when neither budget is set.  The rule-name stack is
+        # popped on success only — a suspension (NeedMoreInput) aborts the
+        # attempt, and the streaming driver calls reset_budgets() before
+        # re-entering.
         limits = parser.limits
-        self.limits = limits if limits is not None and limits.active else None
-        if self.limits is not None:
-            self.fuel0 = limits.fuel()
-            self.fuel = [self.fuel0]
-            # Wall budget: [tick countdown, monotonic deadline] — the
-            # clock is read once per 256 rule entries, mirroring the
-            # compiled backend's refill-point amortization.
-            self.wall = (
-                None if limits.max_wall_ms is None else [256, limits.deadline()]
-            )
-            self.stack: List[str] = []
-            self.max_depth = (
-                float("inf") if limits.max_depth is None else limits.max_depth
-            )
-            self.memo_cap = limits.max_memo_entries
-            self.nodes = [
-                float("inf") if limits.max_tree_nodes is None else limits.max_tree_nodes
-            ]
-        else:
-            self.fuel0 = 0.0
+        self.limits = limits
+        if limits is None or (limits.max_steps is None and limits.max_wall_ms is None):
             self.fuel = None
-            self.wall = None
-            self.stack = None
-            self.max_depth = None
-            self.memo_cap = None
-            self.nodes = None
+        else:
+            self.fuel = [0, 0, None]
+            self.charges = charge_points(self.grammar)
+            self.stack: List[str] = []
+            self.reset_budgets()
 
     def reset_budgets(self) -> None:
         """Restore per-attempt budgets (streaming re-entry).
@@ -677,12 +657,24 @@ class _Run:
         The rule stack is cleared because suspension unwinds without
         popping.
         """
-        if self.limits is not None:
-            self.fuel[0] = self.fuel0
-            if self.wall is not None:
-                self.wall[0] = 256
-                self.wall[1] = self.limits.deadline()
+        if self.fuel is not None:
+            limits = self.limits
+            deadline = None if limits.max_wall_ms is None else limits.deadline()
+            _refuel(self.fuel, limits.fuel(), deadline)
             del self.stack[:]
+
+    def _refill(self) -> None:
+        """The charge that emptied the hot counter: refill it or raise.
+
+        Same slow path as the compiled engines, so the wall clock is read
+        at the same 256-charge cadence; the error carries the rule stack.
+        """
+        try:
+            _limit_refill(self.fuel)
+        except LimitExceeded as exc:
+            exc.nonterminal = self.stack[-1]
+            exc.rule_stack = tuple(self.stack)
+            raise
 
     # -- nonterminal dispatch -------------------------------------------------
     def parse_nonterminal(
@@ -706,15 +698,7 @@ class _Run:
                 return self.memo[key]
             result = self._parse_rule(self.grammar.rule(name), lo, hi, None, None)
             if self.memoize:
-                memo = self.memo
-                memo[key] = result
-                if self.memo_cap is not None and len(memo) > self.memo_cap:
-                    raise LimitExceeded(
-                        f"memo table exceeded max_memo_entries="
-                        f"{self.memo_cap} while parsing {name!r}",
-                        limit="max_memo_entries",
-                        nonterminal=name,
-                    )
+                self.memo[key] = result
             spans = self.spans
             if spans is not None and result is not FAIL and name in self.span_rules:
                 spans.append(
@@ -737,48 +721,21 @@ class _Run:
         outer_ctx: Optional[EvalContext],
         local_rules: Optional[_LocalRules],
     ):
-        """Budget-checked rule entry: fuel and recursion depth, then run.
+        """Budget-checked rule entry: a fuel charge for a recursive rule.
 
         The stack is popped on *success only*: when a budget trips (or a
         stream suspends) the whole attempt aborts, so the un-popped names
         are exactly the active-rule stack the error should carry.
         """
-        if self.limits is None:
-            return self._run_rule(rule, lo, hi, outer_ctx, local_rules)
         fuel = self.fuel
-        fuel[0] -= 1
+        if fuel is None:
+            return self._run_rule(rule, lo, hi, outer_ctx, local_rules)
         stack = self.stack
         stack.append(rule.name)
-        if fuel[0] < 0:
-            raise LimitExceeded(
-                f"parse step budget exhausted (max_steps="
-                f"{self.limits.max_steps}) while parsing {rule.name!r}",
-                limit="max_steps",
-                nonterminal=rule.name,
-                rule_stack=tuple(stack),
-            )
-        wall = self.wall
-        if wall is not None:
-            wall[0] -= 1
-            if wall[0] < 0:
-                wall[0] = 256
-                if _monotonic() > wall[1]:
-                    raise LimitExceeded(
-                        f"parse wall-clock budget exhausted (max_wall_ms="
-                        f"{self.limits.max_wall_ms}) while parsing "
-                        f"{rule.name!r}",
-                        limit="wall",
-                        nonterminal=rule.name,
-                        rule_stack=tuple(stack),
-                    )
-        if len(stack) > self.max_depth:
-            raise LimitExceeded(
-                f"rule recursion exceeded max_depth={self.limits.max_depth} "
-                f"while parsing {rule.name!r}",
-                limit="max_depth",
-                nonterminal=rule.name,
-                rule_stack=tuple(stack),
-            )
+        if id(rule) in self.charges.rules:
+            fuel[0] -= 1
+            if fuel[0] < 0:
+                self._refill()
         result = self._run_rule(rule, lo, hi, outer_ctx, local_rules)
         stack.pop()
         return result
@@ -831,16 +788,6 @@ class _Run:
                 return FAIL
             if not ok:
                 return FAIL
-        nodes = self.nodes
-        if nodes is not None:
-            nodes[0] -= 1
-            if nodes[0] < 0:
-                raise LimitExceeded(
-                    f"parse tree exceeded max_tree_nodes="
-                    f"{self.limits.max_tree_nodes} result nodes",
-                    limit="max_tree_nodes",
-                    nonterminal=name,
-                )
         return Node(name, ctx.snapshot_env(), children)
 
     # -- term execution ---------------------------------------------------------
@@ -949,9 +896,16 @@ class _Run:
         # name must not append into (or read from) the first term's elements,
         # and a partial parse must not leak into a previously bound array.
         ctx.arrays[element_name] = elements
+        fuel = self.fuel
+        if fuel is not None and id(term) in self.charges.bulk:
+            fuel = None  # fixed-width elements at a stride: bounded by the window
         completed = False
         try:
             for index in range(first, stop):
+                if fuel is not None:
+                    fuel[0] -= 1
+                    if fuel[0] < 0:
+                        self._refill()
                 ctx.env[term.var] = index
                 bounds = self._interval(term.element, ctx, hi - lo)
                 if bounds is None:

@@ -3,11 +3,12 @@
 The compilation pipeline has two stages:
 
 ``analyze``
-    Run the whole-grammar analyses once — call-site collection, recursion
-    and EOI-anchoring fixpoints, single-use inline candidates, right
-    chains (:func:`right_chains`), fixed terms (:func:`fixed_terms`),
-    FIRST-set dispatch plans
-    (:mod:`repro.core.firstsets`), fixed-shape struct plans
+    Run the whole-grammar analyses once — call-site collection, the
+    step-budget charge points every engine shares (:func:`charge_points`:
+    the recursion fixpoint and the bulk-eligible loops), the EOI-anchoring
+    fixpoint, single-use inline candidates, right chains
+    (:func:`right_chains`), fixed terms (:func:`fixed_terms`), FIRST-set
+    dispatch plans (:mod:`repro.core.firstsets`), fixed-shape struct plans
     (:mod:`repro.core.shapes`) — and record the resulting *facts* in a
     :class:`GrammarAnalysis`.  No pass patches source strings or
     re-derives another pass's decisions.
@@ -46,7 +47,7 @@ Expressions print in IPG surface syntax (:meth:`Expr.to_source`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .ast import (
     Alternative,
@@ -180,13 +181,66 @@ def collect_sites(grammar: Grammar) -> Tuple[List[CallSite], List[Rule]]:
     return sites, rules
 
 
-def recursive_rule_names(grammar: Grammar, sites: List[CallSite]) -> Set[str]:
-    """Top-level rules that can (transitively) re-enter themselves."""
-    graph: Dict[str, Set[str]] = {name: set() for name in grammar.rules}
+@dataclass(frozen=True)
+class ChargePoints:
+    """Where a parse charges its step budget (``ParseLimits.max_steps``).
+
+    Only recursion and count-driven loops can make an IPG parse run
+    unbounded, so every engine charges one step at exactly these points
+    and nowhere else:
+
+    * each entry of a recursive rule, top-level or ``where``, after the
+      memo probe (a memo hit replays free);
+    * each iteration of a ``for`` loop, unless its element is
+      bulk-eligible: a top-level rule of fixed width at a linear stride
+      of at least one byte, so every iteration consumes bytes of a
+      bounds-checked window.  The exemption holds whether or not an
+      engine actually bulk-decodes the loop.
+
+    The rest of a parse is straight-line bodies whose work is a constant
+    factor of these charges.  The fact depends on the grammar alone, not
+    on the engine, the execution mode or :class:`Optimizations`, so one
+    budget gives one verdict on every engine.
+    """
+
+    #: ``id()`` of every recursive rule, top-level and ``where``.
+    rules: FrozenSet[int]
+    #: id(TermArray) -> the element rule's fixed plan at the loop's
+    #: stride, for the loops charged nothing.
+    bulk: Dict[int, object]
+
+
+def charge_points(grammar: Grammar) -> ChargePoints:
+    """The grammar's :class:`ChargePoints`, computed once and cached on it.
+
+    Needs only the call sites, the rule-level recursion fixpoint and the
+    struct plans of ``for`` elements, so the interpreter learns its
+    charge points without running :func:`analyze`.
+    """
+    cached = getattr(grammar, "_charge_points_cache", None)
+    if cached is not None:
+        return cached
+    from .shapes import linear_stride, rule_shape
+
+    sites, all_rules = collect_sites(grammar)
+    graph: Dict[int, Set[int]] = {id(rule): set() for rule in all_rules}
+    bulk: Dict[int, object] = {}
     for site in sites:
-        if site.target_kind == "top":
-            graph[site.top].add(site.target)
-    return set(recursive_vertices(graph))
+        if site.target_kind == "other":
+            continue
+        target = (
+            site.target if site.target_kind == "local" else grammar.rule(site.target)
+        )
+        graph[id(site.caller)].add(id(target))
+        if site.kind == "array" and site.target_kind == "top":
+            interval = site.term.element.interval
+            stride = linear_stride(interval.left, interval.right, site.term.var)
+            shape = None if stride is None else rule_shape(grammar, site.target, stride)
+            if shape is not None:
+                bulk[id(site.term)] = shape
+    cached = ChargePoints(frozenset(recursive_vertices(graph)), bulk)
+    grammar._charge_points_cache = cached
+    return cached
 
 
 def eoi_anchored_rule_names(grammar: Grammar, sites: List[CallSite]) -> Set[str]:
@@ -565,7 +619,10 @@ class GrammarAnalysis:
     opts: Optimizations
     sites: List[CallSite]
     all_rules: List[Rule]
+    #: The recursive top-level rules (memoized in batch compilations).
     recursive: Set[str]
+    #: Where every engine charges the step budget (:func:`charge_points`).
+    charges: ChargePoints
     anchored: Set[str]
     inline: Set[str]
     #: Rule name -> "dict" | "dense" | "skipped" | "unmemoized".
@@ -617,7 +674,10 @@ def analyze(
     """
     opts = optimizations if optimizations is not None else Optimizations()
     sites, all_rules = collect_sites(grammar)
-    recursive = recursive_rule_names(grammar, sites)
+    charges = charge_points(grammar)
+    recursive = {
+        name for name, rule in grammar.rules.items() if id(rule) in charges.rules
+    }
     anchored = eoi_anchored_rule_names(grammar, sites)
     inline = (
         inline_candidates(grammar, sites, recursive)
@@ -643,7 +703,7 @@ def analyze(
         dispatch_plans = _plans(grammar)
         local_plans = {id(rule): plan for rule, plan in local_dispatch_plans(grammar)}
     alt_shapes, prefix_plans, array_plans = _struct_plans(
-        grammar, sites, opts, stream
+        grammar, sites, charges, opts, stream
     )
     chains: Dict[str, ChainPlan] = {}
     if opts.inline_single_use and not stream:
@@ -660,6 +720,7 @@ def analyze(
         sites=sites,
         all_rules=all_rules,
         recursive=recursive,
+        charges=charges,
         anchored=anchored,
         inline=inline,
         memo_modes=memo_modes,
@@ -674,7 +735,11 @@ def analyze(
 
 
 def _struct_plans(
-    grammar: Grammar, sites: List[CallSite], opts: Optimizations, stream: bool
+    grammar: Grammar,
+    sites: List[CallSite],
+    charges: ChargePoints,
+    opts: Optimizations,
+    stream: bool,
 ):
     """Every fixed-shape decision the emitter takes (:mod:`repro.core.shapes`).
 
@@ -685,9 +750,9 @@ def _struct_plans(
     re-run on every stream re-entry and pin the compaction watermark at
     the window start.  An array is bulk-decoded when its element interval
     has a fixed stride and the element is a top-level rule fully fixed at
-    that width.
+    that width: exactly the loops :func:`charge_points` exempts.
     """
-    from .shapes import alternative_shape, linear_stride, rule_shape
+    from .shapes import alternative_shape, linear_stride
 
     alt_shapes: Dict[Tuple[str, int], object] = {}
     prefix_plans: Dict[Tuple[str, int], object] = {}
@@ -705,9 +770,7 @@ def _struct_plans(
         element = site.term.element
         interval = element.interval
         stride = linear_stride(interval.left, interval.right, site.term.var)
-        shape = None
-        if opts.bulk_fixed_shape and stride is not None and site.target_kind == "top":
-            shape = rule_shape(grammar, element.name, width=stride)
+        shape = charges.bulk.get(id(site.term)) if opts.bulk_fixed_shape else None
         array_plans[id(site.term)] = ArrayPlan(element.name, stride, shape)
     return alt_shapes, prefix_plans, array_plans
 
@@ -837,13 +900,13 @@ def _explain_rule(
     indent = "  " * depth
     if toplevel:
         memo = analysis.memo_modes[rule.name]
-        fuel = rule.name in analysis.recursive
         dispatch = analysis.dispatch_plans.get(rule.name)
     else:
         # Where-rule names can shadow each other, so their dispatch plans
         # are keyed by rule identity.
-        memo, fuel = "local", True
+        memo = "local"
         dispatch = analysis.local_plans.get(id(rule))
+    fuel = id(rule) in analysis.charges.rules
     facts = [f"memo={memo}", "fuel=charged" if fuel else "fuel=free"]
     if toplevel and rule.name in analysis.chains:
         facts.append("chain")

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .buffers import as_buffer
-from .errors import BlackboxError, LimitExceeded, ParseFailure
+from .errors import BlackboxError, ParseFailure
 from .interpreter import FAIL, _Run
 from .parsetree import Node
 from .runtime import _guarded
@@ -184,13 +184,6 @@ class _LazyRun(_Run):
                 )
             if self.memoize:
                 self.memo[key] = result
-                if self.memo_cap is not None and len(self.memo) > self.memo_cap:
-                    raise LimitExceeded(
-                        f"memo table exceeded max_memo_entries="
-                        f"{self.memo_cap} while parsing {name!r}",
-                        limit="max_memo_entries",
-                        nonterminal=name,
-                    )
         if result is not FAIL:
             self.stub_windows[(lo, hi)] = hi - lo
         return result

@@ -409,8 +409,8 @@ class _RecoverRun(_Run):
         self.active.add(key)
         self.recovering += 1
         try:
-            # Through _parse_rule, not _run_rule: the fuel/depth budgets
-            # stay armed during recovery (a LimitExceeded aborts the whole
+            # Through _parse_rule, not _run_rule: the step budget
+            # stays armed during recovery (a LimitExceeded aborts the whole
             # recovery attempt and degrades the document — see
             # parse_recover — instead of cascading per-window).
             result = self._parse_rule(self.grammar.rule(name), lo, hi, None, None)
@@ -510,16 +510,6 @@ class _RecoverRun(_Run):
                 spilled = True
         finally:
             self.spilled_ctxs.discard(id(ctx))
-        nodes = self.nodes
-        if nodes is not None:
-            nodes[0] -= 1
-            if nodes[0] < 0:
-                raise LimitExceeded(
-                    f"parse tree exceeded max_tree_nodes="
-                    f"{self.limits.max_tree_nodes} result nodes",
-                    limit="max_tree_nodes",
-                    nonterminal=name,
-                )
         return Node(name, ctx.snapshot_env(), children)
 
     # -- substitution -------------------------------------------------------

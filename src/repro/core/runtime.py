@@ -461,8 +461,8 @@ def _guarded(limit, name, run, *args):
     except (RecursionError, MemoryError) as exc:
         raise LimitExceeded(
             f"{type(exc).__name__} while parsing {name!r}; the input drives "
-            f"unbounded recursion or allocation (ParseLimits.max_depth/"
-            f"max_steps fail earlier)",
+            f"recursion deeper than the recursion limit or unbounded "
+            f"allocation",
             limit="recursion",
             nonterminal=name,
         ) from exc

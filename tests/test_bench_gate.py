@@ -6,6 +6,8 @@ regressed median fails, and so does a median that is committed but was
 not measured — a benchmark that silently stops reporting a metric must
 not pass by omission.  The ``--service-floor`` gate fails the same ways:
 on a low throughput ratio, on an incorrect run and on a missing metric.
+The ``--limits-smoke`` gate fails when a workload's charges per parse on
+either engine differ from the pinned count.
 """
 
 import importlib.util
@@ -128,3 +130,27 @@ def test_service_floor_fails_on_a_missing_metric(
     svc = _result_line(None if missing == "svc" else 900.0)
     assert _run_floor(bench_gate, tmp_path, fig, svc) == 1
     assert "MISSING" in capsys.readouterr().out
+
+
+def test_limits_charges_are_pinned_on_both_engines(bench_gate, capsys):
+    measured = {
+        fmt: bench_gate.measure_charges(fmt, build())
+        for fmt, build in bench_gate._limits_cases().items()
+    }
+    assert set(measured) == set(bench_gate.LIMITS_CHARGES)
+    assert bench_gate.check_charges(measured) == []
+    assert "CHANGED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+def test_limits_charges_fail_when_a_count_changes(bench_gate, capsys, engine):
+    measured = {
+        fmt: {"compiled": count, "interpreted": count}
+        for fmt, count in bench_gate.LIMITS_CHARGES.items()
+    }
+    assert bench_gate.check_charges(measured) == []
+    measured["pdf"][engine] -= 1
+    assert bench_gate.check_charges(measured) == ["pdf"]
+    assert "CHANGED" in capsys.readouterr().out
+    del measured["dns"]
+    assert bench_gate.check_charges(measured) == ["dns", "pdf"]

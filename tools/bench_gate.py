@@ -36,13 +36,15 @@ Usage::
 root.
 
 ``--limits-smoke`` is a self-contained second gate for the robustness
-layer: it measures what the *default*
-:class:`~repro.core.limits.ParseLimits` cost compiled tree-mode parses
-on the Fig. 13 single-format workloads — exact fuel charges per parse
+layer.  It fails when any workload's exact fuel charges per parse, read
+back from the compiled engine and from the reference interpreter, differ
+from the counts pinned in :data:`LIMITS_CHARGES`.  It also measures what
+the *default* :class:`~repro.core.limits.ParseLimits` cost compiled
+tree-mode parses on the Fig. 13 single-format workloads — the charges
 times the microbenchmarked per-charge cost, relative to the measured
 parse wall clock — and fails when the cross-format median exceeds the
-tolerance (3%).  The budgets are a single shared-counter decrement per
-recursive-rule entry (placed after the memo probe) and per count-driven
+tolerance (3%).  The budget is a single shared-counter decrement per
+recursive-rule entry (placed after the memo probe) and per counted
 element-loop iteration, so the expected cost is well under a percent;
 see :func:`limits_smoke` for why this is gated as a decomposition rather
 than an A/B wall-clock ratio.
@@ -69,6 +71,19 @@ GATED_MEDIANS = (
     ("validate_median_speedup_vs_tree", "median validate-only speedup vs tree"),
     ("streaming_median_speedup", "median streaming speedup"),
 )
+
+#: ``--limits-smoke``: exact step-budget charges per parse of each workload
+#: (:data:`_LIMITS_CASES`), on the compiled engine and the reference
+#: interpreter alike.  A changed count is a changed charge definition.
+LIMITS_CHARGES = {
+    "dns": 37,
+    "ipv4": 0,
+    "gif": 116,
+    "elf": 39,
+    "pe": 8,
+    "zip": 8,
+    "pdf": 1333,
+}
 
 #: ``--service-floor``: least service-mixed docs/s per fig13-tree docs/s.
 #: 12 ``--seconds 3`` pairs on a 2-vCPU host (Python 3.11.7) read ratios
@@ -157,18 +172,97 @@ def gate(current_path: str, baseline_path: str, tolerance: float) -> int:
     return 0
 
 
-def limits_smoke(tolerance: float) -> int:
-    """Gate the overhead the default ParseLimits add to compiled parses.
+def _limits_cases() -> dict:
+    """The ``--limits-smoke`` workloads: format -> input builder."""
+    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+    from repro import samples
 
-    Per Fig. 13 format the overhead is decomposed into three separately
-    measured quantities and gated on the cross-format median (the
-    figure's headline statistic)::
+    # The full-size Fig. 13 single-format workloads
+    # (benchmarks/bench_compiler_speedup.py, quick=False), plus PDF, which
+    # that benchmark leaves out and which charges the most fuel per parse;
+    # 16 objects is the top of perfbench's PDF range.
+    return {
+        "dns": lambda: samples.build_dns_response(answer_count=16),
+        "ipv4": lambda: samples.build_ipv4_udp_packet(payload_size=1024),
+        "gif": lambda: samples.build_gif(frame_count=8, bytes_per_frame=2048),
+        "elf": lambda: samples.build_elf(section_count=16),
+        "pe": lambda: samples.build_pe(section_count=8, section_size=2048),
+        "zip": lambda: samples.build_zip(),
+        "pdf": lambda: samples.build_pdf(object_count=16)[0],
+    }
+
+
+def _spent(cell) -> int:
+    """Charges taken from a fuel cell seeded with the default budget."""
+    from repro.core.limits import DEFAULT_LIMITS
+
+    return DEFAULT_LIMITS.max_steps - (cell[0] + cell[1])
+
+
+def measure_charges(fmt: str, data) -> dict:
+    """Exact charges of one parse of ``data``: engine -> count.
+
+    Each engine parses once under the default limits and its fuel cell is
+    read back: the compiled engine's from an explicit parse state, the
+    reference interpreter's from its run.
+    """
+    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+    from repro import Parser
+    from repro.core.interpreter import _Run
+    from repro.core.runtime import FAIL, _guarded
+    from repro.formats import registry
+
+    spec = registry[fmt]
+    counts = {}
+    for backend in ("compiled", "interpreted"):
+        parser = Parser(
+            spec.grammar_text, blackboxes=dict(spec.blackboxes), backend=backend
+        )
+        start = parser.grammar.start
+        compiled = parser._engine()
+        if compiled is not None:
+            state = compiled.new_state()
+            cell = state[compiled.fuel_slot]
+            run, args = compiled.run_nonterminal, (data, start, 0, len(data), state)
+        else:
+            interpreter = _Run(parser, data)
+            cell = interpreter.fuel
+            run, args = interpreter.parse_nonterminal, (start, 0, len(data), None, None)
+        assert _guarded(parser.recursion_limit, start, run, *args) is not FAIL
+        counts[backend] = _spent(cell)
+    return counts
+
+
+def check_charges(measured: dict, pinned: dict = LIMITS_CHARGES) -> list:
+    """Formats whose measured charges (format -> engine -> count) are not
+    all equal to the pinned count; prints one line per format."""
+    failures = []
+    for fmt, expected in pinned.items():
+        counts = measured.get(fmt, {})
+        ok = bool(counts) and all(count == expected for count in counts.values())
+        shown = ", ".join(f"{engine} {count}" for engine, count in counts.items())
+        print(
+            f"limits-smoke: {fmt:4s} charges per parse: {shown or 'none'} "
+            f"(pinned {expected}): {'ok' if ok else 'CHANGED'}"
+        )
+        if not ok:
+            failures.append(fmt)
+    return failures
+
+
+def limits_smoke(tolerance: float) -> int:
+    """Gate the step budget's charges and overhead on compiled parses.
+
+    First, deterministically: each workload's charges per parse must equal
+    :data:`LIMITS_CHARGES` on the compiled engine and on the reference
+    interpreter (:func:`measure_charges`).  Then the overhead: per Fig. 13
+    format it is decomposed into three separately measured quantities and
+    gated on the cross-format median (the figure's headline statistic)::
 
         overhead = charges_per_parse * cost_per_charge / parse_seconds
 
-    * ``charges_per_parse`` — exact: the fuel cell is read back after a
-      parse of the canonical workload (one charge per recursive-rule
-      entry and per element-loop iteration);
+    * ``charges_per_parse`` — exact: the pinned count above (one charge
+      per recursive-rule entry and per counted loop iteration);
     * ``cost_per_charge`` — a microbenchmark of the exact generated
       check sequence (aliased cell, decrement, compare, amortized
       ``_limit_refill`` every 256 charges), baseline-subtracted;
@@ -189,26 +283,13 @@ def limits_smoke(tolerance: float) -> int:
     import statistics
     import time
 
-    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
-    from repro import ParseLimits, samples
+    cases = {fmt: build() for fmt, build in _limits_cases().items()}
+    changed = check_charges(
+        {fmt: measure_charges(fmt, data) for fmt, data in cases.items()}
+    )
     from repro.core.compiler import compile_grammar
-    from repro.formats import registry
-
-    # The full-size Fig. 13 single-format workloads
-    # (benchmarks/bench_compiler_speedup.py, quick=False), plus PDF, which
-    # that benchmark leaves out and which charges the most fuel per parse;
-    # 16 objects is the top of perfbench's PDF range.
-    cases = {
-        "dns": lambda: samples.build_dns_response(answer_count=16),
-        "ipv4": lambda: samples.build_ipv4_udp_packet(payload_size=1024),
-        "gif": lambda: samples.build_gif(frame_count=8, bytes_per_frame=2048),
-        "elf": lambda: samples.build_elf(section_count=16),
-        "pe": lambda: samples.build_pe(section_count=8, section_size=2048),
-        "zip": lambda: samples.build_zip(),
-        "pdf": lambda: samples.build_pdf(object_count=16)[0],
-    }
     from repro.core.runtime import _limit_refill
-    from repro.core.limits import DEFAULT_LIMITS
+    from repro.formats import registry
 
     def cost_per_charge() -> float:
         """Median ns of the exact generated check, baseline-subtracted."""
@@ -237,20 +318,13 @@ def limits_smoke(tolerance: float) -> int:
 
     per_charge = cost_per_charge()
     overheads = {}
-    for fmt, build in cases.items():
+    for fmt, data in cases.items():
         spec = registry[fmt]
-        data = build()
         compiled = compile_grammar(
             spec.grammar_text, blackboxes=dict(spec.blackboxes)
         )
         start = compiled.grammar.start
-
-        # Exact charge count: parse once with an explicit state and read
-        # the fuel cell back.
-        state = compiled._new_state()
-        compiled._entry[start](state, data, 0, len(data))
-        cell = state[compiled.fuel_slot]
-        charges = DEFAULT_LIMITS.max_steps - (cell[0] + cell[1])
+        charges = LIMITS_CHARGES[fmt]
 
         # Parse wall clock: scale the inner loop so every sample spans
         # ~2ms (the sub-0.1ms formats are otherwise dominated by timer
@@ -286,12 +360,20 @@ def limits_smoke(tolerance: float) -> int:
         f"limits-smoke: median overhead across {len(overheads)} formats "
         f"{median_overhead:+.1%} (budget {tolerance:.0%}): {verdict}"
     )
+    if changed:
+        print(
+            f"limits-smoke: FAILED — charges per parse changed for "
+            f"{', '.join(changed)} (update LIMITS_CHARGES only with the "
+            f"charge definition, repro.core.ir.ChargePoints)",
+            file=sys.stderr,
+        )
     if median_overhead > tolerance:
         print(
             f"limits-smoke: FAILED — default ParseLimits cost more than "
             f"{tolerance:.0%} at the cross-format median",
             file=sys.stderr,
         )
+    if changed or median_overhead > tolerance:
         return 1
     print("limits-smoke: passed")
     return 0
@@ -445,8 +527,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--limits-smoke",
         action="store_true",
-        help="instead of gating a benchmark JSON, measure the overhead of "
-        "the default ParseLimits against an unlimited compilation",
+        help="instead of gating a benchmark JSON, check the pinned fuel "
+        "charges per parse on both engines and the overhead of the default "
+        "ParseLimits",
     )
     parser.add_argument(
         "--limits-tolerance",
