@@ -117,16 +117,12 @@ from .core import (
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
-    StreamabilityReport,
-    StreamingParse,
     TerminationCheckError,
     TruncatedInput,
     WorkerCrashed,
-    analyze_streamability,
     check_grammar,
     compile_grammar,
     complete_grammar,
-    diagnose_failure,
     parse,
     parse_expression,
     parse_grammar,
@@ -136,6 +132,16 @@ from .core import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # Diagnosis and streaming load on first use (see repro.core._LAZY).
+    from . import core
+
+    if name in core._LAZY:
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArrayNode",

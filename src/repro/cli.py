@@ -50,7 +50,6 @@ from .core.errors import (
     LimitExceeded,
     TruncatedInput,
 )
-from .core.streamability import analyze_streamability
 from .core.termination import check_termination
 from .core.interpreter import prepare_grammar
 from .formats import dns, elf, gif, ipv4, pdf, pe, registry, zipfmt
@@ -550,6 +549,8 @@ def cmd_streamability(args) -> int:
     source = _grammar_source(args)
     if source is None:
         return 2
+    from .core.streamability import analyze_streamability
+
     report = analyze_streamability(source[0])
     print(report.summary())
     for violation in report.violations:

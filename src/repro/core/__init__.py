@@ -2,8 +2,11 @@
 
 The public names most users need are re-exported from :mod:`repro` directly;
 this package keeps the individual pipeline stages importable for tools and
-tests.
+tests.  Failure diagnosis and the streaming modules load on first use of
+their names (:data:`_LAZY`): a parse of a valid document runs neither.
 """
+
+import importlib
 
 from .ast import (
     Alternative,
@@ -23,7 +26,6 @@ from .attrcheck import check_grammar
 from .autocomplete import complete_grammar
 from .builtins import BUILTINS, BlackboxResult, is_builtin
 from .compiler import CompiledGrammar, Optimizations, compile_grammar
-from .diagnose import diagnose_failure
 from .errors import (
     AttributeCheckError,
     AutoCompletionError,
@@ -53,8 +55,24 @@ from .grammar_parser import parse_expression, parse_grammar
 from .interpreter import Parser, parse, prepare_grammar
 from .limits import DEFAULT_LIMITS, ParseLimits
 from .parsetree import ArrayNode, Leaf, Node, ParseTree, tree_equal_modulo_specials
-from .streamability import StreamabilityReport, analyze_streamability
-from .streaming import StreamingParse
+
+#: Names exported here whose module is imported when first looked up.
+_LAZY = {
+    "StreamabilityReport": "streamability",
+    "StreamingParse": "streaming",
+    "analyze_streamability": "streamability",
+    "diagnose_failure": "diagnose",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Alternative",

@@ -59,7 +59,8 @@ Three optimization passes, individually toggleable through
   (:mod:`repro.core.firstsets`) proves the window's first byte
   discriminates between alternatives, the dispatcher jumps through a
   256-entry tuple table (or a 256-byte admissibility mask for
-  single-alternative rules) instead of trying alternatives in order;
+  single-alternative rules), emitted as one ``_table`` call, instead of
+  trying alternatives in order;
 * **bulk fixed shapes** — statically fixed layouts
   (:mod:`repro.core.shapes`) decode with one precompiled ``struct`` call
   per fixed prefix or fixed-stride array; which prefixes and arrays do is
@@ -93,7 +94,10 @@ elide_tree=False, stream=False)``
 
 from __future__ import annotations
 
+import os
 import re
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -143,6 +147,23 @@ from ..ir import Optimizations, analyze as analyze_grammar
 # Per-compilation bindings (the shared helpers live in repro.core.runtime)
 # ---------------------------------------------------------------------------
 
+#: The file name of staged grammar code in tracebacks.
+_FILENAME = "<ipg-compiled-grammar>"
+
+#: Serializes :meth:`CompiledGrammar.stage_all` across threads.
+_STAGING = threading.Lock()
+
+
+def _staging_after_fork():
+    # The lock may have been held by another thread at the fork; a child
+    # staging an engine that thread left half staged re-runs it whole.
+    global _STAGING
+    _STAGING = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_staging_after_fork)
+
 #: The helpers every staged grammar's namespace starts from.
 _RUNTIME_NAMESPACE: Dict[str, object] = {
     name: getattr(runtime, name) for name in runtime.__all__
@@ -186,6 +207,25 @@ def _indent(lines: List[str], levels: int = 1) -> List[str]:
 def _tuple_src(items: List[str]) -> str:
     """Render a tuple display of source operands."""
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _table_src(row: List[str]) -> str:
+    """Render a 256-entry row of source operands as one ``_table`` call.
+
+    The most frequent operand is the default; every maximal run of other
+    operands becomes one ``(lo, hi, operand)`` argument.
+    """
+    default = Counter(row).most_common(1)[0][0]
+    runs = []
+    start = 0
+    while start < 256:
+        end = start + 1
+        while end < 256 and row[end] == row[start]:
+            end += 1
+        if row[start] != default:
+            runs.append(f"({start}, {end}, {row[start]})")
+        start = end
+    return f"_table({', '.join([default] + runs)})"
 
 
 _RETURN_FAIL = re.compile(r"^(\s*)return FAIL$")
@@ -244,6 +284,9 @@ class _ChainStep:
 # ---------------------------------------------------------------------------
 # The grammar compiler
 # ---------------------------------------------------------------------------
+
+#: Owner of the generated module's ``_ENTRY`` block (see ``split``).
+_ENTRY_BLOCK = object()
 
 
 class _ChildSink:
@@ -384,6 +427,14 @@ class _GrammarCompiler:
         self.bulk_arrays: Set[str] = set()
         #: Module-level where-rule definitions awaiting emission.
         self._deferred: List[str] = []
+        #: The generated module as ``(owner, text)`` blocks: a top-level
+        #: rule owns its alternatives, tables, rule function and where-rule
+        #: definitions; ``None`` owns the prelude (see :meth:`split`).
+        self.blocks: List[Tuple[object, str]] = []
+        #: Top-level rule -> the top-level rules its block calls, and the
+        #: set of the rule being emitted.
+        self.calls: Dict[str, Set[str]] = {}
+        self._calls: Set[str] = set()
         #: Rules the current compilation may expand inline.
         self._inline: Set[str] = set()
         #: Names of rules currently being expanded (cycle guard).
@@ -510,14 +561,19 @@ class _GrammarCompiler:
         self.fixed = analysis.fixed
         self.memo_modes.update(analysis.memo_modes)
 
-        lines: List[str] = [
-            '"""Module staged by repro.core.compiler — one closure per alternative."""',
-            "",
-        ]
+        blocks = self.blocks
+        blocks.append(
+            (
+                None,
+                '"""Module staged by repro.core.compiler — one closure per alternative."""'
+                "\n\n",
+            )
+        )
         for index, name in enumerate(self.grammar.rules):
             self.rule_fns[name] = f"_r{index}_{self._token(name)}"
         for name, rule in self.grammar.rules.items():
-            lines += self._compile_rule(
+            self._calls = self.calls[name] = set()
+            lines = self._compile_rule(
                 rule,
                 self.rule_fns[name],
                 parent_scope=None,
@@ -526,9 +582,10 @@ class _GrammarCompiler:
                 toplevel=True,
             )
             lines.append("")
-            if self._deferred:
-                lines += self._deferred
-                self._deferred = []
+            lines += self._deferred
+            self._deferred = []
+            blocks.append((name, "\n".join(lines) + "\n"))
+        lines = []
         if self._struct_lines:
             lines += self._struct_lines
             lines.append("")
@@ -551,11 +608,52 @@ class _GrammarCompiler:
         else:
             lines.append("    return [{} for _k in _SLOTS]")
         lines.append("")
-        entries = ", ".join(
-            f"{name!r}: {fn}" for name, fn in self.rule_fns.items()
-        )
-        lines.append(f"_ENTRY = {{{entries}}}")
-        return "\n".join(lines) + "\n"
+        blocks.append((None, "\n".join(lines) + "\n"))
+        blocks.append((_ENTRY_BLOCK, self._entry_line(self.rule_fns)))
+        return "".join(text for _owner, text in blocks)
+
+    def _entry_line(self, names) -> str:
+        entries = ", ".join(f"{name!r}: {self.rule_fns[name]}" for name in names)
+        return f"_ENTRY = {{{entries}}}\n"
+
+    def split(self, start: str) -> Tuple[str, Optional[str], int]:
+        """Split the module into what a parse from ``start`` runs and the rest.
+
+        Returns ``(staged, deferred, size)``.  ``staged`` is the prelude
+        (struct constants, ``_SLOTS``, ``_fuel``, ``_new_state``) plus the
+        blocks of every rule reachable from ``start`` through rule calls,
+        with an ``_ENTRY`` of those rules; ``size`` counts its characters.
+        ``deferred`` holds every other rule's block and the full
+        ``_ENTRY``, or is ``None`` when nothing is left.  Each text keeps
+        the other's blocks as blank lines, so both compile with the line
+        numbers of :meth:`compile`'s source.
+        """
+        reached = {start} & set(self.calls)
+        pending = list(reached)
+        while pending:
+            for callee in self.calls[pending.pop()] - reached:
+                reached.add(callee)
+                pending.append(callee)
+        if len(reached) == len(self.calls):
+            source = "".join(text for _owner, text in self.blocks)
+            return source, None, len(source)
+        staged: List[str] = []
+        deferred: List[str] = []
+        size = 0
+        for owner, text in self.blocks:
+            if owner is _ENTRY_BLOCK:
+                names = [name for name in self.rule_fns if name in reached]
+                staged.append(self._entry_line(names))
+                deferred.append(text)
+                size += len(text)
+            elif owner is None or owner in reached:
+                staged.append(text)
+                deferred.append("\n" * text.count("\n"))
+                size += len(text)
+            else:
+                staged.append("\n" * text.count("\n"))
+                deferred.append(text)
+        return "".join(staged), "".join(deferred), size
 
     def _compile_rule(
         self,
@@ -682,14 +780,17 @@ class _GrammarCompiler:
         alternative-function tuples plus an empty-window tuple;
         single-alternative rules collapse to a 256-byte admissibility mask.
         ``render`` (entry -> source) replaces the function tuples with
-        other row constants; right chains use it.  Everything is plain
+        other row constants; right chains use it.  Each table, FIRST₂ row
+        and mask is one line, a call of the runtime's ``_table`` (a
+        default entry plus byte ranges; see :func:`_table_src`) that
+        builds the tuple when the module executes.  Everything is plain
         source, so ahead-of-time emission (:mod:`repro.core.codegen`)
         vendors the tables as module-level constants for free.
         """
         lines: List[str] = []
         if render is None and len(alt_fns) == 1:
-            mask = bytes(1 if entry else 0 for entry in plan.table)
-            lines.append(f"_fbm_{token} = {mask!r}")
+            mask = _table_src(["1" if entry else "0" for entry in plan.table])
+            lines.append(f"_fbm_{token} = bytes({mask})")
             lines.append(f"_fbe_{token} = {1 if plan.empty else 0}")
             return lines
         groups: Dict[Tuple[int, ...], str] = {}
@@ -708,11 +809,8 @@ class _GrammarCompiler:
             else:
                 rendered = render(entry)
             lines.append(f"{groups[entry]} = {rendered}")
-        lines.append(f"_fbt_{token} = (")
-        for start in range(0, 256, 8):
-            row = ", ".join(groups[entry] for entry in plan.table[start : start + 8])
-            lines.append(f"    {row},")
-        lines.append(")")
+        table = _table_src([groups[entry] for entry in plan.table])
+        lines.append(f"_fbt_{token} = {table}")
         lines.append(f"_fbe_{token} = {groups[plan.empty]}")
         if plan.pair_table:
             # FIRST₂ prefix-probe refinement: per refined first byte, the
@@ -720,13 +818,8 @@ class _GrammarCompiler:
             lines.append(f"_fp_{token} = {{")
             for byte in sorted(plan.pair_table):
                 offset, row = plan.pair_table[byte]
-                lines.append(f"    {byte}: ({offset}, (")
-                for start in range(0, 256, 8):
-                    rendered = ", ".join(
-                        groups[entry] for entry in row[start : start + 8]
-                    )
-                    lines.append(f"        {rendered},")
-                lines.append("    )),")
+                rendered = _table_src([groups[entry] for entry in row])
+                lines.append(f"    {byte}: ({offset}, {rendered}),")
             lines.append("}")
         return lines
 
@@ -1719,6 +1812,7 @@ class _GrammarCompiler:
             call = f"{fn}(st, data, {lo_arg}, {hi_arg}, {cells_path(scope, declaring)})"
         elif self.grammar.has_rule(name):
             call = f"{self.rule_fns[name]}(st, data, {lo_arg}, {hi_arg})"
+            self._calls.add(name)
         elif is_builtin(name):
             call = f"{self._builtin_runner(name)}(data, {lo_arg}, {hi_arg})"
         elif name in self.grammar.blackboxes:
@@ -2067,8 +2161,12 @@ class CompiledGrammar:
 
     Produced by :func:`compile_grammar`; used by
     :class:`~repro.core.interpreter.Parser` when ``backend="compiled"``.
-    The generated module source is kept on :attr:`source` for inspection
-    and debugging; :meth:`to_source` renders a fully standalone module.
+    The whole generated module source is kept on :attr:`source` for
+    inspection and debugging; :meth:`to_source` renders a fully standalone
+    module.  Only part of :attr:`source` is compiled up front: the prelude
+    and the closure of the start rule (:attr:`staged_bytes` of it).  The
+    first request for any other rule compiles the rest
+    (:meth:`stage_all`).
     """
 
     __slots__ = (
@@ -2085,7 +2183,9 @@ class CompiledGrammar:
         "bulk_arrays",
         "limits",
         "fuel_slot",
+        "staged_bytes",
         "_entry",
+        "_deferred",
         "_new_state",
         "_bb",
         "_leaf_consts",
@@ -2101,9 +2201,16 @@ class CompiledGrammar:
         blackboxes: Dict[str, object],
         compiler: _GrammarCompiler,
         limits: Optional[ParseLimits] = None,
+        deferred: Optional[str] = None,
+        staged_bytes: int = 0,
     ):
         self.grammar = grammar
         self.source = source
+        #: Characters of :attr:`source` compiled so far: the start rule's
+        #: closure at construction, all of it after :meth:`stage_all`.
+        self.staged_bytes = staged_bytes
+        #: The rest of the module, compiled by :meth:`stage_all`.
+        self._deferred = deferred
         self.memoize = memoize
         #: ParseLimits this compilation was specialized for.  max_steps
         #: is enforced by the fuel cell at state slot :attr:`fuel_slot`
@@ -2171,6 +2278,24 @@ class CompiledGrammar:
         """
         return self._new_state()
 
+    def stage_all(self) -> Dict[str, object]:
+        """Compile the rules a parse from the start symbol never reaches.
+
+        :func:`compile_grammar` stages only the start rule's closure; the
+        first request for any other rule compiles the rest of
+        :attr:`source` into the same namespace, once, under a lock, and
+        publishes the full ``_ENTRY`` table in one assignment.  Returns it.
+        """
+        with _STAGING:
+            deferred = self._deferred
+            if deferred is not None:
+                namespace = self._new_state.__globals__
+                exec(compile(deferred, _FILENAME, "exec"), namespace)
+                self.staged_bytes = len(self.source)
+                self._entry = namespace["_ENTRY"]
+                self._deferred = None
+        return self._entry
+
     def run_builtin(self, name: str, data, lo, hi):
         """Run a builtin start symbol, honouring this compilation's mode."""
         maker = _make_builtin_runner_elided if self.elide_tree else _make_builtin_runner
@@ -2186,6 +2311,8 @@ class CompiledGrammar:
         else on a fresh one.
         """
         fn = self._entry.get(name)
+        if fn is None and self._deferred is not None and self.grammar.has_rule(name):
+            fn = self.stage_all().get(name)
         if fn is not None:
             return fn(self._new_state() if state is None else state, data, lo, hi)
         if is_builtin(name):
@@ -2301,6 +2428,7 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
     :meth:`CompiledGrammar.new_state` and runs the parse on that state.
     Concurrent and reentrant parses on one engine never share a trail.
     """
+    compiled.stage_all()
     namespace = compiled._new_state.__globals__
 
     def _wrap_alt(fn):
@@ -2314,6 +2442,7 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
                 del spans[mark:]
             return result
 
+        run.__wrapped__ = fn
         return run
 
     def _wrap_rule(fn, rule_name):
@@ -2324,6 +2453,7 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> None:
                 st[-1].append((rule_name, lo + env["start"], lo + env["end"]))
             return result
 
+        run.__wrapped__ = fn
         return run
 
     for global_name, value in list(namespace.items()):
@@ -2373,6 +2503,13 @@ def compile_grammar(
     decided sub-parse as a memo hit; first-byte dispatch decisions are
     memoized per parse, so re-entries never re-read already-dispatched
     bytes — required for the compaction guarantee of compacted streams.
+
+    The returned engine's ``source`` is the whole generated module, but
+    only its prelude (``_SLOTS``, ``_fuel``, ``_new_state``, the struct
+    constants) and the blocks of the rules a parse from the start symbol
+    can call are compiled here (:meth:`_GrammarCompiler.split`).  The
+    rest is compiled on the first request for another rule
+    (:meth:`CompiledGrammar.stage_all`).
     """
     prepared = prepare_grammar(grammar)
     registry = blackboxes if blackboxes is not None else {}
@@ -2387,6 +2524,7 @@ def compile_grammar(
         wall_clock=resolved_limits.max_wall_ms is not None,
     )
     source = compiler.compile()
+    staged, deferred, staged_bytes = compiler.split(prepared.start)
     namespace = dict(_RUNTIME_NAMESPACE)
     namespace.update(_limit_globals(resolved_limits))
     namespace["_bb"] = _make_blackbox_runner(registry, elide_tree=elide_tree)
@@ -2394,8 +2532,7 @@ def compile_grammar(
         namespace["_aidx"] = _aidx_env
     namespace.update(compiler.constants)
     try:
-        code = compile(source, "<ipg-compiled-grammar>", "exec")
-        exec(code, namespace)
+        exec(compile(staged, _FILENAME, "exec"), namespace)
     except CompilationError:
         raise
     except Exception as exc:  # defensive: never crash the Parser constructor
@@ -2403,5 +2540,13 @@ def compile_grammar(
             f"staging the grammar failed ({type(exc).__name__}: {exc})"
         ) from exc
     return CompiledGrammar(
-        prepared, source, namespace, memoize, registry, compiler, limits=resolved_limits
+        prepared,
+        source,
+        namespace,
+        memoize,
+        registry,
+        compiler,
+        limits=resolved_limits,
+        deferred=deferred,
+        staged_bytes=staged_bytes,
     )

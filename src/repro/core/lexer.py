@@ -62,6 +62,11 @@ _PUNCT = (
     "|",
 )
 
+#: Number literals are ASCII only: ``str.isdigit`` also accepts digits
+#: such as ``²`` that ``int`` rejects.
+_DIGITS = "0123456789"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
 KEYWORDS = frozenset(
     {"for", "to", "do", "where", "switch", "guard", "exists", "blackbox"}
 )
@@ -104,7 +109,7 @@ class Lexer:
             char = self.text[self.pos]
             if char == '"':
                 yield self._lex_string()
-            elif char.isdigit():
+            elif char in _DIGITS:
                 yield self._lex_number()
             elif char.isalpha() or char == "_":
                 yield self._lex_ident()
@@ -178,11 +183,15 @@ class Lexer:
         if self.text.startswith(("0x", "0X"), self.pos):
             self._advance()
             self._advance()
-            while self.pos < len(self.text) and self.text[self.pos] in "0123456789abcdefABCDEF":
+            while self.pos < len(self.text) and self.text[self.pos] in _HEX_DIGITS:
                 self._advance()
+            if self.pos == start + 2:
+                raise GrammarSyntaxError(
+                    "hexadecimal literal needs a digit after 0x", line, column
+                )
             value = int(self.text[start : self.pos], 16)
         else:
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
                 self._advance()
             value = int(self.text[start : self.pos])
         return Token("number", value, line, column)

@@ -67,6 +67,7 @@ __all__ = [
     "_shift_l",
     "_shift_r",
     "_struct",
+    "_table",
     "_undef",
     "_unshift",
 ]
@@ -135,6 +136,18 @@ def _mk_array(name, elements):
     array.name = name
     array.elements = elements
     return array
+
+
+def _table(default, *runs):
+    """A 256-entry first-byte jump table, built when the module executes.
+
+    Every byte maps to ``default`` except the bytes ``lo <= b < hi`` of
+    each ``(lo, hi, entry)`` run, so a generated table is one short line.
+    """
+    table = [default] * 256
+    for lo, hi, entry in runs:
+        table[lo:hi] = [entry] * (hi - lo)
+    return tuple(table)
 
 
 # -- expression runtime ------------------------------------------------------

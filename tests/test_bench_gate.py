@@ -7,7 +7,9 @@ not measured — a benchmark that silently stops reporting a metric must
 not pass by omission.  The ``--service-floor`` gate fails the same ways:
 on a low throughput ratio, on an incorrect run and on a missing metric.
 The ``--limits-smoke`` gate fails when a workload's charges per parse on
-either engine differ from the pinned count.
+either engine differ from the pinned count.  The ``--staging-smoke`` gate
+fails on whole-module staging and on an eager diagnosis or streaming
+import.
 """
 
 import importlib.util
@@ -154,3 +156,46 @@ def test_limits_charges_fail_when_a_count_changes(bench_gate, capsys, engine):
     assert "CHANGED" in capsys.readouterr().out
     del measured["dns"]
     assert bench_gate.check_charges(measured) == ["dns", "pdf"]
+
+
+# ---------------------------------------------------------------------------
+# --staging-smoke: what a fresh process compiles and imports
+# ---------------------------------------------------------------------------
+
+
+def _staging_docs(bench_gate):
+    from engine_matrix import format_sample
+
+    return {fmt: format_sample(fmt) for fmt in bench_gate.STAGING_SHARES}
+
+
+def test_staging_smoke_passes(bench_gate, capsys):
+    assert bench_gate.staging_smoke() == 0
+    assert "REGRESSION" not in capsys.readouterr().out
+
+
+def test_whole_module_staging_fails_the_staging_gate(
+    bench_gate, monkeypatch, capsys
+):
+    # Stage every block up front, as parsers did before start-closure
+    # staging: every format then exceeds its committed share.
+    from repro.core.backends.closures import _GrammarCompiler
+
+    def whole(compiler, start):
+        source = "".join(text for _owner, text in compiler.blocks)
+        return source, None, len(source)
+
+    monkeypatch.setattr(_GrammarCompiler, "split", whole)
+    report = bench_gate.measure_staging(_staging_docs(bench_gate))
+    assert all(share == 1.0 for share in report["shares"].values())
+    report["modules"] = []
+    assert bench_gate.check_staging(report) == list(bench_gate.STAGING_SHARES)
+    assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_an_eager_import_fails_the_staging_gate(bench_gate):
+    report = bench_gate.measure_staging(_staging_docs(bench_gate))
+    report["modules"] = ["repro.core.streaming"]
+    assert bench_gate.check_staging(report) == ["repro.core.streaming"]
+    del report["shares"]["pdf"]
+    assert bench_gate.check_staging(report) == ["repro.core.streaming", "pdf"]

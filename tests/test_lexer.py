@@ -102,6 +102,43 @@ class TestCommentsAndPositions:
         assert excinfo.value.line == 1
 
 
+class TestMalformedNumbers:
+    """Bad number literals are syntax errors with a position, never ValueError."""
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("A -> U8[0, 0x] ;", 12),
+            ("0x", 1),
+            ("0Xg", 1),
+        ],
+    )
+    def test_hex_prefix_without_digits(self, text, column):
+        with pytest.raises(GrammarSyntaxError) as excinfo:
+            tokenize(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+        assert "0x" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("A -> U8[0, ²] ;", 12),  # isdigit() accepts it, int() does not
+            ("A -> U8[0, 1²] ;", 13),
+            ("A -> U8[0, ٣] ;", 12),  # a digit int() accepts: still not IPG
+        ],
+    )
+    def test_non_ascii_digits(self, text, column):
+        with pytest.raises(GrammarSyntaxError) as excinfo:
+            tokenize(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_grammar_check_reports_a_syntax_error(self):
+        from repro import parse_grammar
+
+        with pytest.raises(GrammarSyntaxError):
+            parse_grammar("A -> U8[0, 0x] ;")
+
+
 class TestRealisticGrammarText:
     def test_figure_1_tokenizes(self):
         text = 'S -> A[0, 2] B[EOI - 2, EOI] ;'

@@ -24,6 +24,7 @@ from engine_matrix import format_sample
 from repro import samples
 from repro.core.errors import (
     DeadlineExceeded,
+    GrammarSyntaxError,
     IPGError,
     LimitExceeded,
     ServiceClosed,
@@ -144,6 +145,15 @@ def test_adhoc_grammar_and_unknown_format(service):
     unknown = service.submit(b"", format="nosuch", deadline_ms=DEADLINE).result()
     assert not unknown.ok
     assert "nosuch" in str(unknown.error)
+
+
+def test_malformed_number_in_grammar_is_a_grammar_error(service):
+    # The lexer used to let int() raise ValueError, a worker error.
+    result = service.submit(
+        b"", grammar="A -> U8[0, 0x] ;", deadline_ms=DEADLINE
+    ).result()
+    assert not result.ok
+    assert isinstance(result.error, GrammarSyntaxError)
 
 
 def test_spooled_large_input_roundtrip(dns_data):

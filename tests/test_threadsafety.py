@@ -22,6 +22,7 @@ fatal stack overflow fails the test instead of killing pytest.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -102,6 +103,75 @@ def test_shared_parser_is_thread_safe(backend, fig13_corpus):
             f"{fmt}/{backend}: threads still running (deadlock?)"
         )
         assert not failures, "\n".join(failures)
+
+
+def test_deferred_rule_is_staged_once_under_contention(monkeypatch):
+    """Threads asking a fresh parser for one deferred rule at once.
+
+    A ``Parser`` compiles only its start rule's closure; the first request
+    for any other rule compiles the rest.  Racing threads must compile it
+    once and all get the tree a serial parse gets.
+    """
+    from repro.core.backends import closures
+
+    spec = registry["elf"]
+    sample = samples.build_elf(section_count=3, symbol_count=4, dynamic_entries=2)
+    reference = spec.build_parser(backend="interpreted")
+    _tree, trail = reference.parse(sample, record_spans={"Sym"})
+    _rule, start, end = trail[0]
+    window = sample[start:end]
+    expected = tree_to_jsonable(reference.parse(window, start="Sym"))
+
+    parser = spec.build_parser()
+    engine = parser._engine()
+    assert "Sym" not in engine._entry
+    staged = []
+
+    def counting_compile(source, filename, *args, **kwargs):
+        staged.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(closures, "compile", counting_compile, raising=False)
+    results = [None] * THREADS
+    barrier = threading.Barrier(THREADS)
+
+    def ask(index: int) -> None:
+        barrier.wait()
+        results[index] = tree_to_jsonable(parser.parse(window, start="Sym"))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=ask, args=(index,), daemon=True)
+            for index in range(THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * THREADS
+    assert staged == [closures._FILENAME]
+    assert engine.staged_bytes == len(engine.source)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_stages_with_the_lock_held_at_the_fork():
+    """A child forked while another thread stages can still stage."""
+    from repro.core.backends import closures
+
+    parser = registry["elf"].build_parser()
+    with closures._STAGING:
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports by exit code
+            signal.alarm(30)  # a deadlocked child dies instead of hanging
+            staged = parser.try_parse(b"", start="Sym") is None
+            os._exit(0 if staged and parser._engine()._deferred is None else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_shared_parser_concurrent_failures_are_stable(fig13_corpus):

@@ -30,6 +30,7 @@ Usage::
     python tools/bench_gate.py CURRENT.json [BASELINE.json] [--tolerance 0.15]
     python tools/bench_gate.py --limits-smoke [--limits-tolerance 0.03]
     python tools/bench_gate.py --lazy-smoke
+    python tools/bench_gate.py --staging-smoke
     python tools/bench_gate.py --service-floor FIG.json SVC.json
 
 ``BASELINE.json`` defaults to ``BENCH_compiler.json`` at the repository
@@ -48,6 +49,13 @@ recursive-rule entry (placed after the memo probe) and per counted
 element-loop iteration, so the expected cost is well under a percent;
 see :func:`limits_smoke` for why this is gated as a decomposition rather
 than an A/B wall-clock ratio.
+
+``--staging-smoke`` gates what a fresh process stages: a new interpreter
+imports ``repro``, builds the 7 perfbench formats' parsers and parses each
+one's ``format_sample``.  It fails when that loads any module of
+:data:`LAZY_MODULES`, or when a format compiled a larger share of its
+generated module than :data:`STAGING_SHARES` commits (whole-module
+staging compiles all of it).
 
 ``--service-floor`` gates the parse service against the host it runs on:
 two perfbench result lines (fig13-tree and service-mixed, same machine)
@@ -84,6 +92,28 @@ LIMITS_CHARGES = {
     "zip": 8,
     "pdf": 1333,
 }
+
+#: ``--staging-smoke``: the largest share of its generated ``.source`` a
+#: format's tree parser may have compiled after parsing its sample.  A
+#: parser compiles the start rule's closure (0.49 IPv4 to 0.72 PDF of the
+#: module); each share is that plus 5 points.
+STAGING_SHARES = {
+    "dns": 0.65,
+    "ipv4": 0.54,
+    "gif": 0.69,
+    "elf": 0.60,
+    "pe": 0.62,
+    "zip": 0.65,
+    "pdf": 0.78,
+}
+
+#: ``--staging-smoke``: modules a parse of a valid document never runs,
+#: so building and running parsers must not import them.
+LAZY_MODULES = (
+    "repro.core.diagnose",
+    "repro.core.streamability",
+    "repro.core.streaming",
+)
 
 #: ``--service-floor``: least service-mixed docs/s per fig13-tree docs/s.
 #: 12 ``--seconds 3`` pairs on a 2-vCPU host (Python 3.11.7) read ratios
@@ -456,6 +486,83 @@ def lazy_smoke() -> int:
     return 0
 
 
+def measure_staging(docs: dict) -> dict:
+    """Build each format's parser, parse its document, report the staging.
+
+    ``docs`` maps a format to its document.  Returns the share of each
+    parser's generated ``.source`` compiled so far and the
+    :data:`LAZY_MODULES` loaded.
+    """
+    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+    from repro.formats import registry
+
+    shares = {}
+    for fmt, data in docs.items():
+        parser = registry[fmt].build_parser()
+        parser.parse(data)
+        engine = parser._engine()
+        shares[fmt] = engine.staged_bytes / len(engine.source)
+    return {
+        "shares": shares,
+        "modules": [name for name in LAZY_MODULES if name in sys.modules],
+    }
+
+
+def _staging_child() -> None:
+    """:func:`measure_staging` on the hex-encoded documents read from stdin."""
+    docs = {fmt: bytes.fromhex(data) for fmt, data in json.load(sys.stdin).items()}
+    print(json.dumps(measure_staging(docs)))
+
+
+def check_staging(report: dict, pinned: dict = STAGING_SHARES) -> list:
+    """What a :func:`measure_staging` report violates; prints one line each."""
+    failures = []
+    for name in report["modules"]:
+        print(f"staging-smoke: {name} was imported: REGRESSION")
+        failures.append(name)
+    for fmt, bound in pinned.items():
+        share = report["shares"].get(fmt)
+        ok = share is not None and share <= bound
+        shown = "not measured" if share is None else f"{share:.3f}"
+        print(
+            f"staging-smoke: {fmt:4s} compiled {shown} of its module "
+            f"(bound {bound:.2f}): {'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(fmt)
+    return failures
+
+
+def staging_smoke() -> int:
+    """Gate a fresh process's staging (see ``--staging-smoke`` above)."""
+    import subprocess
+
+    sys.path[:0] = [os.path.join(_REPO_ROOT, name) for name in ("src", "tests")]
+    from engine_matrix import format_sample
+
+    docs = {fmt: format_sample(fmt).hex() for fmt in STAGING_SHARES}
+    here = os.path.abspath(__file__)
+    child = f"import runpy; runpy.run_path({here!r})['_staging_child']()"
+    completed = subprocess.run(
+        [sys.executable, "-c", child],
+        input=json.dumps(docs),
+        capture_output=True,
+        text=True,
+    )
+    if completed.returncode != 0:
+        print(
+            f"staging-smoke: FAILED — the child crashed\n{completed.stderr}",
+            file=sys.stderr,
+        )
+        return 1
+    failures = check_staging(json.loads(completed.stdout))
+    if failures:
+        print(f"staging-smoke: FAILED — {', '.join(failures)}", file=sys.stderr)
+        return 1
+    print("staging-smoke: passed")
+    return 0
+
+
 def _last_json_line(path: str) -> dict:
     """The last non-empty line of a perfbench run's output, as JSON."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -545,6 +652,13 @@ def main(argv=None) -> int:
         "eager read-then-parse)",
     )
     parser.add_argument(
+        "--staging-smoke",
+        action="store_true",
+        help="check that a fresh process building and running the format "
+        "parsers compiles only their start closures and imports no "
+        "diagnosis or streaming module",
+    )
+    parser.add_argument(
         "--service-floor",
         nargs=2,
         metavar=("FIG.json", "SVC.json"),
@@ -556,12 +670,14 @@ def main(argv=None) -> int:
         return limits_smoke(args.limits_tolerance)
     if args.lazy_smoke:
         return lazy_smoke()
+    if args.staging_smoke:
+        return staging_smoke()
     if args.service_floor:
         return service_floor(*args.service_floor)
     if not args.current:
         parser.error(
             "CURRENT.json is required unless --limits-smoke, --lazy-smoke, "
-            "or --service-floor is given"
+            "--staging-smoke or --service-floor is given"
         )
     return gate(args.current, args.baseline, args.tolerance)
 
